@@ -27,11 +27,9 @@ from .vsh import MAGNETIC, ModeSet, TangentVector, r_cross_x, vsh_x
 
 ETA0 = 376.730313668  # free-space impedance, ohms
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class ConvergenceWarning(UserWarning):
-    """Raised (as a warning) when grid doubling moves a decomposition."""
+    """Raised (as a warning) when grid doubling moves a decomposition, or
+    when the peak search hits its iteration cap."""
 
 
 class SphereGrid:
@@ -252,21 +250,30 @@ def radiation_resistance(power: float, current: float) -> float:
     return 2.0 * power / abs(current) ** 2
 
 
-def _golden_max(fun, a: float, b: float, tol: float):
-    """Golden-section maximizer on [a, b] for a smooth unimodal section."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+# 3x3 stencil offsets (a, b) along theta-hat and phi-hat, row-major in a.
+_STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+_NEWTON_MAX_ITER = 50
+# Objective error is quadratic in the position error near a smooth peak, so
+# a 1e-5 rad step already resolves |E|^2 well beyond rel_tol.
+_NEWTON_STEP_TOL = 1e-5
+
+
+def _angles(x: np.ndarray):
+    return np.arccos(np.clip(x[..., 2], -1.0, 1.0)), np.arctan2(x[..., 1], x[..., 0])
+
+
+def _tangent_frame(x: np.ndarray):
+    """Unit theta-hat and phi-hat at unit vector x (at a pole, for the phi
+    that arctan2 returns)."""
+    theta, phi = _angles(x)
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    return np.array([ct * cp, ct * sp, -st]), np.array([-sp, cp, 0.0])
+
+
+def _chart(x, e_t, e_p, offsets) -> np.ndarray:
+    """Gnomonic chart at x: tangent-plane offsets (n, 2) to unit vectors (n, 3)."""
+    pts = x + offsets[:, :1] * e_t + offsets[:, 1:] * e_p
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _max_magnitude_squared(
@@ -275,10 +282,24 @@ def _max_magnitude_squared(
     rel_tol: float = 1e-8,
     coarse_step_deg: float = 1.0,
 ) -> float:
-    """Locate max over the sphere of eval_sq(theta, phi) (broadcasting).
+    """Maximum over the sphere of eval_sq(theta, phi) (broadcasting arrays).
 
-    Coarse grid at coarse_step_deg, then alternating golden-section
-    refinement in theta and phi until the relative gain drops below rel_tol.
+    The argmax of a coarse grid at coarse_step_deg (or of the given
+    coarse = (theta_mesh, phi_mesh, values)) starts a Newton ascent in the
+    gnomonic chart of the tangent plane at the current point, so neither the
+    poles nor the phi coordinate need a special case. Each iteration makes
+    one eval_sq call on a 3x3 stencil of step h along theta-hat and phi-hat
+    and takes the gradient and Hessian from central differences. Along each
+    principal axis of the Hessian the step is Newton's where the curvature
+    is negative (the whole Newton step when the Hessian is negative
+    definite), and elsewhere an uphill step of h when its first-order gain
+    exceeds rel_tol; on an axisymmetric ridge this converges across the
+    ridge instead of crawling along it. The step is clamped to 2h, and h
+    then shrinks toward the step length. The search stops once the step and
+    h are below 1e-5 rad and the stencil raised the best value by at most
+    rel_tol relative. If the iteration cap is hit first, a
+    ConvergenceWarning is emitted. The best value seen is returned either
+    way.
     """
     if coarse is None:
         step = math.radians(coarse_step_deg)
@@ -289,34 +310,54 @@ def _max_magnitude_squared(
     else:
         tm, pm, vals = coarse
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    t0, p0 = float(tm[i, j]), float(pm[i, j])
     best = float(vals[i, j])
-    span = 2.0 * (tm[1, 0] - tm[0, 0]) if tm.shape[0] > 1 else 0.1
-    # Objective error is quadratic in the position error near a smooth peak,
-    # so a 1e-5 rad line tolerance already resolves |E|^2 beyond rel_tol.
-    line_tol = 1e-5
-    for _ in range(60):
-        t0, _ = _golden_max(
-            lambda t: float(eval_sq(np.clip(t, 0.0, np.pi), p0)),
-            max(0.0, t0 - span),
-            min(np.pi, t0 + span),
-            line_tol,
-        )
-        p0, improved = _golden_max(
-            lambda p: float(eval_sq(t0, p)), p0 - span, p0 + span, line_tol
-        )
-        if improved <= best * (1.0 + rel_tol):
-            best = max(best, improved)
-            break
-        best = improved
+    t0, p0 = float(tm[i, j]), float(pm[i, j])
+    x = np.array([math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0)])
+    h = float(tm[1, 0] - tm[0, 0])
+    for _ in range(_NEWTON_MAX_ITER):
+        e_t, e_p = _tangent_frame(x)
+        f = np.asarray(eval_sq(*_angles(_chart(x, e_t, e_p, h * _STENCIL))), dtype=float)
+        gained = f.max() > best * (1.0 + rel_tol)
+        best = max(best, float(f.max()))
+        f = f.reshape(3, 3)
+        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
+        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
+        hess = np.array([
+            [f[2, 1] - 2.0 * f[1, 1] + f[0, 1], cross],
+            [cross, f[1, 2] - 2.0 * f[1, 1] + f[1, 0]],
+        ]) / h**2
+        curvature, axes = np.linalg.eigh(hess)
+        slope = axes.T @ grad
+        along = np.where(np.abs(slope) * h > rel_tol * best, np.sign(slope) * h, 0.0)
+        concave = curvature < 0.0
+        along[concave] = -slope[concave] / curvature[concave]
+        s = axes @ along
+        length = math.hypot(*s)
+        if length > 2.0 * h:
+            s *= 2.0 * h / length
+            length = 2.0 * h
+        if not gained and length < _NEWTON_STEP_TOL and h < _NEWTON_STEP_TOL:
+            return best
+        x = _chart(x, e_t, e_p, s[None, :])[0]
+        # At most 1000-fold per step, so a zero step never collapses the stencil.
+        h = min(h, max(length, 1e-3 * h))
+    warnings.warn(
+        f"peak search hit its {_NEWTON_MAX_ITER}-iteration cap; returning the best value seen",
+        ConvergenceWarning,
+        stacklevel=2,
+    )
     return best
 
 
 def directivity(coeffs: VshCoefficients, k: float, rel_tol: float = 1e-8) -> float:
     """Directivity: 4 pi max |E|^2 over the integrated squared magnitude.
 
-    The spreading-free formulation makes the wavenumber cancel; it is kept
-    in the signature for interface symmetry with radiated_power.
+    The peak comes from _max_magnitude_squared: the argmax of a 1-degree
+    grid (on a cached basis) refined by a batched tangent-plane Newton
+    ascent, each step one vectorized synthesize call on 9 points, to
+    rel_tol relative. The spreading-free formulation makes the wavenumber
+    cancel; it is kept in the signature for interface symmetry with
+    radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if total <= 0.0:
@@ -366,8 +407,10 @@ def radiation_summary(coeffs: VshCoefficients, k: float, current: float) -> Radi
 def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -> RadiationSummary:
     """Radiation summary straight from a field callable (no mode expansion).
 
-    Power by quadrature of |E|^2, peak by the same coarse-plus-golden search
-    used for coefficient patterns. Serves as the theory-side reference.
+    Power by quadrature of |E|^2, peak by the same search as directivity()
+    (1-degree grid, then the batched tangent-plane Newton ascent), with the
+    field callable evaluated on whole stencils. Serves as the theory-side
+    reference.
     """
     sampled = field(grid.theta_mesh, grid.phi_mesh)
     mag_sq = np.abs(sampled.e_theta) ** 2 + np.abs(sampled.e_phi) ** 2

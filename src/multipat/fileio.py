@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -279,6 +280,22 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _check_resistance_target(normalization: dict) -> None:
+    """Radiation-resistance normalization needs numeric r_meas and r_loss
+    (default 0) with a positive, finite target r_meas - r_loss."""
+    if "r_meas" not in normalization:
+        raise ConfigError("radiation-resistance normalization needs r_meas")
+    r_meas, r_loss = normalization["r_meas"], normalization.get("r_loss", 0.0)
+    for name, value in (("r_meas", r_meas), ("r_loss", r_loss)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+    target = r_meas - r_loss
+    if not 0.0 < target < math.inf:
+        raise ConfigError(
+            f"target resistance r_meas - r_loss = {target} is not positive and finite"
+        )
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -350,10 +367,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown reconstruction method {method!r}")
     normalization = rec_sec.get("normalization")
     if normalization is not None:
-        if normalization.get("mode") not in ("unit-weight", "radiation-resistance"):
+        if not isinstance(normalization, dict) or normalization.get("mode") not in (
+            "unit-weight",
+            "radiation-resistance",
+        ):
             raise ConfigError(f"unknown normalization {normalization!r}")
         if method == "inverse" and normalization["mode"] == "unit-weight":
             raise ConfigError("unit-weight normalization needs a weight-based method")
+        if normalization["mode"] == "radiation-resistance":
+            _check_resistance_target(normalization)
 
     return ExperimentConfig(
         wavelength=wavelength,

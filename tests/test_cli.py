@@ -25,6 +25,16 @@ SMALL_CONFIG = {
 }
 
 
+# radiation-resistance normalizations that leave no usable target r_meas - r_loss
+BAD_RESISTANCE_NORMALIZATIONS = [
+    {"mode": "radiation-resistance"},
+    {"mode": "radiation-resistance", "r_meas": "73.1"},
+    {"mode": "radiation-resistance", "r_meas": 73.1, "r_loss": None},
+    {"mode": "radiation-resistance", "r_meas": 73.1, "r_loss": 73.1},
+    {"mode": "radiation-resistance", "r_meas": 50.0, "r_loss": 60.0},
+]
+
+
 def write_config(tmp_path, overrides=None, **sections):
     doc = json.loads(json.dumps(SMALL_CONFIG))
     if overrides:
@@ -73,6 +83,13 @@ class TestConfigParsing:
         doc = json.loads(json.dumps(SMALL_CONFIG))
         doc["reconstruction"]["normalization"] = {"mode": "unit-weight"}
         with pytest.raises(ConfigError):
+            fileio.parse_config(doc)
+
+    @pytest.mark.parametrize("normalization", BAD_RESISTANCE_NORMALIZATIONS)
+    def test_resistance_normalization_needs_a_positive_numeric_target(self, normalization):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["reconstruction"]["normalization"] = normalization
+        with pytest.raises(ConfigError, match=r"r_(meas|loss)"):
             fileio.parse_config(doc)
 
 
@@ -258,6 +275,18 @@ class TestCommands:
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path, chamber={"n_probes": 4})
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    @pytest.mark.parametrize("normalization", BAD_RESISTANCE_NORMALIZATIONS)
+    def test_bad_resistance_normalization_exits_2(self, tmp_path, capsys, command, normalization):
+        cfg_path = write_config(
+            tmp_path, reconstruction={"method": "lse", "normalization": normalization}
+        )
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (out / "sweep.csv").exists()
 
     def test_calibrate_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -4,18 +4,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from multipat import cli
+from multipat.chamber import probe_voltages
 from multipat.dipole import DipoleSpec
 from multipat.farfield import (
     ETA0,
     ConvergenceWarning,
     SphereGrid,
     VshCoefficients,
+    _max_magnitude_squared,
     decompose,
     default_grid,
     directivity,
     enforce_symmetry,
     field_radiation_summary,
+    mode_basis,
     radiated_power,
     radiation_resistance,
     radiation_summary,
@@ -23,7 +30,7 @@ from multipat.farfield import (
     synthesize,
     synthesize_on_grid,
 )
-from multipat.vsh import build_mode_set, vsh_x
+from multipat.vsh import TangentVector, build_mode_set, vsh_x
 
 K = 2 * np.pi
 
@@ -31,6 +38,53 @@ K = 2 * np.pi
 def random_coefficients(mode_set, rng, scale=1.0):
     vals = rng.normal(size=mode_set.size) + 1j * rng.normal(size=mode_set.size)
     return VshCoefficients(mode_set, scale * vals)
+
+
+def polished_directivity(coeffs, step_deg):
+    """Reference directivity: the best point of a step_deg grid, polished by
+    Nelder-Mead (xatol 1e-10) on scalar synthesize calls.
+
+    The grid is synthesized row by row from the basis at phi = 0, since
+    every basis function depends on phi only through exp(j m phi).
+    """
+    thetas = np.linspace(0.0, np.pi, int(round(180 / step_deg)) + 1)
+    phis = np.radians(step_deg) * np.arange(int(round(360 / step_deg)))
+    bt, bp = mode_basis(coeffs.mode_set, thetas, np.zeros_like(thetas))
+    phase = np.exp(1j * np.outer([e.m for e in coeffs.mode_set.entries], phis))
+    mag_sq = (
+        np.abs((coeffs.values[:, None] * bt).T @ phase) ** 2
+        + np.abs((coeffs.values[:, None] * bp).T @ phase) ** 2
+    )
+    i, j = np.unravel_index(np.argmax(mag_sq), mag_sq.shape)
+
+    def neg_mag_sq(x):
+        f = synthesize(coeffs, x[0], x[1])
+        return -(abs(f.e_theta) ** 2 + abs(f.e_phi) ** 2)
+
+    res = minimize(neg_mag_sq, [thetas[i], phis[j]], method="Nelder-Mead",
+                   options={"xatol": 1e-10, "maxiter": 20000})
+    peak = max(-res.fun, mag_sq[i, j])
+    return 4.0 * math.pi * peak / float(np.sum(np.abs(coeffs.values) ** 2))
+
+
+def huygens_field(axis):
+    """Crossed electric and magnetic dipoles radiating along `axis`: the
+    cardioid |E|^2 = (1 + r_hat . n)^2, whose directivity is exactly 3."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    e = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+    e /= np.linalg.norm(e)
+    m = np.cross(n, e)
+
+    def field(theta, phi):
+        theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+        st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        r = np.stack([st * cp, st * sp, ct], axis=-1)
+        t_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        p_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+        vec = np.cross(r, m) - e  # the radial part of -e is dropped by the projections
+        return TangentVector(np.sum(vec * t_hat, axis=-1), np.sum(vec * p_hat, axis=-1))
+
+    return field
 
 
 class TestSphereGrid:
@@ -181,12 +235,57 @@ class TestDirectivity:
         with pytest.raises(ValueError):
             directivity(VshCoefficients.zeros(build_mode_set(1)), K)
 
+    @pytest.mark.parametrize(
+        "axis",
+        [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 2, 3), (-0.3, 0.8, -0.5)],
+        ids=["+z", "-z", "x", "oblique-1", "oblique-2"],
+    )
+    def test_huygens_source_closed_form(self, axis):
+        c = decompose(huygens_field(axis), build_mode_set(1))
+        assert directivity(c, K) == pytest.approx(3.0, rel=1e-10)
+
     def test_field_route_matches_expansion_route(self):
         spec = DipoleSpec(theta0=0.6, phi0=2.0)
         theory = field_radiation_summary(spec.field(K), default_grid(3), K, 1.0)
         assert theory.radiation_resistance == pytest.approx(73.079, abs=0.005)
         assert theory.directivity == pytest.approx(1.6409, abs=0.001)
         assert theory.directivity_db == pytest.approx(10 * math.log10(theory.directivity))
+
+
+class TestPeakSearch:
+    @pytest.mark.parametrize("theta0, phi0", [(0.973, 0.917), (0.813, 4.800)])
+    def test_reconstruction_meets_rel_tol(self, paper_setup, theta0, phi0):
+        # Tilted half-wave dipoles of the paper config: a ring-shaped ridge
+        # that an alternating theta/phi line search stopped short on.
+        cfg = paper_setup.config
+        spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
+        voltages = probe_voltages(paper_setup.chamber, spec.field(cfg.k))
+        coeffs = cli._reconstruct_voltages(paper_setup, voltages).coefficients
+        assert directivity(coeffs, cfg.k) == pytest.approx(
+            polished_directivity(coeffs, 1.0), rel=1e-9
+        )
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(lambda_max=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_reaches_the_polished_dense_grid_maximum(self, lambda_max, seed):
+        c = random_coefficients(build_mode_set(lambda_max), np.random.default_rng(seed))
+        d = directivity(c, K)
+        assert d >= 1.0
+        assert d >= (1.0 - 1e-8) * polished_directivity(c, 0.5)
+
+    def test_iteration_cap_warns_and_returns_best_seen(self):
+        # A level that drifts upward between calls: every stencil gains, so
+        # the search can never settle.
+        seen = []
+
+        def eval_sq(t, p):
+            values = 1.0 + 1e-6 * len(seen) + 0.0 * np.asarray(t)
+            seen.append(float(np.max(values)))
+            return values
+
+        with pytest.warns(ConvergenceWarning, match="cap"):
+            peak = _max_magnitude_squared(eval_sq)
+        assert peak == max(seen)
 
 
 class TestEnforceSymmetry:

@@ -51,7 +51,6 @@ from .recon import (
     reconstruct_lse,
     reconstruct_weights_direct,
 )
-from .specfun import ModeIndex, assoc_legendre, legendre_p, sph_harm, spherical_hankel2
 from .vsh import ModeEntry, ModeSet, TangentVector, build_mode_set, r_cross_x, vsh_x
 
 __version__ = "0.1.0"

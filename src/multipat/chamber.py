@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .farfield import ETA0
-from .vsh import ELECTRIC, ModeSet, r_cross_x
+from .farfield import VshCoefficients, mode_basis
+from .vsh import ModeSet
 
 
 @dataclass
@@ -101,26 +101,21 @@ class ChannelMatrix:
 def analytic_channel(chamber: ChamberModel, mode_set: ModeSet) -> ChannelMatrix:
     """Channel matrix built directly from the path parameters.
 
-    Only valid for electric-multipole-only mode sets; each column couples one
-    mode's tangential pattern into every probe:
+    Column q is the synthesis basis B_q at the launch directions, mixed and
+    summed like probe_voltages, times the amplitude scale of mode q (-eta0
+    for electric modes, 1 for magnetic ones):
 
-      T[k, q] = -eta0 j^(l+1) sum_n rho_kn [R_theta cos(alpha) + R_phi sin(alpha)]
+      T[k, q] = scale_q sum_n rho_kn [B_q,theta cos(alpha) + B_q,phi sin(alpha)]
 
-    with R the components of r_hat x X at the launch direction. Applied to an
-    unscaled amplitude vector it reproduces probe_voltages of the truncated
-    field exactly; against the exact field it differs by the truncation
-    residual.
+    Applied to an unscaled amplitude vector it reproduces probe_voltages of
+    the truncated field exactly; against the exact field it differs by the
+    truncation residual.
     """
-    if any(entry.family != ELECTRIC for entry in mode_set.entries):
-        raise ValueError("analytic channel requires an electric-only mode set")
-    cos_a = np.cos(chamber.alpha)
-    sin_a = np.sin(chamber.alpha)
-    entries = np.empty((chamber.n_probes, mode_set.size), dtype=complex)
-    for q, (_, l, m) in enumerate(mode_set.entries):
-        vec = r_cross_x((l, m), chamber.theta, chamber.phi)
-        mixed = vec.e_theta * cos_a + vec.e_phi * sin_a
-        entries[:, q] = -ETA0 * (1j ** (l + 1)) * np.sum(chamber.rho * mixed, axis=1)
-    return ChannelMatrix(entries, mode_set)
+    bt, bp = mode_basis(mode_set, chamber.theta, chamber.phi)
+    mixed = bt * np.cos(chamber.alpha).ravel() + bp * np.sin(chamber.alpha).ravel()
+    summed = np.einsum("qkn,kn->kq", mixed.reshape(mode_set.size, *chamber.rho.shape), chamber.rho)
+    scale = VshCoefficients.from_amplitude_vector(mode_set, np.ones(mode_set.size)).values
+    return ChannelMatrix(summed * scale, mode_set)
 
 
 def select_chamber(

@@ -271,15 +271,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     step = float(args.step)
     if args.degrees:
         step = math.radians(step)
-    if step <= 0 or step > math.pi:
+    if not 0.0 < step <= math.pi:
         raise ConfigError(f"sweep step {step} rad is out of range")
     setup = build_setup(cfg)
     k = cfg.k
 
     n_theta = int(round(math.pi / step)) + 1
     n_phi = int(round(2.0 * math.pi / step))
-    if n_theta < 2 or n_phi < 1:
-        raise ConfigError("sweep grid is empty")
     theta0s = np.linspace(0.0, math.pi, n_theta)
     phi0s = np.arange(n_phi) * (2.0 * math.pi / n_phi)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .vsh import MAGNETIC, ModeSet, TangentVector, r_cross_x, vsh_x
+from .vsh import ModeSet, TangentVector, mode_components
 
 ETA0 = 376.730313668  # free-space impedance, ohms
 
@@ -73,8 +73,8 @@ def default_grid(lambda_max: int) -> SphereGrid:
     return SphereGrid(n, n)
 
 
-# Mode-basis cache: evaluating Legendre recurrences on a big grid dominates
-# repeated decompositions/syntheses, so keep a few basis matrices around.
+# Mode-basis cache: evaluating the basis on a big grid dominates repeated
+# decompositions/syntheses, so keep a few basis matrices around.
 _BASIS_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _BASIS_CACHE_MAX = 8
 
@@ -82,8 +82,9 @@ _BASIS_CACHE_MAX = 8
 def mode_basis(mode_set: ModeSet, theta, phi, cache_token: tuple | None = None):
     """Stacked basis component arrays (B_theta, B_phi), shape (size, npts).
 
-    Includes the j^(l+1) synthesis phase. theta/phi are flat arrays of equal
-    length. Pass a hashable cache_token to memoize per (mode_set, token).
+    vsh.mode_components evaluates every mode in one pass; this adds the
+    j^(l+1) synthesis phase. theta/phi are arrays of equal size, read in
+    flattened order. Pass a hashable cache_token to memoize per (mode_set, token).
     """
     key = None
     if cache_token is not None:
@@ -92,15 +93,10 @@ def mode_basis(mode_set: ModeSet, theta, phi, cache_token: tuple | None = None):
         if hit is not None:
             _BASIS_CACHE.move_to_end(key)
             return hit
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    bt = np.empty((mode_set.size, theta.size), dtype=complex)
-    bp = np.empty_like(bt)
-    for q, (family, l, m) in enumerate(mode_set.entries):
-        vec = vsh_x((l, m), theta, phi) if family == MAGNETIC else r_cross_x((l, m), theta, phi)
-        phase = 1j ** (l + 1)
-        bt[q] = phase * vec.e_theta
-        bp[q] = phase * vec.e_phi
+    bt, bp = mode_components(mode_set.entries, theta, phi)
+    phase = np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
+    bt *= phase
+    bp *= phase
     if key is not None:
         _BASIS_CACHE[key] = (bt, bp)
         while len(_BASIS_CACHE) > _BASIS_CACHE_MAX:
@@ -245,11 +241,15 @@ def radiated_power(coeffs: VshCoefficients, k: float) -> float:
 
 def radiation_resistance(power: float, current: float) -> float:
     """Equivalent terminal resistance 2 P / |I|^2."""
-    if current == 0.0 or abs(current) == 0.0:
+    if abs(current) == 0.0:
         raise ZeroDivisionError("radiation resistance undefined for zero terminal current")
     return 2.0 * power / abs(current) ** 2
 
 
+# 1-degree mesh whose argmax starts every peak search.
+_COARSE_THETA, _COARSE_PHI = np.meshgrid(
+    np.linspace(0.0, np.pi, 181), np.arange(360) * math.radians(1.0), indexing="ij"
+)
 # 3x3 stencil offsets (a, b) along theta-hat and phi-hat, row-major in a.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 _NEWTON_MAX_ITER = 50
@@ -276,44 +276,33 @@ def _chart(x, e_t, e_p, offsets) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _max_magnitude_squared(
-    eval_sq,
-    coarse=None,
-    rel_tol: float = 1e-8,
-    coarse_step_deg: float = 1.0,
-) -> float:
+def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float:
     """Maximum over the sphere of eval_sq(theta, phi) (broadcasting arrays).
 
-    The argmax of a coarse grid at coarse_step_deg (or of the given
-    coarse = (theta_mesh, phi_mesh, values)) starts a Newton ascent in the
-    gnomonic chart of the tangent plane at the current point, so neither the
-    poles nor the phi coordinate need a special case. Each iteration makes
-    one eval_sq call on a 3x3 stencil of step h along theta-hat and phi-hat
-    and takes the gradient and Hessian from central differences. Along each
-    principal axis of the Hessian the step is Newton's where the curvature
-    is negative (the whole Newton step when the Hessian is negative
-    definite), and elsewhere an uphill step of h when its first-order gain
-    exceeds rel_tol; on an axisymmetric ridge this converges across the
-    ridge instead of crawling along it. The step is clamped to 2h, and h
-    then shrinks toward the step length. The search stops once the step and
-    h are below 1e-5 rad and the stencil raised the best value by at most
-    rel_tol relative. If the iteration cap is hit first, a
-    ConvergenceWarning is emitted. The best value seen is returned either
-    way.
+    The argmax over the 1-degree mesh (_COARSE_THETA, _COARSE_PHI) of
+    coarse, the values of eval_sq there (computed when not given), starts a
+    Newton ascent in the gnomonic chart of the tangent plane at the current
+    point, so neither the poles nor the phi coordinate need a special case.
+    Each iteration makes one eval_sq call on a 3x3 stencil of step h along
+    theta-hat and phi-hat and takes the gradient and Hessian from central
+    differences. Along each principal axis of the Hessian the step is
+    Newton's where the curvature is negative (the whole Newton step when the
+    Hessian is negative definite), and elsewhere an uphill step of h when
+    its first-order gain exceeds rel_tol; on an axisymmetric ridge this
+    converges across the ridge instead of crawling along it. The step is
+    clamped to 2h, and h then shrinks toward the step length. The search
+    stops once the step and h are below 1e-5 rad and the stencil raised the
+    best value by at most rel_tol relative. If the iteration cap is hit
+    first, a ConvergenceWarning is emitted. The best value seen is returned
+    either way.
     """
     if coarse is None:
-        step = math.radians(coarse_step_deg)
-        thetas = np.linspace(0.0, np.pi, int(round(np.pi / step)) + 1)
-        phis = np.arange(int(round(2 * np.pi / step))) * step
-        tm, pm = np.meshgrid(thetas, phis, indexing="ij")
-        vals = eval_sq(tm, pm)
-    else:
-        tm, pm, vals = coarse
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    best = float(vals[i, j])
-    t0, p0 = float(tm[i, j]), float(pm[i, j])
+        coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
+    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
+    best = float(coarse[i, j])
+    t0, p0 = float(_COARSE_THETA[i, j]), float(_COARSE_PHI[i, j])
     x = np.array([math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0)])
-    h = float(tm[1, 0] - tm[0, 0])
+    h = float(_COARSE_THETA[1, 0] - _COARSE_THETA[0, 0])
     for _ in range(_NEWTON_MAX_ITER):
         e_t, e_p = _tangent_frame(x)
         f = np.asarray(eval_sq(*_angles(_chart(x, e_t, e_p, h * _STENCIL))), dtype=float)
@@ -360,24 +349,19 @@ def directivity(coeffs: VshCoefficients, k: float, rel_tol: float = 1e-8) -> flo
     radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
-    if total <= 0.0:
-        raise ValueError("directivity undefined for zero radiated power")
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"directivity undefined for squared amplitude sum {total}")
 
     def eval_sq(t, p):
         f = synthesize(coeffs, t, p)
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
-    # Reuse one cached coarse sampling per mode set via synthesize_on_grid's
-    # basis cache: build the coarse mesh directly here.
-    step = math.radians(1.0)
-    thetas = np.linspace(0.0, np.pi, 181)
-    phis = np.arange(360) * step
-    tm, pm = np.meshgrid(thetas, phis, indexing="ij")
-    bt, bp = mode_basis(coeffs.mode_set, tm.ravel(), pm.ravel(), ("coarse", 181, 360))
+    # The coarse sampling reuses one cached basis per mode set.
+    bt, bp = mode_basis(coeffs.mode_set, _COARSE_THETA, _COARSE_PHI, ("coarse", 181, 360))
     et = coeffs.values @ bt
     ep = coeffs.values @ bp
-    vals = (np.abs(et) ** 2 + np.abs(ep) ** 2).reshape(tm.shape)
-    peak = _max_magnitude_squared(eval_sq, coarse=(tm, pm, vals), rel_tol=rel_tol)
+    vals = (np.abs(et) ** 2 + np.abs(ep) ** 2).reshape(_COARSE_THETA.shape)
+    peak = _max_magnitude_squared(eval_sq, coarse=vals, rel_tol=rel_tol)
     return 4.0 * math.pi * peak / total
 
 
@@ -415,8 +399,8 @@ def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -
     sampled = field(grid.theta_mesh, grid.phi_mesh)
     mag_sq = np.abs(sampled.e_theta) ** 2 + np.abs(sampled.e_phi) ** 2
     total = float(grid.integrate(np.broadcast_to(mag_sq, grid.theta_mesh.shape)))
-    if total <= 0.0:
-        raise ValueError("field has zero power")
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"field power integral {total} is not positive and finite")
     power = total / (2.0 * ETA0 * k * k)
 
     def eval_sq(t, p):

@@ -296,12 +296,21 @@ def _check_resistance_target(normalization: dict) -> None:
         )
 
 
+def _positive_finite(section: dict, key: str, default: float) -> float:
+    value = section.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if not 0.0 < number < math.inf:
+        raise ConfigError(f"{key} must be positive and finite, got {number}")
+    return number
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    wavelength = float(doc.get("wavelength", 1.0))
-    if wavelength <= 0:
-        raise ConfigError("wavelength must be positive")
+    wavelength = _positive_finite(doc, "wavelength", 1.0)
 
     ms_sec = doc.get("mode_set", {})
     mode_set = mode_set_from_dict(
@@ -316,6 +325,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     n_default = 4 * mode_set.lambda_max + 16
     n_theta = int(grid_sec.get("n_theta", n_default))
     n_phi = int(grid_sec.get("n_phi", n_default))
+    # Below this the quadrature no longer integrates products of the basis
+    # exactly, and the decompositions silently alias.
+    if n_theta < mode_set.lambda_max + 1 or n_phi < 2 * mode_set.lambda_max + 1:
+        raise ConfigError(
+            f"a {n_theta} x {n_phi} grid under-resolves lambda_max = {mode_set.lambda_max}: "
+            f"need n_theta >= {mode_set.lambda_max + 1} and n_phi >= {2 * mode_set.lambda_max + 1}"
+        )
 
     ref_sec = doc.get("references", {})
     orientations = ref_sec.get("orientations")
@@ -341,7 +357,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ch_sec = doc.get("chamber", {})
     n_probes = int(ch_sec.get("n_probes", mode_set.size))
     n_paths = int(ch_sec.get("n_paths", mode_set.size))
-    sigma_rho = float(ch_sec.get("sigma_rho", 0.001))
+    sigma_rho = _positive_finite(ch_sec, "sigma_rho", 0.001)
     if "seeds" in ch_sec:
         seeds = [int(s) for s in ch_sec["seeds"]]
     elif "seed" in ch_sec:

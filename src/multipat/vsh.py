@@ -2,9 +2,12 @@
 
 X_{l,m} is the tangential harmonic built from the angular-momentum operator
 acting on Y_{l,m}; r_hat x X_{l,m} is its 90-degree tangent-plane rotation.
-Both are returned as (theta, phi) component pairs. Mode bookkeeping (the
-flat q <-> (family, l, m) ordering used by every matrix in the toolkit)
-lives here as well.
+mode_components() evaluates every mode of a set in one pass: one
+orthonormal associated-Legendre recurrence per order m, carried as
+P_l^m / sin(theta) so that no expression divides by sin(theta) and the
+poles need no special case. vsh_x() and r_cross_x() are single-mode views
+of it. Mode bookkeeping (the flat q <-> (family, l, m) ordering used by
+every matrix in the toolkit) lives here as well.
 """
 from __future__ import annotations
 
@@ -13,10 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-
-from .specfun import _assoc_legendre_xs, _validate_mode, ylm_norm
-
-POLE_TOL = 1e-6
 
 ELECTRIC = "E"
 MAGNETIC = "M"
@@ -38,14 +37,6 @@ class TangentVector:
 
     def magnitude(self):
         return np.sqrt(np.abs(self.e_theta) ** 2 + np.abs(self.e_phi) ** 2)
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector(self.e_theta + other.e_theta, self.e_phi + other.e_phi)
-
-    def __mul__(self, scale) -> "TangentVector":
-        return TangentVector(scale * self.e_theta, scale * self.e_phi)
-
-    __rmul__ = __mul__
 
 
 class ModeEntry(NamedTuple):
@@ -85,9 +76,6 @@ class ModeSet:
                 return q
         raise KeyError(f"mode ({family}, {l}, {m}) not in set")
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({e.l for e in self.entries}))
-
 
 def _filtered_degrees(lambda_max: int, parity: str):
     for l in range(1, lambda_max + 1):
@@ -122,69 +110,96 @@ def build_mode_set(lambda_max: int, parity: str = "all", multipole: str = "both"
     return ModeSet(lambda_max, parity, multipole, tuple(entries))
 
 
-def _vsh_x_nonneg(l: int, m: int, theta, phi):
-    """X_{l,m} components for m >= 0 with a guarded path at the poles.
 
-    theta_hat component: -(m / sin(theta)) Y_{l,m} / sqrt(l(l+1))
-    phi_hat component:   (-j / sqrt(l(l+1))) dY_{l,m}/dtheta
-    where dP_l^m(cos t)/dt = [l cos t P_l^m - (l+m) P_{l-1}^m] / sin t.
+
+def _write(row: np.ndarray, real: np.ndarray, phase, const: complex) -> None:
+    """row = const * real * phase, in place."""
+    np.multiply(phase, real, out=row)
+    if const != 1:
+        row *= const
+
+
+def mode_components(entries, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Theta and phi components of every mode at flat points, each of shape
+    (len(entries), npts): X_{l,m} for magnetic entries, r_hat x X_{l,m} =
+    (-X_phi, X_theta) for electric ones.
+
+    With Pbar_l^m the orthonormal associated Legendre function (Condon-
+    Shortley phase), x = cos(theta), s = sin(theta), n = sqrt(l(l+1)) and
+    u_l^m = Pbar_l^m / s, one upward recurrence per order m >= 1 gives
+
+      X_theta = -(m/n) u_l^m e^{j m phi}
+      X_phi   = (-j/n) dPbar_l^m/dtheta e^{j m phi}
+      dPbar_l^m/dtheta = l x u_l^m - sqrt((2l+1)(l^2-m^2)/(2l-1)) u_{l-1}^m
+      dPbar_l^0/dtheta = n s u_l^1
+
+    and X_{l,-m} = (-1)^(m+1) conj(X_{l,m}). The seed u_m^m is a constant
+    times s^(m-1), so nothing overflows at high degree and the poles are
+    ordinary points. Rows are written in place; the temporaries are
+    O(npts).
     """
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    th, ph = np.broadcast_arrays(th, ph)
-    x = np.cos(th)
-    s = np.sin(th)
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    x, s = np.cos(theta), np.sin(theta)
+    out_t = np.empty((len(entries), theta.size), dtype=complex)
+    out_p = np.empty_like(out_t)
+    # Order-0 modes come out of the order-1 recurrence.
+    rows: dict[int, dict[int, list[tuple[int, str, int]]]] = {}
+    for q, (family, l, m) in enumerate(entries):
+        rows.setdefault(max(abs(m), 1), {}).setdefault(l, []).append((q, family, m))
 
-    near_pole = (th < POLE_TOL) | (np.pi - th < POLE_TOL)
-    s_safe = np.where(near_pole, 1.0, s)
+    p_diag = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))  # Pbar_{m-1}^{m-1}
+    for m in range(1, max(rows, default=0) + 1):
+        u_diag = -math.sqrt((2 * m + 1) / (2 * m)) * p_diag
+        if m in rows:
+            e = np.exp(1j * m * phi)
+            phases = {m: e, -m: e.conj(), 0: 1.0}
+            sign = (-1) ** (m + 1)
+            u_prev, u = np.zeros_like(x), u_diag
+            for l in range(m, max(rows[m]) + 1):
+                if l == m + 1:
+                    u_prev, u = u, math.sqrt(2 * m + 3) * x * u
+                elif l > m + 1:
+                    a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+                    b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+                    u_prev, u = u, a * (x * u - b * u_prev)
+                if l not in rows[m]:
+                    continue
+                n = math.sqrt(l * (l + 1))
+                c = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
+                x_theta = (-m / n) * u
+                x_phi = (l * x * u - c * u_prev) / n  # X_phi without its -j
+                for q, family, mq in rows[m][l]:
+                    if mq == 0:
+                        comp_t, comp_p, const_t, const_p = np.zeros_like(u), s * u, 1, -1j
+                    elif mq > 0:
+                        comp_t, comp_p, const_t, const_p = x_theta, x_phi, 1, -1j
+                    else:
+                        comp_t, comp_p, const_t, const_p = x_theta, x_phi, sign, sign * 1j
+                    if family == MAGNETIC:
+                        _write(out_t[q], comp_t, phases[mq], const_t)
+                        _write(out_p[q], comp_p, phases[mq], const_p)
+                    else:
+                        _write(out_t[q], comp_p, phases[mq], -const_p)
+                        _write(out_p[q], comp_t, phases[mq], const_t)
+        p_diag = s * u_diag
+    return out_t, out_p
 
-    nrm = ylm_norm(l, m)
-    inv_root = 1.0 / math.sqrt(l * (l + 1))
-    plm = _assoc_legendre_xs(l, m, x, s)
-    # P_{l-1}^m is conventionally zero when m = l (the (l+m) P_{l-1}^m term drops).
-    plm1 = _assoc_legendre_xs(l - 1, m, x, s) if m <= l - 1 else np.zeros_like(x)
-    dtheta = (l * x * plm - (l + m) * plm1) / s_safe
-    expht = np.exp(1j * m * ph)
 
-    e_theta = (-(m * inv_root) * nrm * plm / s_safe) * expht
-    e_phi = (-1j * inv_root) * nrm * dtheta * expht
-
-    if np.any(near_pole):
-        # Analytic polar limits: zero unless m == 1.
-        if m == 1:
-            c = math.sqrt((2 * l + 1) / (16.0 * math.pi))
-            north = near_pole & (th < POLE_TOL)
-            south = near_pole & ~(th < POLE_TOL)
-            e_theta = np.where(north, c * expht, e_theta)
-            e_phi = np.where(north, 1j * c * expht, e_phi)
-            sgn = (-1) ** l
-            e_theta = np.where(south, -sgn * c * expht, e_theta)
-            e_phi = np.where(south, sgn * 1j * c * expht, e_phi)
-        else:
-            zero = np.zeros_like(expht)
-            e_theta = np.where(near_pole, zero, e_theta)
-            e_phi = np.where(near_pole, zero, e_phi)
-    return e_theta, e_phi
+def _single_mode(family: str, mode, theta, phi) -> TangentVector:
+    l, m = mode
+    if l < 1 or abs(m) > l:
+        raise ValueError(f"vector spherical harmonics need l >= 1 and |m| <= l, got {mode}")
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    bt, bp = mode_components((ModeEntry(family, l, m),), th, ph)
+    return TangentVector(bt[0].reshape(th.shape)[()], bp[0].reshape(th.shape)[()])
 
 
 def vsh_x(mode, theta, phi) -> TangentVector:
-    """Vector spherical harmonic X_{l,m} at (theta, phi); l >= 1 required.
-
-    Negative orders use X_{l,-m} = (-1)^(m+1) conj(X_{l,m}).
-    """
-    l, m = mode
-    _validate_mode(l, m)
-    if l < 1:
-        raise ValueError("vector spherical harmonics require l >= 1")
-    if m < 0:
-        et, ep = _vsh_x_nonneg(l, -m, theta, phi)
-        sign = (-1) ** ( -m + 1)
-        return TangentVector(sign * np.conj(et), sign * np.conj(ep))
-    et, ep = _vsh_x_nonneg(l, m, theta, phi)
-    return TangentVector(et, ep)
+    """Vector spherical harmonic X_{l,m} at (theta, phi); l >= 1 required."""
+    return _single_mode(MAGNETIC, mode, theta, phi)
 
 
 def r_cross_x(mode, theta, phi) -> TangentVector:
     """r_hat x X_{l,m}: the tangent-plane rotation (-X_phi, X_theta)."""
-    x = vsh_x(mode, theta, phi)
-    return TangentVector(-x.e_phi, x.e_theta)
+    return _single_mode(ELECTRIC, mode, theta, phi)

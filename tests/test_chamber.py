@@ -4,7 +4,7 @@ import pytest
 
 from multipat.chamber import ChamberModel, analytic_channel, probe_voltages, sample_chamber, select_chamber
 from multipat.dipole import DipoleSpec
-from multipat.farfield import decompose, default_grid, synthesize
+from multipat.farfield import VshCoefficients, decompose, default_grid, synthesize
 from multipat.vsh import TangentVector, build_mode_set
 
 K = 2 * np.pi
@@ -91,10 +91,14 @@ class TestProbeVoltages:
 
 
 class TestAnalyticChannel:
-    def test_rejects_magnetic_modes(self):
-        ch = sample_chamber(0, 16, 16)
-        with pytest.raises(ValueError):
-            analytic_channel(ch, build_mode_set(1, multipole="both"))
+    def test_exact_on_truncated_field_with_magnetic_modes(self):
+        ms = build_mode_set(3)
+        ch = sample_chamber(4, 12, 12, 0.001)
+        rng = np.random.default_rng(6)
+        coeffs = VshCoefficients(ms, rng.normal(size=ms.size) + 1j * rng.normal(size=ms.size))
+        via_matrix = analytic_channel(ch, ms).entries @ coeffs.to_amplitude_vector()
+        via_simulation = probe_voltages(ch, lambda a, b: synthesize(coeffs, a, b))
+        assert np.max(np.abs(via_matrix - via_simulation)) < 1e-13 * np.max(np.abs(via_simulation))
 
     def test_zero_gain_chamber(self):
         ch = sample_chamber(0, 10, 10)

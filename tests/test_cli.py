@@ -1,5 +1,6 @@
 """CLI commands, file formats, exit codes, and replay determinism."""
 import json
+import math
 import subprocess
 import sys
 
@@ -84,6 +85,19 @@ class TestConfigParsing:
         doc["reconstruction"]["normalization"] = {"mode": "unit-weight"}
         with pytest.raises(ConfigError):
             fileio.parse_config(doc)
+
+    @pytest.mark.parametrize("lambda_max", [1, 3, 5])
+    def test_grid_bound(self, lambda_max):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["mode_set"] = {"lambda_max": lambda_max, "parity": "all", "multipole": "electric"}
+        doc["references"]["count"] = doc["chamber"]["n_probes"] = doc["chamber"]["n_paths"] = 35
+        n_theta, n_phi = lambda_max + 1, 2 * lambda_max + 1
+        doc["grid"] = {"n_theta": n_theta, "n_phi": n_phi}
+        assert fileio.parse_config(doc).n_theta == n_theta
+        for short in ({"n_theta": n_theta - 1, "n_phi": n_phi}, {"n_theta": n_theta, "n_phi": n_phi - 1}):
+            doc["grid"] = short
+            with pytest.raises(ConfigError, match="under-resolves"):
+                fileio.parse_config(doc)
 
     @pytest.mark.parametrize("normalization", BAD_RESISTANCE_NORMALIZATIONS)
     def test_resistance_normalization_needs_a_positive_numeric_target(self, normalization):
@@ -288,6 +302,28 @@ class TestCommands:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grid": {"n_theta": 3, "n_phi": 3}},
+            {"grid": {"n_theta": 4, "n_phi": 6}},
+            {"grid": {"n_theta": 3, "n_phi": 28}},
+            {"wavelength": math.nan},
+            {"wavelength": math.inf},
+            {"wavelength": "one"},
+            {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": math.nan}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": -0.001}},
+        ],
+        ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
+             "wavelength-text", "sigma-nan", "sigma-negative"],
+    )
+    def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
+        cfg_path = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_calibrate_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -313,8 +349,9 @@ class TestCommands:
 
     def test_sweep_bad_step_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path)
-        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
-                         "--step", "-5", "--degrees"]) == 2
+        for step in ("-5", "nan"):
+            assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                             "--step", step, "--degrees"]) == 2
 
     def test_plan_values(self, capsys):
         assert cli.main(["plan", "--kr", "1.5707963"]) == 0

@@ -235,6 +235,23 @@ class TestDirectivity:
         with pytest.raises(ValueError):
             directivity(VshCoefficients.zeros(build_mode_set(1)), K)
 
+    def test_non_finite_power_rejected(self):
+        ms = build_mode_set(1)
+        for bad in (np.nan, np.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # refused before any peak search
+                with pytest.raises(ValueError):
+                    directivity(VshCoefficients(ms, np.full(ms.size, bad)), K)
+
+    def test_field_route_rejects_non_finite_power(self):
+        def nan_field(t, p):
+            return TangentVector(np.full(np.shape(t), np.nan, dtype=complex), 0.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                field_radiation_summary(nan_field, default_grid(1), K, 1.0)
+
     @pytest.mark.parametrize(
         "axis",
         [(0, 0, 1), (0, 0, -1), (1, 0, 0), (1, 2, 3), (-0.3, 0.8, -0.5)],

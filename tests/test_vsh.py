@@ -1,10 +1,23 @@
 """Vector harmonics: hand values, a finite-difference oracle, orthonormality."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import lpmv
 
 from multipat.farfield import default_grid
-from multipat.specfun import sph_harm
-from multipat.vsh import ModeEntry, build_mode_set, r_cross_x, vsh_x
+from multipat.vsh import ModeEntry, build_mode_set, mode_components, r_cross_x, vsh_x
+
+
+def sph_harm(mode, theta, phi):
+    """Orthonormal Y_{l,m} from scipy's lpmv (Condon-Shortley phase included)."""
+    l, m = mode
+    if m < 0:
+        return (-1) ** m * np.conj(sph_harm((l, -m), theta, phi))
+    norm = math.sqrt((2 * l + 1) / (4 * math.pi) * math.factorial(l - m) / math.factorial(l + m))
+    return norm * lpmv(m, l, np.cos(theta)) * np.exp(1j * m * phi)
 
 
 def surface_rotated_gradient(l, m, theta, phi, h=1e-6):
@@ -25,7 +38,7 @@ class TestVshX:
         assert v.e_phi == pytest.approx(1j * np.sqrt(3 / (8 * np.pi)), rel=1e-13)
 
     def test_finite_difference_oracle(self):
-        for mode in [(2, 2), (3, 1), (4, -2), (5, 0), (1, -1)]:
+        for mode in [(2, 2), (3, 1), (4, -2), (5, 0), (1, -1), (10, 7), (15, -4)]:
             v = vsh_x(mode, 1.0, 0.5)
             et, ep = surface_rotated_gradient(*mode, 1.0, 0.5)
             assert v.e_theta == pytest.approx(et, abs=5e-9)
@@ -45,6 +58,29 @@ class TestVshX:
                 )
                 assert abs(guard.e_theta - near.e_theta) < 1e-4
                 assert abs(guard.e_phi - near.e_phi) < 1e-4
+
+    def test_regular_next_to_the_pole(self):
+        theta = 5e-7
+        v = vsh_x((1, 0), theta, 0.3)
+        assert v.e_phi == pytest.approx(1j * math.sqrt(3 / (8 * math.pi)) * math.sin(theta), rel=1e-12)
+        assert v.e_theta == 0
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6).map(
+            lambda ts: [0.0, math.pi] + ts
+        ),
+        st.floats(0.0, 2 * math.pi),
+    )
+    def test_unsold_identity_to_degree_160(self, thetas, phi):
+        # sum_m |X_{l,m}|^2 = (2l+1)/(4 pi) at every point, poles included.
+        ms = build_mode_set(160, multipole="magnetic")
+        bt, bp = mode_components(ms.entries, np.array(thetas), np.full(len(thetas), phi))
+        degrees = np.array([e.l for e in ms.entries])
+        sums = np.zeros((161, len(thetas)))
+        np.add.at(sums, degrees, np.abs(bt) ** 2 + np.abs(bp) ** 2)
+        expected = (2 * np.arange(1, 161) + 1) / (4 * math.pi)
+        np.testing.assert_allclose(sums[1:], np.broadcast_to(expected[:, None], sums[1:].shape), rtol=1e-12)
 
     def test_rejects_monopole(self):
         with pytest.raises(ValueError):
@@ -73,6 +109,19 @@ class TestRCrossX:
         x = vsh_x((3, 1), 0.9, 2.0)
         r = r_cross_x((3, 1), 0.9, 2.0)
         assert x.magnitude() == pytest.approx(r.magnitude(), rel=1e-14)
+
+
+class TestModeComponents:
+    def test_matches_single_mode_views(self):
+        ms = build_mode_set(4)
+        theta = np.array([0.0, 0.4, 1.3, 2.9, np.pi])
+        phi = np.array([0.2, 5.1, 1.0, 3.3, 0.7])
+        bt, bp = mode_components(ms.entries, theta, phi)
+        for q, (family, l, m) in enumerate(ms.entries):
+            view = vsh_x if family == "M" else r_cross_x
+            v = view((l, m), theta, phi)
+            np.testing.assert_array_equal(bt[q], v.e_theta)
+            np.testing.assert_array_equal(bp[q], v.e_phi)
 
 
 class TestModeSet:

@@ -25,6 +25,9 @@ from . import dipole, farfield, fileio, planner, recon
 from .fileio import ConfigError, ExperimentConfig
 
 REPORT_FORMAT = "report/1"
+# About a 0.255-degree grid. At milliseconds per orientation that sweep
+# already takes hours; a finer step is refused before the set-up runs.
+MAX_SWEEP_ORIENTATIONS = 1_000_000
 
 
 def _timestamp() -> str:
@@ -267,19 +270,28 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     return 0
 
 
+def _sweep_grid(step: float):
+    """theta0 rows and phi0 columns of the sweep grid with the given step (rad)."""
+    if not 0.0 < step <= math.pi:
+        raise ConfigError(f"sweep step {step} rad is out of range")
+    n_theta = n_phi = math.inf
+    if math.pi / step <= MAX_SWEEP_ORIENTATIONS:  # else pi / step may be inf
+        n_theta = int(round(math.pi / step)) + 1
+        n_phi = int(round(2.0 * math.pi / step))
+    if n_theta * n_phi > MAX_SWEEP_ORIENTATIONS:
+        raise ConfigError(
+            f"sweep step {step} rad gives more than {MAX_SWEEP_ORIENTATIONS} orientations"
+        )
+    return np.linspace(0.0, math.pi, n_theta), np.arange(n_phi) * (2.0 * math.pi / n_phi)
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     step = float(args.step)
     if args.degrees:
         step = math.radians(step)
-    if not 0.0 < step <= math.pi:
-        raise ConfigError(f"sweep step {step} rad is out of range")
+    theta0s, phi0s = _sweep_grid(step)
     setup = build_setup(cfg)
     k = cfg.k
-
-    n_theta = int(round(math.pi / step)) + 1
-    n_phi = int(round(2.0 * math.pi / step))
-    theta0s = np.linspace(0.0, math.pi, n_theta)
-    phi0s = np.arange(n_phi) * (2.0 * math.pi / n_phi)
 
     # Theory resistance/directivity of an identical dipole are orientation
     # invariant, so evaluate them once from the closed-form field.
@@ -315,7 +327,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     meta = {
         "format": "sweep-meta/1",
         "step_rad": step,
-        "grid_shape": [n_theta, n_phi],
+        "grid_shape": [len(theta0s), len(phi0s)],
         "reference_orientations": [[t, p] for t, p in setup.orientations],
         "chamber_seed": setup.chamber.seed,
         "condition_numbers": _condition_numbers(setup),

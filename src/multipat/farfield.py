@@ -294,10 +294,13 @@ def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float
     stops once the step and h are below 1e-5 rad and the stencil raised the
     best value by at most rel_tol relative. If the iteration cap is hit
     first, a ConvergenceWarning is emitted. The best value seen is returned
-    either way.
+    either way. A non-finite value on the mesh raises ValueError, since its
+    argmax would be meaningless.
     """
     if coarse is None:
         coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
+    if not np.all(np.isfinite(coarse)):
+        raise ValueError("peak search: the pattern is not finite on the 1-degree mesh")
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = float(coarse[i, j])
     t0, p0 = float(_COARSE_THETA[i, j]), float(_COARSE_PHI[i, j])

@@ -274,10 +274,47 @@ class ExperimentConfig:
         return build_mode_set(self.lambda_max, self.parity, self.multipole)
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing '{key}' in {where} section")
-    return section[key]
+# The largest accepted truncation order. Its all-modes set already has
+# 20 400 modes, whose basis on the smallest accepted grid (101 x 201) takes
+# 13 GB, and building the mode set of an unbounded order would hang here.
+MAX_LAMBDA = 100
+
+
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+    return section
+
+
+# (test, requirement) pairs for _number
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+_NONZERO = (lambda v: v != 0.0 and math.isfinite(v), "nonzero and finite")
+_POLAR = (lambda v: 0.0 <= v <= math.pi, "in [0, pi]")
+_FINITE = (math.isfinite, "finite")
+
+
+def _number(value, name: str, rule) -> float:
+    """value as a float that passes rule, else ConfigError."""
+    valid, requirement = rule
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not valid(number):
+        raise ConfigError(f"{name} must be {requirement}, got {number}")
+    return number
+
+
+def _integer(value, name: str, minimum: int = 0, maximum: float = math.inf) -> int:
+    """value as an int in [minimum, maximum], else ConfigError."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    if not minimum <= number <= maximum:
+        raise ConfigError(f"{name} = {number} is outside [{minimum}, {maximum}]")
+    return number
 
 
 def _check_resistance_target(normalization: dict) -> None:
@@ -285,10 +322,13 @@ def _check_resistance_target(normalization: dict) -> None:
     (default 0) with a positive, finite target r_meas - r_loss."""
     if "r_meas" not in normalization:
         raise ConfigError("radiation-resistance normalization needs r_meas")
-    r_meas, r_loss = normalization["r_meas"], normalization.get("r_loss", 0.0)
-    for name, value in (("r_meas", r_meas), ("r_loss", r_loss)):
+    for name in ("r_meas", "r_loss"):
+        value = normalization.get(name, 0.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
+    r_meas, r_loss = (
+        _number(normalization.get(name, 0.0), name, _FINITE) for name in ("r_meas", "r_loss")
+    )
     target = r_meas - r_loss
     if not 0.0 < target < math.inf:
         raise ConfigError(
@@ -296,35 +336,25 @@ def _check_resistance_target(normalization: dict) -> None:
         )
 
 
-def _positive_finite(section: dict, key: str, default: float) -> float:
-    value = section.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-    if not 0.0 < number < math.inf:
-        raise ConfigError(f"{key} must be positive and finite, got {number}")
-    return number
-
-
 def parse_config(doc: dict) -> ExperimentConfig:
+    """Validate a config document; every unusable value raises ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    wavelength = _positive_finite(doc, "wavelength", 1.0)
+    wavelength = _number(doc.get("wavelength", 1.0), "wavelength", _POSITIVE)
 
-    ms_sec = doc.get("mode_set", {})
+    ms_sec = _section(doc, "mode_set")
     mode_set = mode_set_from_dict(
         {
-            "lambda_max": ms_sec.get("lambda_max", 3),
+            "lambda_max": _integer(ms_sec.get("lambda_max", 3), "lambda_max", 1, MAX_LAMBDA),
             "parity": ms_sec.get("parity", "odd"),
             "multipole": ms_sec.get("multipole", "electric"),
         }
     )
 
-    grid_sec = doc.get("grid", {})
+    grid_sec = _section(doc, "grid")
     n_default = 4 * mode_set.lambda_max + 16
-    n_theta = int(grid_sec.get("n_theta", n_default))
-    n_phi = int(grid_sec.get("n_phi", n_default))
+    n_theta = _integer(grid_sec.get("n_theta", n_default), "n_theta")
+    n_phi = _integer(grid_sec.get("n_phi", n_default), "n_phi")
     # Below this the quadrature no longer integrates products of the basis
     # exactly, and the decompositions silently alias.
     if n_theta < mode_set.lambda_max + 1 or n_phi < 2 * mode_set.lambda_max + 1:
@@ -333,37 +363,46 @@ def parse_config(doc: dict) -> ExperimentConfig:
             f"need n_theta >= {mode_set.lambda_max + 1} and n_phi >= {2 * mode_set.lambda_max + 1}"
         )
 
-    ref_sec = doc.get("references", {})
+    ref_sec = _section(doc, "references")
     orientations = ref_sec.get("orientations")
     if orientations is not None:
         try:
-            orientations = [(float(t), float(p)) for t, p in orientations]
+            pairs = [(t, p) for t, p in orientations]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad reference orientations: {exc}") from exc
-    count = int(ref_sec.get("count", len(orientations) if orientations else mode_set.size))
+        orientations = [
+            (_number(t, "reference theta0", _POLAR), _number(p, "reference phi0", _FINITE))
+            for t, p in pairs
+        ]
+    count = _integer(
+        ref_sec.get("count", len(orientations) if orientations else mode_set.size),
+        "references.count",
+    )
     if orientations is not None and len(orientations) != count:
         raise ConfigError(
             f"references.count = {count} but {len(orientations)} orientations listed"
         )
-    opt_sec = ref_sec.get("optimize")
+    opt_sec = ref_sec.get("optimize") or {}
+    if not isinstance(opt_sec, dict):
+        raise ConfigError(f"optimize must be a JSON object, got {opt_sec!r}")
     optimize_objective = None
     optimize_budget = 0
     if opt_sec:
         optimize_objective = opt_sec.get("objective", "cond-A")
         if optimize_objective not in ("cond-A", "capacity"):
             raise ConfigError(f"unknown optimize objective {optimize_objective!r}")
-        optimize_budget = int(opt_sec.get("budget", 1000))
+        optimize_budget = _integer(opt_sec.get("budget", 1000), "optimize.budget")
 
-    ch_sec = doc.get("chamber", {})
-    n_probes = int(ch_sec.get("n_probes", mode_set.size))
-    n_paths = int(ch_sec.get("n_paths", mode_set.size))
-    sigma_rho = _positive_finite(ch_sec, "sigma_rho", 0.001)
+    ch_sec = _section(doc, "chamber")
+    n_probes = _integer(ch_sec.get("n_probes", mode_set.size), "chamber.n_probes")
+    n_paths = _integer(ch_sec.get("n_paths", mode_set.size), "chamber.n_paths")
+    sigma_rho = _number(ch_sec.get("sigma_rho", 0.001), "sigma_rho", _POSITIVE)
     if "seeds" in ch_sec:
-        seeds = [int(s) for s in ch_sec["seeds"]]
-    elif "seed" in ch_sec:
-        seeds = [int(ch_sec["seed"])]
+        if not isinstance(ch_sec["seeds"], list):
+            raise ConfigError(f"chamber.seeds must be a list, got {ch_sec['seeds']!r}")
+        seeds = [_integer(s, "chamber seed") for s in ch_sec["seeds"]]
     else:
-        seeds = [0]
+        seeds = [_integer(ch_sec.get("seed", 0), "chamber seed")]
     if not seeds:
         raise ConfigError("chamber.seeds must not be empty")
     if n_probes < mode_set.size or n_paths < mode_set.size:
@@ -376,8 +415,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             f"{count} reference antennas cannot span {mode_set.size} modes"
         )
 
-    test_sec = doc.get("test_antenna", {})
-    rec_sec = doc.get("reconstruction", {})
+    test_sec = _section(doc, "test_antenna")
+    rec_sec = _section(doc, "reconstruction")
     method = rec_sec.get("method", "inverse")
     if method not in ("inverse", "direct-weights", "lse"):
         raise ConfigError(f"unknown reconstruction method {method!r}")
@@ -400,8 +439,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         multipole=mode_set.multipole,
         n_theta=n_theta,
         n_phi=n_phi,
-        ref_length=float(ref_sec.get("length", 0.5)),
-        ref_current=float(ref_sec.get("current", 1.0)),
+        ref_length=_number(ref_sec.get("length", 0.5), "references.length", _POSITIVE),
+        ref_current=_number(ref_sec.get("current", 1.0), "references.current", _NONZERO),
         ref_orientations=orientations,
         ref_count=count,
         optimize_objective=optimize_objective,
@@ -410,10 +449,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         n_paths=n_paths,
         sigma_rho=sigma_rho,
         seeds=seeds,
-        test_length=float(test_sec.get("length", 0.5)),
-        test_theta0=float(test_sec.get("theta0", 0.0)),
-        test_phi0=float(test_sec.get("phi0", 0.0)),
-        test_current=float(test_sec.get("current", 1.0)),
+        test_length=_number(test_sec.get("length", 0.5), "test_antenna.length", _POSITIVE),
+        test_theta0=_number(test_sec.get("theta0", 0.0), "test_antenna.theta0", _POLAR),
+        test_phi0=_number(test_sec.get("phi0", 0.0), "test_antenna.phi0", _FINITE),
+        test_current=_number(test_sec.get("current", 1.0), "test_antenna.current", _NONZERO),
         method=method,
         normalization=normalization,
         raw=doc,

@@ -4,6 +4,15 @@ How many harmonics does an antenna of a given electrical size need, and how
 good is a particular calibration set or chamber at resolving them? The
 optimizer is a plain Nelder-Mead simplex over reference orientations with
 a budgeted evaluation count and a monotone best-so-far trace.
+
+Each evaluation of the default objective builds the reference amplitude
+matrix in closed form: one quadrature decomposition of the upright dipole
+(one field evaluation on the grid, one projection on the cached basis),
+one spherical-harmonic recurrence over all orientations at once, and one
+SVD of the modes x references matrix. No per-orientation quadrature runs.
+On the paper config (10 references, L = 3 odd electric modes) that is about
+a fifth of the time of the ten quadratures it replaces, and the upright
+dipole's field evaluation is its largest part.
 """
 from __future__ import annotations
 
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dipole, farfield
-from .vsh import ModeSet
+from .vsh import ModeSet, spherical_harmonics
 
 
 def mode_count(lambda_max: int) -> int:
@@ -127,15 +136,34 @@ def dipole_coefficient_matrix(
     grid: farfield.SphereGrid | None = None,
     k: float = 2.0 * math.pi,
 ) -> np.ndarray:
-    """Amplitude-vector matrix (modes x orientations) of identical dipoles."""
+    """Amplitude-vector matrix (modes x orientations) of identical dipoles.
+
+    A dipole along (theta0, phi0) is the upright (z-directed) dipole
+    rotated, and the upright dipole radiates only m = 0 modes. Rotation
+    mixes the orders of one degree through the m' = 0 column of the
+    Wigner D-matrix, so in each family (electric, magnetic)
+
+      c_{l,m}(theta0, phi0) = c_{l,0}^upright sqrt(4 pi / (2l + 1)) conj(Y_{l,m}(theta0, phi0))
+
+    (Hansen (ed.), Spherical Near-Field Antenna Measurements, IEE 1988,
+    app. A2). Y_{l,m} is orthonormal with the Condon-Shortley phase
+    (vsh.spherical_harmonics), and c^upright is the amplitude vector of one
+    quadrature decomposition on grid (default: farfield.default_grid) of
+    the upright twin with the same length, current and k. Every column is
+    then one vectorized product.
+    """
     if grid is None:
         grid = farfield.default_grid(mode_set.lambda_max)
-    cols = []
-    for t, p in orientations:
-        spec = dipole.DipoleSpec(length=length, theta0=t, phi0=p, current=current)
-        coeffs = farfield.decompose(spec.field(k), mode_set, grid)
-        cols.append(coeffs.to_amplitude_vector())
-    return np.column_stack(cols)
+    upright = dipole.DipoleSpec(length=length, current=current)
+    c = farfield.decompose(upright.field(k), mode_set, grid).to_amplitude_vector()
+    index = {entry: q for q, entry in enumerate(mode_set.entries)}
+    c0 = np.array([
+        c[index[(family, l, 0)]] * math.sqrt(4.0 * math.pi / (2 * l + 1))
+        for family, l, _ in mode_set.entries
+    ])
+    theta0, phi0 = np.asarray(orientations, dtype=float).T
+    y = spherical_harmonics([(l, m) for _, l, m in mode_set.entries], theta0, phi0)
+    return c0[:, None] * y.conj()
 
 
 def nelder_mead(fun, x0: np.ndarray, budget: int, step: float = 0.25, ftol_rel: float = 1e-6):

@@ -6,7 +6,8 @@ mode_components() evaluates every mode of a set in one pass: one
 orthonormal associated-Legendre recurrence per order m, carried as
 P_l^m / sin(theta) so that no expression divides by sin(theta) and the
 poles need no special case. vsh_x() and r_cross_x() are single-mode views
-of it. Mode bookkeeping (the flat q <-> (family, l, m) ordering used by
+of it, and spherical_harmonics() gives the scalar Y_{l,m} from the same
+recurrence. Mode bookkeeping (the flat q <-> (family, l, m) ordering used by
 every matrix in the toolkit) lives here as well.
 """
 from __future__ import annotations
@@ -110,6 +111,72 @@ def build_mode_set(lambda_max: int, parity: str = "all", multipole: str = "both"
     return ModeSet(lambda_max, parity, multipole, tuple(entries))
 
 
+def _sectoral(s: np.ndarray, m_max: int):
+    """Yield (0, Pbar_0^0), then (m, Pbar_m^m / sin(theta)) for m = 1..m_max.
+
+    The seed of order m >= 1 is a constant times s^(m-1): nothing overflows
+    at high order and the poles are ordinary points.
+    """
+    p_diag = np.full_like(s, 1.0 / math.sqrt(4.0 * math.pi))  # Pbar_{m-1}^{m-1}
+    yield 0, p_diag
+    for m in range(1, m_max + 1):
+        u_diag = -math.sqrt((2 * m + 1) / (2 * m)) * p_diag
+        yield m, u_diag
+        p_diag = s * u_diag
+
+
+def _raise_degree(x: np.ndarray, m: int, seed: np.ndarray, l_max: int):
+    """Yield (l, v_l, v_{l-1}) for l = m..l_max, where v_l = Pbar_l^m / f
+    for any f that does not depend on l, seeded with v_m (v_{m-1} = 0).
+
+    The orthonormal three-term recurrence in l at fixed order m; it is
+    linear, so it carries Pbar_l^m and Pbar_l^m / sin(theta) alike.
+    """
+    v_prev, v = np.zeros_like(x), seed
+    for l in range(m, l_max + 1):
+        if l == m + 1:
+            v_prev, v = v, math.sqrt(2 * m + 3) * x * v
+        elif l > m + 1:
+            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            v_prev, v = v, a * (x * v - b * v_prev)
+        yield l, v, v_prev
+
+
+def _by_order(modes, min_order: int) -> dict[int, dict[int, list[tuple[int, int]]]]:
+    """Row indices of (l, m) pairs grouped as
+    {max(|m|, min_order): {l: [(q, m), ...]}}."""
+    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for q, (l, m) in enumerate(modes):
+        rows.setdefault(max(abs(m), min_order), {}).setdefault(l, []).append((q, m))
+    return rows
+
+
+def spherical_harmonics(modes, theta, phi) -> np.ndarray:
+    """Y_{l,m}(theta, phi) of every (l, m) pair in modes at flat points,
+    shape (len(modes), npts).
+
+    Orthonormal over the sphere, with the Condon-Shortley phase:
+    Y_{l,m} = Pbar_l^m(cos theta) e^{j m phi} and
+    Y_{l,-m} = (-1)^m conj(Y_{l,m}). Pbar comes from the same per-order
+    recurrence as mode_components().
+    """
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    x, s = np.cos(theta), np.sin(theta)
+    legendre = np.empty((len(modes), theta.size))  # Pbar_l^|m| (-1)^m for m < 0
+    rows = _by_order(modes, 0)
+    for m, seed in _sectoral(s, max(rows, default=0)):
+        if m not in rows:
+            continue
+        for l, v, _ in _raise_degree(x, m, seed, max(rows[m])):
+            if l not in rows[m]:
+                continue
+            p = s * v if m else v
+            for q, mq in rows[m][l]:
+                legendre[q] = -p if mq < 0 and m % 2 else p
+    orders = np.array([m for _, m in modes], dtype=float)
+    return legendre * np.exp(1j * orders[:, None] * phi)
 
 
 def _write(row: np.ndarray, real: np.ndarray, phase, const: complex) -> None:
@@ -144,45 +211,34 @@ def mode_components(entries, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     out_t = np.empty((len(entries), theta.size), dtype=complex)
     out_p = np.empty_like(out_t)
     # Order-0 modes come out of the order-1 recurrence.
-    rows: dict[int, dict[int, list[tuple[int, str, int]]]] = {}
-    for q, (family, l, m) in enumerate(entries):
-        rows.setdefault(max(abs(m), 1), {}).setdefault(l, []).append((q, family, m))
+    rows = _by_order([(l, m) for _, l, m in entries], 1)
 
-    p_diag = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))  # Pbar_{m-1}^{m-1}
-    for m in range(1, max(rows, default=0) + 1):
-        u_diag = -math.sqrt((2 * m + 1) / (2 * m)) * p_diag
-        if m in rows:
-            e = np.exp(1j * m * phi)
-            phases = {m: e, -m: e.conj(), 0: 1.0}
-            sign = (-1) ** (m + 1)
-            u_prev, u = np.zeros_like(x), u_diag
-            for l in range(m, max(rows[m]) + 1):
-                if l == m + 1:
-                    u_prev, u = u, math.sqrt(2 * m + 3) * x * u
-                elif l > m + 1:
-                    a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-                    b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-                    u_prev, u = u, a * (x * u - b * u_prev)
-                if l not in rows[m]:
-                    continue
-                n = math.sqrt(l * (l + 1))
-                c = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
-                x_theta = (-m / n) * u
-                x_phi = (l * x * u - c * u_prev) / n  # X_phi without its -j
-                for q, family, mq in rows[m][l]:
-                    if mq == 0:
-                        comp_t, comp_p, const_t, const_p = np.zeros_like(u), s * u, 1, -1j
-                    elif mq > 0:
-                        comp_t, comp_p, const_t, const_p = x_theta, x_phi, 1, -1j
-                    else:
-                        comp_t, comp_p, const_t, const_p = x_theta, x_phi, sign, sign * 1j
-                    if family == MAGNETIC:
-                        _write(out_t[q], comp_t, phases[mq], const_t)
-                        _write(out_p[q], comp_p, phases[mq], const_p)
-                    else:
-                        _write(out_t[q], comp_p, phases[mq], -const_p)
-                        _write(out_p[q], comp_t, phases[mq], const_t)
-        p_diag = s * u_diag
+    for m, u_diag in _sectoral(s, max(rows, default=0)):
+        if m not in rows:
+            continue
+        e = np.exp(1j * m * phi)
+        phases = {m: e, -m: e.conj(), 0: 1.0}
+        sign = (-1) ** (m + 1)
+        for l, u, u_prev in _raise_degree(x, m, u_diag, max(rows[m])):
+            if l not in rows[m]:
+                continue
+            n = math.sqrt(l * (l + 1))
+            c = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
+            x_theta = (-m / n) * u
+            x_phi = (l * x * u - c * u_prev) / n  # X_phi without its -j
+            for q, mq in rows[m][l]:
+                if mq == 0:
+                    comp_t, comp_p, const_t, const_p = np.zeros_like(u), s * u, 1, -1j
+                elif mq > 0:
+                    comp_t, comp_p, const_t, const_p = x_theta, x_phi, 1, -1j
+                else:
+                    comp_t, comp_p, const_t, const_p = x_theta, x_phi, sign, sign * 1j
+                if entries[q][0] == MAGNETIC:
+                    _write(out_t[q], comp_t, phases[mq], const_t)
+                    _write(out_p[q], comp_p, phases[mq], const_p)
+                else:
+                    _write(out_t[q], comp_p, phases[mq], -const_p)
+                    _write(out_p[q], comp_t, phases[mq], const_t)
     return out_t, out_p
 
 

@@ -1,12 +1,17 @@
 """CLI commands, file formats, exit codes, and replay determinism."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multipat
 from multipat import cli, fileio
 from multipat.chamber import sample_chamber
 from multipat.dipole import DipoleSpec
@@ -105,6 +110,63 @@ class TestConfigParsing:
         doc["reconstruction"]["normalization"] = normalization
         with pytest.raises(ConfigError, match=r"r_(meas|loss)"):
             fileio.parse_config(doc)
+
+
+# Every field parse_config reads, as a key path into the document.
+CONFIG_FIELDS = [
+    ("wavelength",), ("mode_set",), ("mode_set", "lambda_max"), ("mode_set", "parity"),
+    ("mode_set", "multipole"), ("grid",), ("grid", "n_theta"), ("grid", "n_phi"),
+    ("references",), ("references", "length"), ("references", "current"),
+    ("references", "count"), ("references", "orientations"), ("references", "optimize"),
+    ("references", "optimize", "objective"), ("references", "optimize", "budget"),
+    ("chamber",), ("chamber", "n_probes"), ("chamber", "n_paths"), ("chamber", "sigma_rho"),
+    ("chamber", "seeds"), ("chamber", "seed"), ("test_antenna",), ("test_antenna", "length"),
+    ("test_antenna", "theta0"), ("test_antenna", "phi0"), ("test_antenna", "current"),
+    ("reconstruction",), ("reconstruction", "method"), ("reconstruction", "normalization"),
+    ("reconstruction", "normalization", "mode"), ("reconstruction", "normalization", "r_meas"),
+    ("reconstruction", "normalization", "r_loss"),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def config_documents(draw):
+    """SMALL_CONFIG with optimizer and normalization sections, some fields
+    replaced by arbitrary JSON values; now and then an arbitrary document."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["references"]["optimize"] = {"objective": "cond-A", "budget": 10}
+    doc["reconstruction"] = {
+        "method": "lse",
+        "normalization": {"mode": "radiation-resistance", "r_meas": 73.1, "r_loss": 1.0},
+    }
+    overrides = draw(st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_VALUES, max_size=4))
+    for path, value in overrides.items():
+        section = doc
+        for key in path[:-1]:
+            section = section.get(key) if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            section[path[-1]] = value
+    return doc
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=config_documents())
+    def test_parse_config_returns_a_config_or_raises_config_error(self, doc):
+        try:
+            cfg = fileio.parse_config(doc)
+        except ConfigError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert isinstance(cfg, fileio.ExperimentConfig)
 
 
 class TestRoundTrips:
@@ -313,9 +375,23 @@ class TestCommands:
             {"wavelength": "one"},
             {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": math.nan}},
             {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": -0.001}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": "ten"}},
+            {"references": {**SMALL_CONFIG["references"],
+                            "optimize": {"objective": "cond-A", "budget": "many"}}},
+            {"mode_set": [3, "odd", "electric"]},
+            {"references": {**SMALL_CONFIG["references"], "length": -0.5}},
+            {"references": {**SMALL_CONFIG["references"], "length": "half"}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "length": -0.5}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "theta0": 4.0}},
+            {"references": {**SMALL_CONFIG["references"],
+                            "orientations": [[-0.1, 0.0]] + [[0.1 * i, 0.5 * i] for i in range(1, 10)]}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "current": 0}},
+            {"references": {**SMALL_CONFIG["references"], "current": math.nan}},
         ],
         ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
-             "wavelength-text", "sigma-nan", "sigma-negative"],
+             "wavelength-text", "sigma-nan", "sigma-negative", "n-probes-text", "budget-text",
+             "mode-set-list", "ref-length-negative", "ref-length-text", "test-length-negative",
+             "test-theta-outside", "ref-theta-outside", "test-current-zero", "ref-current-nan"],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
         cfg_path = write_config(tmp_path, overrides)
@@ -347,9 +423,13 @@ class TestCommands:
         assert meta["grid_shape"] == [5, 8]
         assert len(meta["reference_orientations"]) == 10
 
-    def test_sweep_bad_step_exits_2(self, tmp_path):
+    def test_sweep_bad_step_exits_2(self, tmp_path, monkeypatch):
+        def no_setup(cfg):
+            raise AssertionError("the set-up ran for an unusable step")
+
+        monkeypatch.setattr(cli, "build_setup", no_setup)
         cfg_path = write_config(tmp_path)
-        for step in ("-5", "nan"):
+        for step in ("-5", "nan", "1e-300"):
             assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
                              "--step", step, "--degrees"]) == 2
 
@@ -393,6 +473,18 @@ class TestCommands:
 
 
 class TestConsoleScript:
+    def test_runtime_does_not_import_scipy(self):
+        # scipy is a test dependency only; loading it costs ~19 MB resident.
+        src = str(Path(multipat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import multipat.cli, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_entry_point_runs(self, tmp_path):
         cfg_path = write_config(tmp_path)
         proc = subprocess.run(

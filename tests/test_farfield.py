@@ -304,6 +304,20 @@ class TestPeakSearch:
             peak = _max_magnitude_squared(eval_sq)
         assert peak == max(seen)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mesh_value_raises(self, bad):
+        # Finite everywhere except at one node of the 1-degree mesh.
+        def eval_sq(t, p):
+            values = np.ones(np.shape(t))
+            if values.shape == (181, 360):
+                values[37, 211] = bad
+            return values
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                _max_magnitude_squared(eval_sq)
+
 
 class TestEnforceSymmetry:
     def test_direct_arithmetic(self):

@@ -1,7 +1,11 @@
 """Mode budgets, information metrics, and the orientation optimizer."""
+import math
+
 import numpy as np
 import pytest
 
+from multipat import farfield
+from multipat.dipole import DipoleSpec
 from multipat.planner import (
     capacity_objective,
     dipole_coefficient_matrix,
@@ -171,6 +175,35 @@ class TestNelderMead:
         assert calls["n"] <= 51  # baseline evaluation plus the budget
 
 
+def quadrature_matrix(orientations, mode_set, length=0.5, current=1.0):
+    """Reference for dipole_coefficient_matrix: one decomposition per orientation."""
+    grid = farfield.default_grid(mode_set.lambda_max)
+    return np.column_stack([
+        farfield.decompose(
+            DipoleSpec(length, t, p, current).field(2 * math.pi), mode_set, grid
+        ).to_amplitude_vector()
+        for t, p in orientations
+    ])
+
+
+class TestDipoleCoefficientMatrix:
+    @pytest.mark.parametrize("length", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize(
+        "mode_set",
+        [build_mode_set(3, "odd", "electric"), build_mode_set(5)],
+        ids=["L3-odd-electric", "L5-all-both"],
+    )
+    def test_closed_form_matches_quadrature(self, mode_set, length):
+        rng = np.random.default_rng(8)
+        orientations = [(0.0, 0.0), (np.pi, 0.0), (0.0, 2.1), (np.pi, 4.0)] + [
+            (float(np.arccos(rng.uniform(-1, 1))), float(rng.uniform(0, 2 * np.pi)))
+            for _ in range(8)
+        ]
+        closed = dipole_coefficient_matrix(orientations, mode_set, length, current=0.37)
+        ref = quadrature_matrix(orientations, mode_set, length, current=0.37)
+        assert np.max(np.abs(closed - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 class TestOptimizeOrientations:
     def test_zero_budget_identity(self):
         ms = build_mode_set(1, multipole="electric")
@@ -214,6 +247,16 @@ class TestOptimizeOrientations:
             np.linalg.cond(dipole_coefficient_matrix(fixed + [(np.pi / 2, np.pi / 2)], ms))
         )
         assert orthogonal <= best + 1e-9
+
+    def test_closed_form_follows_the_quadrature_optimizer(self):
+        ms = build_mode_set(3, "odd", "electric")
+        init = fibonacci_orientations(10)
+        closed = optimize_reference_orientations(init, mode_set=ms, budget=200)
+        quad = optimize_reference_orientations(
+            init, matrix_builder=lambda pairs: quadrature_matrix(pairs, ms), budget=200
+        )
+        assert closed.orientations == quad.orientations
+        assert [n for n, _ in closed.trace] == [n for n, _ in quad.trace]
 
     def test_capacity_objective_route(self):
         ms = build_mode_set(1, multipole="electric")

@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import lpmv
+from scipy.special import lpmv, sph_harm_y
 
 from multipat.farfield import default_grid
-from multipat.vsh import ModeEntry, build_mode_set, mode_components, r_cross_x, vsh_x
+from multipat.vsh import (
+    ModeEntry,
+    build_mode_set,
+    mode_components,
+    r_cross_x,
+    spherical_harmonics,
+    vsh_x,
+)
 
 
 def sph_harm(mode, theta, phi):
@@ -122,6 +129,17 @@ class TestModeComponents:
             v = view((l, m), theta, phi)
             np.testing.assert_array_equal(bt[q], v.e_theta)
             np.testing.assert_array_equal(bp[q], v.e_phi)
+
+
+class TestSphericalHarmonics:
+    def test_matches_scipy_to_degree_30(self):
+        rng = np.random.default_rng(4)
+        theta = np.concatenate([[0.0, np.pi, 1e-9, np.pi - 1e-9], rng.uniform(0, np.pi, 60)])
+        phi = rng.uniform(0, 2 * np.pi, theta.size)
+        modes = [(l, m) for l in range(31) for m in range(-l, l + 1)]
+        ours = spherical_harmonics(modes, theta, phi)
+        ref = np.array([sph_harm_y(l, m, theta, phi) for l, m in modes])
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
 
 class TestModeSet:

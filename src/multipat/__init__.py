@@ -8,7 +8,7 @@ voltages alone.
 """
 
 from .chamber import ChamberModel, ChannelMatrix, analytic_channel, probe_voltages, sample_chamber, select_chamber
-from .dipole import DipoleSpec, MatchedLineFeed, dipole_field, reference_dipole_set, terminal_current
+from .dipole import DipoleSpec, dipole_field, reference_dipole_set
 from .farfield import (
     ETA0,
     ConvergenceWarning,
@@ -46,7 +46,6 @@ from .recon import (
     apply_normalization,
     calibrate,
     channel_from_calibration,
-    inverse_channel_from_calibration,
     reconstruct_inverse,
     reconstruct_lse,
     reconstruct_weights_direct,

@@ -5,6 +5,11 @@ Subcommands: decompose | simulate | calibrate | reconstruct | sweep | plan
 seeds, reference orientations, and the optimizer are all deterministic, so
 two runs produce identical outputs apart from the report timestamp.
 
+reconstruct and sweep share one per-antenna path, _reconstruct_test. The
+theory summary it compares against is computed once per set-up from the
+upright twin of the config's test dipole: R_r and D of an identical dipole
+do not depend on its orientation.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical/conditioning
 error.
 """
@@ -46,7 +51,12 @@ def _summary_dict(s: farfield.RadiationSummary) -> dict:
 
 @dataclass
 class MeasurementSetup:
-    """Everything the reconstruction pipeline derives from a config."""
+    """Everything the reconstruction pipeline derives from a config.
+
+    theory is the radiation summary of the config's test dipole, computed
+    once from its upright twin: R_r and D of an identical dipole are the
+    same at every orientation.
+    """
 
     config: ExperimentConfig
     mode_set: object
@@ -57,6 +67,7 @@ class MeasurementSetup:
     calibration: recon.CalibrationSet
     chamber: chamber_mod.ChamberModel
     cond_v_selected: float
+    theory: farfield.RadiationSummary
 
 
 def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
@@ -88,6 +99,8 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho
     )
     calibration = recon.calibrate(ref_coeffs, chamber=selected, fields=ref_fields)
+    upright = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)
+    theory = farfield.field_radiation_summary(upright.field(k), grid, k, cfg.test_current)
     return MeasurementSetup(
         config=cfg,
         mode_set=mode_set,
@@ -98,6 +111,7 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         calibration=calibration,
         chamber=selected,
         cond_v_selected=cond_v,
+        theory=theory,
     )
 
 
@@ -125,20 +139,27 @@ def _reconstruct_voltages(setup: MeasurementSetup, voltages: np.ndarray) -> reco
 
 
 def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
-    """Reconstruct one test antenna; returns (result, metrics, summaries)."""
+    """Reconstruct one test antenna, the config's test dipole at any
+    orientation; returns (result, rms, theory, reconstructed, exact, synth).
+
+    theory is setup.theory, so a dipole of another length or current is
+    refused with ValueError.
+    """
     cfg = setup.config
-    k = cfg.k
-    field = test.field(k)
+    if test.length != cfg.test_length or test.current != cfg.test_current:
+        raise ValueError(
+            f"test dipole (length {test.length}, current {test.current}) differs from the "
+            f"config's (length {cfg.test_length}, current {cfg.test_current})"
+        )
+    field = test.field(cfg.k)
     voltages = chamber_mod.probe_voltages(setup.chamber, field)
     result = _reconstruct_voltages(setup, voltages)
-
-    theory = farfield.field_radiation_summary(field, setup.grid, k, test.resolved_current)
-    reconstructed = farfield.radiation_summary(result.coefficients, k, test.resolved_current)
+    reconstructed = farfield.radiation_summary(result.coefficients, cfg.k, test.current)
 
     exact = field(setup.grid.theta_mesh, setup.grid.phi_mesh)
     synth = farfield.synthesize_on_grid(result.coefficients, setup.grid)
     rms = farfield.rms_field_error(exact.magnitude(), synth.magnitude())
-    return result, rms, theory, reconstructed, exact, synth
+    return result, rms, setup.theory, reconstructed, exact, synth
 
 
 def _condition_numbers(setup: MeasurementSetup) -> dict:
@@ -177,7 +198,7 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, args) -> int:
                 [entry.family, entry.l, entry.m, repr(float(mag)), repr(float(mag / ref_peak))]
             )
 
-    summary = farfield.radiation_summary(coeffs, k, test.resolved_current)
+    summary = farfield.radiation_summary(coeffs, k, test.current)
     print(f"decomposed {mode_set.size} modes; wrote {out_dir / 'coefficients.json'}")
     print(
         f"radiation resistance {summary.radiation_resistance:.3f} ohm, "
@@ -291,37 +312,22 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         step = math.radians(step)
     theta0s, phi0s = _sweep_grid(step)
     setup = build_setup(cfg)
-    k = cfg.k
-
-    # Theory resistance/directivity of an identical dipole are orientation
-    # invariant, so evaluate them once from the closed-form field.
-    probe = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)
-    theory = farfield.field_radiation_summary(probe.field(k), setup.grid, k, cfg.test_current)
 
     rows = []
     for t0 in theta0s:
         for p0 in phi0s:
             spec = dipole.DipoleSpec(cfg.test_length, float(t0), float(p0), cfg.test_current)
             try:
-                field = spec.field(k)
-                voltages = chamber_mod.probe_voltages(setup.chamber, field)
-                result = _reconstruct_voltages(setup, voltages)
-                summary = farfield.radiation_summary(result.coefficients, k, cfg.test_current)
-                exact = field(setup.grid.theta_mesh, setup.grid.phi_mesh)
-                synth = farfield.synthesize_on_grid(result.coefficients, setup.grid)
-                rms = farfield.rms_field_error(exact.magnitude(), synth.magnitude())
-                rows.append(
-                    (
-                        float(t0),
-                        float(p0),
-                        rms,
-                        summary.radiation_resistance - theory.radiation_resistance,
-                        summary.directivity - theory.directivity,
-                        "ok",
-                    )
+                _, rms, theory, rec, _, _ = _reconstruct_test(setup, spec)
+                row = (
+                    rms,
+                    rec.radiation_resistance - theory.radiation_resistance,
+                    rec.directivity - theory.directivity,
+                    "ok",
                 )
             except (recon.IllConditionedError, np.linalg.LinAlgError, ValueError) as exc:
-                rows.append((float(t0), float(p0), math.nan, math.nan, math.nan, f"error:{exc}"))
+                row = (math.nan, math.nan, math.nan, f"error:{exc}")
+            rows.append((float(t0), float(p0), *row))
 
     fileio.write_sweep_csv(out_dir / "sweep.csv", rows)
     meta = {
@@ -331,7 +337,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "reference_orientations": [[t, p] for t, p in setup.orientations],
         "chamber_seed": setup.chamber.seed,
         "condition_numbers": _condition_numbers(setup),
-        "theory": _summary_dict(theory),
+        "theory": _summary_dict(setup.theory),
     }
     fileio.write_json(out_dir / "sweep_meta.json", meta)
     failed = sum(1 for r in rows if r[5] != "ok")
@@ -387,9 +393,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override chamber seed")
-    parser.add_argument(
-        "--degrees", action="store_true", help="interpret angle flags in degrees"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=math.radians(10.0),
         help="orientation grid step (radians unless --degrees)",
     )
+    p.add_argument("--degrees", action="store_true", help="read --step in degrees")
 
     p = sub.add_parser("plan")
     p.add_argument("--kr", type=float, required=True, help="wavenumber times enclosing radius")

@@ -19,48 +19,20 @@ _BRACKET_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class MatchedLineFeed:
-    """Lossless-line feed: characteristic impedance, resonant terminal
-    resistance, and incident power."""
-
-    z0: float
-    r_a: float
-    p_inc: float
-
-
-def terminal_current(feed: MatchedLineFeed) -> float:
-    """Terminal current magnitude sqrt(2 P_inc / Z0) (1 - Gamma)."""
-    if feed.z0 <= 0.0 or feed.r_a <= 0.0:
-        raise ValueError("feed impedances must be positive")
-    if feed.p_inc < 0.0:
-        raise ValueError("incident power must be nonnegative")
-    gamma = (feed.r_a - feed.z0) / (feed.r_a + feed.z0)
-    return math.sqrt(2.0 * feed.p_inc / feed.z0) * (1.0 - gamma)
-
-
-@dataclass(frozen=True)
 class DipoleSpec:
-    """Center-fed dipole: length in wavelengths, axis orientation, feed.
-
-    Either a direct terminal current (amperes) or a matched-line feed; the
-    feed, when present, wins.
-    """
+    """Center-fed dipole: length in wavelengths, axis orientation, and
+    terminal current (amperes)."""
 
     length: float = 0.5
     theta0: float = 0.0
     phi0: float = 0.0
     current: float = 1.0
-    feed: MatchedLineFeed | None = None
 
     def __post_init__(self):
         if self.length <= 0.0:
             raise ValueError("dipole length must be positive")
         if not 0.0 <= self.theta0 <= math.pi:
             raise ValueError("theta0 must lie in [0, pi]")
-
-    @property
-    def resolved_current(self) -> float:
-        return terminal_current(self.feed) if self.feed is not None else self.current
 
     def field(self, k: float = 2.0 * math.pi):
         """Field callable (theta, phi) -> TangentVector for this dipole."""
@@ -104,7 +76,7 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
     bracket = np.where(on_axis, limit, bracket)
 
-    amp = -1j * ETA0 * spec.resolved_current * k / (2.0 * math.pi)
+    amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
     e_theta = amp * p * bracket
     e_phi = amp * q * bracket
     if scalar:
@@ -115,10 +87,9 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
 def reference_dipole_set(orientations, length: float = 0.5, current: float = 1.0):
     """Identical dipoles at the given (theta0, phi0) orientations.
 
-    All share the same feed normalization, so their terminal currents match
-    and no per-antenna renormalization is needed downstream. Orientations
-    are expected to be distinct; degenerate sets surface later as
-    ill-conditioned calibration matrices.
+    All share one terminal current, so no per-antenna renormalization is
+    needed downstream. Orientations are expected to be distinct; degenerate
+    sets surface later as ill-conditioned calibration matrices.
     """
     return [
         DipoleSpec(length=length, theta0=float(t), phi0=float(p), current=current)

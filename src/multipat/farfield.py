@@ -54,11 +54,10 @@ class SphereGrid:
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.dphi = 2.0 * np.pi / self.n_phi
         self.theta_mesh, self.phi_mesh = np.meshgrid(self.theta, self.phi, indexing="ij")
-
-    @property
-    def solid_angle_weights(self) -> np.ndarray:
-        """Per-node dOmega weights, shape (n_theta, n_phi)."""
-        return np.repeat(self.theta_weights[:, None], self.n_phi, axis=1) * self.dphi
+        # Per-node dOmega weights, shape (n_theta, n_phi).
+        self.solid_angle_weights = (
+            np.repeat(self.theta_weights[:, None], self.n_phi, axis=1) * self.dphi
+        )
 
     def integrate(self, values: np.ndarray):
         """Integrate samples on the (n_theta, n_phi) mesh over the sphere."""
@@ -183,7 +182,12 @@ def synthesize_on_grid(coeffs: VshCoefficients, grid: SphereGrid) -> TangentVect
 def _project(field_t: np.ndarray, field_p: np.ndarray, mode_set: ModeSet, grid: SphereGrid):
     bt, bp = mode_basis(mode_set, grid.theta_mesh.ravel(), grid.phi_mesh.ravel(), grid.key())
     w = grid.solid_angle_weights.ravel()
-    return bt.conj() @ (field_t.ravel() * w) + bp.conj() @ (field_p.ravel() * w)
+    # conj(B) @ x as conj(B @ conj(x)), with no conjugate copy of the cached
+    # basis. 0 - imag, not -imag, keeps exact zeros at +0.0, as conj(B) @ x
+    # gives them, so written coefficients keep their bytes.
+    out = bt @ np.conj(field_t.ravel() * w) + bp @ np.conj(field_p.ravel() * w)
+    out.imag = 0.0 - out.imag
+    return out
 
 
 def decompose(

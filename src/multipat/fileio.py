@@ -420,6 +420,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     method = rec_sec.get("method", "inverse")
     if method not in ("inverse", "direct-weights", "lse"):
         raise ConfigError(f"unknown reconstruction method {method!r}")
+    # inverse solves the square A_R and T; direct-weights the square V_R.
+    if method == "inverse" and not count == n_probes == mode_set.size:
+        raise ConfigError(
+            f"inverse reconstruction needs references.count = chamber.n_probes = "
+            f"{mode_set.size} modes, got count={count}, n_probes={n_probes}"
+        )
+    if method == "direct-weights" and n_probes != count:
+        raise ConfigError(
+            f"direct-weights reconstruction needs chamber.n_probes = references.count, "
+            f"got n_probes={n_probes}, count={count}"
+        )
     normalization = rec_sec.get("normalization")
     if normalization is not None:
         if not isinstance(normalization, dict) or normalization.get("mode") not in (

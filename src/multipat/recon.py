@@ -125,15 +125,6 @@ def channel_from_calibration(cal: CalibrationSet, cond_limit: float = COND_ERROR
     return ChannelMatrix(entries, cal.mode_set)
 
 
-def inverse_channel_from_calibration(cal: CalibrationSet, cond_limit: float = COND_ERROR) -> np.ndarray:
-    """Inverse channel A_R inv(V_R), mapping voltages to amplitudes."""
-    v = cal.voltage_matrix
-    if v.shape[0] != v.shape[1]:
-        raise ValueError("voltage matrix must be square to invert")
-    _checked_cond(v, "V_R", cond_limit)
-    return np.linalg.solve(v.T, cal.coefficient_matrix.T).T
-
-
 @dataclass
 class ReconstructionResult:
     coefficients: VshCoefficients
@@ -197,31 +188,20 @@ def reconstruct_weights_direct(cal: CalibrationSet, voltages, cond_limit: float 
     )
 
 
-def reconstruct_lse(
-    cal: CalibrationSet,
-    voltages,
-    complex_weights: bool = False,
-    cond_limit: float = COND_ERROR,
-) -> ReconstructionResult:
+def reconstruct_lse(cal: CalibrationSet, voltages, cond_limit: float = COND_ERROR) -> ReconstructionResult:
     """Real-weight least-square-error reconstruction.
 
     Minimizes the squared voltage mismatch over real weights:
-    w = inv(Re{V_R^H V_R}) Re{V_R^H v}. Works for any N_s >= N_R. The
-    complex_weights option solves the unconstrained complex least-squares
-    problem instead, for comparison.
+    w = inv(Re{V_R^H V_R}) Re{V_R^H v}. Works for any N_s >= N_R.
     """
     v_r = cal.voltage_matrix
     v = np.asarray(voltages, dtype=complex)
     if v.shape != (v_r.shape[0],):
         raise ValueError(f"expected {v_r.shape[0]} probe voltages, got shape {v.shape}")
-    if complex_weights:
-        w, *_ = np.linalg.lstsq(v_r, v, rcond=None)
-        cond = float(np.linalg.cond(v_r))
-    else:
-        normal = (v_r.conj().T @ v_r).real
-        rhs = (v_r.conj().T @ v).real
-        cond = _checked_cond(normal, "Re(V_R^H V_R)", cond_limit)
-        w = np.linalg.solve(normal, rhs)
+    normal = (v_r.conj().T @ v_r).real
+    rhs = (v_r.conj().T @ v).real
+    cond = _checked_cond(normal, "Re(V_R^H V_R)", cond_limit)
+    w = np.linalg.solve(normal, rhs)
     vec = cal.coefficient_matrix @ w
     cost = float(np.linalg.norm(v - v_r @ w) ** 2)
     return _finish(
@@ -229,7 +209,7 @@ def reconstruct_lse(
         cal.mode_set,
         "lse",
         w,
-        {"cond_normal" if not complex_weights else "cond_V": cond, "lse_cost": cost},
+        {"cond_normal": cond, "lse_cost": cost},
         lambda a: v - v_r @ w,
     )
 

@@ -67,10 +67,6 @@ class ModeSet:
     def n_electric(self) -> int:
         return sum(1 for e in self.entries if e.family == ELECTRIC)
 
-    @property
-    def n_magnetic(self) -> int:
-        return sum(1 for e in self.entries if e.family == MAGNETIC)
-
     def index_of(self, family: str, l: int, m: int) -> int:
         for q, entry in enumerate(self.entries):
             if entry == (family, l, m):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multipat
-from multipat import cli, fileio
+from multipat import cli, farfield, fileio
 from multipat.chamber import sample_chamber
 from multipat.dipole import DipoleSpec
 from multipat.farfield import SphereGrid, decompose
@@ -30,6 +30,18 @@ SMALL_CONFIG = {
     "reconstruction": {"method": "inverse", "normalization": None},
 }
 
+
+# Method and shape combinations that no solve can serve: inverse needs
+# references.count = n_probes = the mode count (10), direct-weights needs
+# n_probes = references.count.
+IMPOSSIBLE_SHAPES = {
+    "inverse-count-12": {"references": {**SMALL_CONFIG["references"], "count": 12}},
+    "inverse-probes-12": {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": 12}},
+    "direct-weights-probes-12": {
+        "chamber": {**SMALL_CONFIG["chamber"], "n_probes": 12},
+        "reconstruction": {"method": "direct-weights", "normalization": None},
+    },
+}
 
 # radiation-resistance normalizations that leave no usable target r_meas - r_loss
 BAD_RESISTANCE_NORMALIZATIONS = [
@@ -96,6 +108,7 @@ class TestConfigParsing:
         doc = json.loads(json.dumps(SMALL_CONFIG))
         doc["mode_set"] = {"lambda_max": lambda_max, "parity": "all", "multipole": "electric"}
         doc["references"]["count"] = doc["chamber"]["n_probes"] = doc["chamber"]["n_paths"] = 35
+        doc["reconstruction"]["method"] = "lse"  # 35 references exceed most of these mode sets
         n_theta, n_phi = lambda_max + 1, 2 * lambda_max + 1
         doc["grid"] = {"n_theta": n_theta, "n_phi": n_phi}
         assert fileio.parse_config(doc).n_theta == n_theta
@@ -387,11 +400,13 @@ class TestCommands:
                             "orientations": [[-0.1, 0.0]] + [[0.1 * i, 0.5 * i] for i in range(1, 10)]}},
             {"test_antenna": {**SMALL_CONFIG["test_antenna"], "current": 0}},
             {"references": {**SMALL_CONFIG["references"], "current": math.nan}},
+            *IMPOSSIBLE_SHAPES.values(),
         ],
         ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
              "wavelength-text", "sigma-nan", "sigma-negative", "n-probes-text", "budget-text",
              "mode-set-list", "ref-length-negative", "ref-length-text", "test-length-negative",
-             "test-theta-outside", "ref-theta-outside", "test-current-zero", "ref-current-nan"],
+             "test-theta-outside", "ref-theta-outside", "test-current-zero", "ref-current-nan",
+             *IMPOSSIBLE_SHAPES],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
         cfg_path = write_config(tmp_path, overrides)
@@ -399,6 +414,23 @@ class TestCommands:
         assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", IMPOSSIBLE_SHAPES.values(), ids=list(IMPOSSIBLE_SHAPES))
+    def test_sweep_impossible_shape_exits_2(self, tmp_path, capsys, overrides):
+        cfg_path = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--step", "45", "--degrees"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (out / "sweep.csv").exists()
+
+    def test_degrees_is_a_sweep_flag(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path),
+                      "--degrees"])
+        assert exc.value.code == 2
 
     def test_calibrate_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -470,6 +502,62 @@ class TestCommands:
         ch1 = fileio.read_json(out1 / "chamber.json")
         assert ch1["seed"] == 5
         assert (out1 / "chamber.json").read_bytes() == (out2 / "chamber.json").read_bytes()
+
+
+class TestPerAntennaPath:
+    """reconstruct and sweep share _reconstruct_test and one theory summary
+    per set-up."""
+
+    def test_sweep_rows_equal_reconstruct_test(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--step", "45", "--degrees"]) == 0
+        cfg = fileio.load_config(cfg_path)
+        setup = cli.build_setup(cfg)
+        for t0, p0, rms, rr_err, d_err, status in fileio.read_sweep_csv(out / "sweep.csv"):
+            spec = DipoleSpec(cfg.test_length, t0, p0, cfg.test_current)
+            _, expected_rms, theory, rec, _, _ = cli._reconstruct_test(setup, spec)
+            assert status == "ok"
+            assert rms == expected_rms
+            assert rr_err == rec.radiation_resistance - theory.radiation_resistance
+            assert d_err == rec.directivity - theory.directivity
+
+    @pytest.mark.parametrize("argv", [["reconstruct"], ["sweep", "--step", "90", "--degrees"]],
+                             ids=["reconstruct", "sweep"])
+    def test_theory_summary_runs_once(self, tmp_path, monkeypatch, argv):
+        calls = []
+        original = farfield.field_radiation_summary
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(farfield, "field_radiation_summary", counted)
+        cfg_path = write_config(tmp_path)
+        assert cli.main([argv[0], "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                         *argv[1:]]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("theta0, phi0", [(np.pi / 4, np.pi / 3), (np.pi, 0.0)],
+                             ids=["paper", "south-pole"])
+    def test_theory_matches_tilted_twin(self, paper_setup, theta0, phi0):
+        cfg = paper_setup.config
+        tilted = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
+        direct = farfield.field_radiation_summary(
+            tilted.field(cfg.k), paper_setup.grid, cfg.k, cfg.test_current
+        )
+        for name in ("power", "radiation_resistance", "directivity"):
+            assert getattr(paper_setup.theory, name) == pytest.approx(
+                getattr(direct, name), rel=1e-13, abs=0.0
+            )
+
+    def test_other_dipole_is_refused(self, paper_setup):
+        cfg = paper_setup.config
+        for length, current in [(0.4, cfg.test_current), (cfg.test_length, 2.0)]:
+            spec = DipoleSpec(length, cfg.test_theta0, cfg.test_phi0, current)
+            with pytest.raises(ValueError, match="differs"):
+                cli._reconstruct_test(paper_setup, spec)
 
 
 class TestConsoleScript:

@@ -1,8 +1,8 @@
-"""Closed-form dipole fields and feed normalization."""
+"""Closed-form dipole fields and reference sets."""
 import numpy as np
 import pytest
 
-from multipat.dipole import DipoleSpec, MatchedLineFeed, dipole_field, reference_dipole_set, terminal_current
+from multipat.dipole import DipoleSpec, dipole_field, reference_dipole_set
 from multipat.farfield import ETA0, decompose, default_grid, rms_field_error, synthesize_on_grid
 from multipat.vsh import build_mode_set
 
@@ -70,35 +70,6 @@ class TestDipoleField:
             assert minus == pytest.approx((-1) ** m * np.conj(plus), rel=1e-9)
 
 
-class TestTerminalCurrent:
-    def test_matched_line(self):
-        i0 = terminal_current(MatchedLineFeed(z0=50.0, r_a=50.0, p_inc=0.5))
-        assert i0 == pytest.approx(np.sqrt(2 * 0.5 / 50.0), rel=1e-14)
-
-    def test_mismatched_line(self):
-        feed = MatchedLineFeed(z0=50.0, r_a=73.1, p_inc=1.0)
-        gamma = (73.1 - 50.0) / (73.1 + 50.0)
-        expected = np.sqrt(2.0 / 50.0) * (1.0 - gamma)
-        assert terminal_current(feed) == pytest.approx(expected, rel=1e-14)
-        assert terminal_current(feed) == pytest.approx(0.1625, abs=5e-4)
-
-    def test_zero_power(self):
-        assert terminal_current(MatchedLineFeed(50.0, 73.0, 0.0)) == 0.0
-
-    def test_invalid_impedances(self):
-        with pytest.raises(ValueError):
-            terminal_current(MatchedLineFeed(0.0, 50.0, 1.0))
-        with pytest.raises(ValueError):
-            terminal_current(MatchedLineFeed(50.0, -1.0, 1.0))
-        with pytest.raises(ValueError):
-            terminal_current(MatchedLineFeed(50.0, 50.0, -0.5))
-
-    def test_feed_resolution_on_spec(self):
-        spec = DipoleSpec(feed=MatchedLineFeed(50.0, 50.0, 0.5))
-        assert spec.resolved_current == pytest.approx(np.sqrt(0.02))
-        assert DipoleSpec(current=2.0).resolved_current == 2.0
-
-
 class TestReferenceSet:
     def test_orthogonal_triple(self):
         specs = reference_dipole_set([(0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)])
@@ -111,4 +82,4 @@ class TestReferenceSet:
 
     def test_shared_feed_normalization(self):
         specs = reference_dipole_set([(0.1, 0.2), (0.3, 0.4)], length=0.5, current=0.7)
-        assert {s.resolved_current for s in specs} == {0.7}
+        assert {s.current for s in specs} == {0.7}

@@ -11,7 +11,6 @@ from multipat.recon import (
     apply_normalization,
     calibrate,
     channel_from_calibration,
-    inverse_channel_from_calibration,
     reconstruct_inverse,
     reconstruct_lse,
     reconstruct_weights_direct,
@@ -114,12 +113,6 @@ class TestChannelFromCalibration:
         ]
         cal = calibrate(refs, v_matrix=v)
         np.testing.assert_allclose(channel_from_calibration(cal).entries, v, rtol=1e-12)
-
-    def test_inverse_channel_consistency(self, band_limited_setup):
-        cal, *_ = band_limited_setup
-        t = channel_from_calibration(cal).entries
-        t_inv = inverse_channel_from_calibration(cal)
-        np.testing.assert_allclose(t_inv @ t, np.eye(10), atol=1e-8)
 
     def test_ill_conditioned_error_carries_cond(self):
         rng = np.random.default_rng(2)
@@ -277,12 +270,6 @@ class TestReconstructLse:
         samples = rng.normal(scale=2.0, size=(10_000, 10)) + lse.weights
         costs = np.linalg.norm(v[:, None] - cal.voltage_matrix @ samples.T, axis=0) ** 2
         assert np.min(costs) >= lse.diagnostics["lse_cost"] - 1e-12
-
-    def test_complex_weight_variant(self, band_limited_setup):
-        cal, chamber, truth, v = band_limited_setup
-        result = reconstruct_lse(cal, v, complex_weights=True)
-        scale = np.max(np.abs(truth.values))
-        assert np.max(np.abs(result.coefficients.values - truth.values)) < 1e-6 * scale
 
 
 class TestNormalization:

@@ -67,14 +67,16 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     kl = 2.0 * math.pi * spec.length  # k L depends only on length/wavelength
     denom = 1.0 - g * g
     on_axis = np.abs(denom) < _BRACKET_TOL
-    safe = np.where(on_axis, 1.0, denom)
-    bracket = (np.cos(0.5 * kl * g) - math.cos(0.5 * kl)) / safe
-    # L'Hopital limit at g -> +-1; p and q vanish there so the field is zero,
-    # but keep the bracket finite for well-defined intermediate values. The
-    # placeholder 1.0 keeps the discarded off-axis branch free of 1/0.
-    g_safe = np.where(on_axis, g, 1.0)
-    limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
-    bracket = np.where(on_axis, limit, bracket)
+    numerator = np.cos(0.5 * kl * g) - math.cos(0.5 * kl)
+    if not on_axis.any():
+        bracket = numerator / denom
+    else:
+        # L'Hopital limit at g -> +-1; p and q vanish there so the field is
+        # zero, but keep the bracket finite for well-defined intermediate
+        # values. The placeholders 1.0 keep the discarded branches free of 1/0.
+        g_safe = np.where(on_axis, g, 1.0)
+        limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
+        bracket = np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
 
     amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
     e_theta = amp * p * bracket

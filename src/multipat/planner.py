@@ -5,14 +5,11 @@ good is a particular calibration set or chamber at resolving them? The
 optimizer is a plain Nelder-Mead simplex over reference orientations with
 a budgeted evaluation count and a monotone best-so-far trace.
 
-Each evaluation of the default objective builds the reference amplitude
-matrix in closed form: one quadrature decomposition of the upright dipole
-(one field evaluation on the grid, one projection on the cached basis),
-one spherical-harmonic recurrence over all orientations at once, and one
-SVD of the modes x references matrix. No per-orientation quadrature runs.
-On the paper config (10 references, L = 3 odd electric modes) that is about
-a fifth of the time of the ten quadratures it replaces, and the upright
-dipole's field evaluation is its largest part.
+The default objective builds the reference amplitude matrix in closed form
+from one quadrature decomposition of the upright dipole, made once per
+optimizer run. Each evaluation is then one spherical-harmonic recurrence
+over all orientations at once and one SVD of the modes x references
+matrix; no per-orientation quadrature runs.
 """
 from __future__ import annotations
 
@@ -128,6 +125,27 @@ def fibonacci_orientations(n: int) -> list[tuple[float, float]]:
     return out
 
 
+def _upright_column(
+    mode_set: ModeSet,
+    length: float = 0.5,
+    current: float = 1.0,
+    grid: farfield.SphereGrid | None = None,
+    k: float = 2.0 * math.pi,
+) -> np.ndarray:
+    """c_{l,0}^upright sqrt(4 pi / (2l + 1)) for every row (family, l, m) of
+    mode_set: one quadrature decomposition on grid (default:
+    farfield.default_grid) of the upright dipole."""
+    if grid is None:
+        grid = farfield.default_grid(mode_set.lambda_max)
+    upright = dipole.DipoleSpec(length=length, current=current)
+    c = farfield.decompose(upright.field(k), mode_set, grid).to_amplitude_vector()
+    index = {entry: q for q, entry in enumerate(mode_set.entries)}
+    return np.array([
+        c[index[(family, l, 0)]] * math.sqrt(4.0 * math.pi / (2 * l + 1))
+        for family, l, _ in mode_set.entries
+    ])
+
+
 def dipole_coefficient_matrix(
     orientations,
     mode_set: ModeSet,
@@ -135,6 +153,7 @@ def dipole_coefficient_matrix(
     current: float = 1.0,
     grid: farfield.SphereGrid | None = None,
     k: float = 2.0 * math.pi,
+    upright: np.ndarray | None = None,
 ) -> np.ndarray:
     """Amplitude-vector matrix (modes x orientations) of identical dipoles.
 
@@ -150,20 +169,16 @@ def dipole_coefficient_matrix(
     (vsh.spherical_harmonics), and c^upright is the amplitude vector of one
     quadrature decomposition on grid (default: farfield.default_grid) of
     the upright twin with the same length, current and k. Every column is
-    then one vectorized product.
+    then one vectorized product. A caller that builds many matrices for
+    the same dipole passes upright, the scaled column
+    _upright_column(mode_set, length, current, grid, k), and skips the
+    decomposition.
     """
-    if grid is None:
-        grid = farfield.default_grid(mode_set.lambda_max)
-    upright = dipole.DipoleSpec(length=length, current=current)
-    c = farfield.decompose(upright.field(k), mode_set, grid).to_amplitude_vector()
-    index = {entry: q for q, entry in enumerate(mode_set.entries)}
-    c0 = np.array([
-        c[index[(family, l, 0)]] * math.sqrt(4.0 * math.pi / (2 * l + 1))
-        for family, l, _ in mode_set.entries
-    ])
+    if upright is None:
+        upright = _upright_column(mode_set, length, current, grid, k)
     theta0, phi0 = np.asarray(orientations, dtype=float).T
     y = spherical_harmonics([(l, m) for _, l, m in mode_set.entries], theta0, phi0)
-    return c0[:, None] * y.conj()
+    return upright[:, None] * y.conj()
 
 
 def nelder_mead(fun, x0: np.ndarray, budget: int, step: float = 0.25, ftol_rel: float = 1e-6):
@@ -287,9 +302,13 @@ def optimize_reference_orientations(
                 f"{len(orientations)} orientations cannot span {mode_set.size} modes"
             )
         grid = farfield.default_grid(mode_set.lambda_max)
+        # The upright dipole is the same on every evaluation: decompose it once.
+        upright = _upright_column(mode_set, length, grid=grid)
 
         def matrix_builder(pairs):
-            return dipole_coefficient_matrix(pairs, mode_set, length=length, grid=grid)
+            return dipole_coefficient_matrix(
+                pairs, mode_set, length=length, grid=grid, upright=upright
+            )
 
     if objective == "cond-A":
         score = lambda m: float(np.linalg.cond(m))

@@ -32,6 +32,19 @@ class TestDipoleField:
             v = dipole_field(spec, t0, p0, K)
             assert np.hypot(abs(v.e_theta), abs(v.e_phi)) < 1e-10 * ETA0
 
+    def test_on_axis_point_leaves_off_axis_values_bitwise(self):
+        # A grid with no node on the axis skips the limit branch; one on-axis
+        # point appended takes it, and every other value keeps its bits.
+        spec = DipoleSpec(length=0.8, theta0=0.7, phi0=1.9)
+        grid = default_grid(3)
+        theta, phi = grid.theta_mesh.ravel(), grid.phi_mesh.ravel()
+        alone = dipole_field(spec, theta, phi, K)
+        with_axis = dipole_field(spec, np.append(theta, 0.7), np.append(phi, 1.9), K)
+        assert abs(with_axis.e_theta[-1]) < 1e-10 * ETA0
+        assert abs(with_axis.e_phi[-1]) < 1e-10 * ETA0
+        assert with_axis.e_theta[:-1].tobytes() == alone.e_theta.tobytes()
+        assert with_axis.e_phi[:-1].tobytes() == alone.e_phi.tobytes()
+
     def test_antipodal_axis_same_magnitude(self):
         grid = default_grid(3)
         a = DipoleSpec(theta0=0.7, phi0=1.9)

@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from multipat import cli
+from multipat import cli, farfield
 from multipat.chamber import probe_voltages
 from multipat.dipole import DipoleSpec
 from multipat.farfield import (
+    _COARSE_PHI,
+    _COARSE_THETA,
     ETA0,
     ConvergenceWarning,
     SphereGrid,
     VshCoefficients,
+    _coarse_magnitude_squared,
     _max_magnitude_squared,
     decompose,
     default_grid,
@@ -30,7 +33,15 @@ from multipat.farfield import (
     synthesize,
     synthesize_on_grid,
 )
-from multipat.vsh import TangentVector, build_mode_set, vsh_x
+from multipat.vsh import (
+    MULTIPOLE_FILTERS,
+    PARITY_FILTERS,
+    ModeEntry,
+    ModeSet,
+    TangentVector,
+    build_mode_set,
+    vsh_x,
+)
 
 K = 2 * np.pi
 
@@ -317,6 +328,80 @@ class TestPeakSearch:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 _max_magnitude_squared(eval_sq)
+
+
+def direct_coarse(coeffs, rows=20):
+    """|E|^2 on the 1-degree mesh from the full basis, rows theta rows at a time."""
+    out = np.empty(_COARSE_THETA.shape)
+    for i in range(0, out.shape[0], rows):
+        bt, bp = mode_basis(coeffs.mode_set, _COARSE_THETA[i : i + rows], _COARSE_PHI[i : i + rows])
+        mag_sq = np.abs(coeffs.values @ bt) ** 2 + np.abs(coeffs.values @ bp) ** 2
+        out[i : i + rows] = mag_sq.reshape(-1, out.shape[1])
+    return out
+
+
+class TestCoarseMesh:
+    @pytest.mark.parametrize("parity", PARITY_FILTERS)
+    @pytest.mark.parametrize("multipole", MULTIPOLE_FILTERS)
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(keep=st.sampled_from([1.0, 0.4]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_basis(self, parity, multipole, keep, seed):
+        rng = np.random.default_rng(seed)
+        for lambda_max in range(1, 7):
+            # With keep < 1 random modes are dropped, so whole orders m may be missing.
+            entries = build_mode_set(lambda_max, parity, multipole).entries
+            entries = tuple(e for e in entries if rng.random() < keep)
+            if not entries:
+                continue
+            c = random_coefficients(ModeSet(lambda_max, parity, multipole, entries), rng)
+            direct = direct_coarse(c)
+            mesh = _coarse_magnitude_squared(c)
+            np.testing.assert_allclose(mesh, direct, rtol=0, atol=1e-13 * direct.max())
+
+    def test_folds_harmonics_above_180(self):
+        # |E|^2 of an order-95 set has phi harmonics up to 190, past the
+        # 1-degree mesh's Nyquist harmonic 180.
+        rng = np.random.default_rng(11)
+        c = random_coefficients(build_mode_set(95, "odd", "electric"), rng)
+        mesh = _coarse_magnitude_squared(c)
+        i, j = rng.integers(0, 181, 200), rng.integers(0, 360, 200)
+        f = synthesize(c, _COARSE_THETA[i, j], _COARSE_PHI[i, j])
+        expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
+        np.testing.assert_allclose(mesh[i, j], expected, rtol=0, atol=1e-12 * mesh.max())
+
+    def test_rejects_orders_the_mesh_aliases(self):
+        # Orders -180 and 180 beat at phi harmonic 360, which the
+        # 360-column mesh cannot tell from harmonic 0.
+        ms = ModeSet(180, entries=(ModeEntry("E", 180, -180), ModeEntry("E", 180, 180)))
+        with pytest.raises(ValueError, match="aliases"):
+            directivity(VshCoefficients(ms, [1.0, 1.0]), K)
+
+    def test_directivity_matches_the_full_basis_route(self, paper_setup):
+        # The 16-antenna Fibonacci design over the sphere, reconstructed on
+        # the paper config; the reference peak search starts from the mesh
+        # computed on the full 1-degree basis.
+        cfg = paper_setup.config
+        golden = math.pi * (3.0 - math.sqrt(5.0))
+        for i in range(16):
+            theta0, phi0 = math.acos(1.0 - (2 * i + 1) / 16), (i * golden) % (2.0 * math.pi)
+            spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
+            coeffs = cli._reconstruct_test(paper_setup, spec)[0].coefficients
+
+            def eval_sq(t, p):
+                f = synthesize(coeffs, t, p)
+                return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
+
+            peak = _max_magnitude_squared(eval_sq, coarse=direct_coarse(coeffs))
+            expected = 4.0 * math.pi * peak / float(np.sum(np.abs(coeffs.values) ** 2))
+            assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12)
+
+    def test_caches_only_the_theta_column(self, monkeypatch):
+        monkeypatch.setattr(farfield, "_BASIS_CACHE", type(farfield._BASIS_CACHE)())
+        c = random_coefficients(build_mode_set(15), np.random.default_rng(4))
+        directivity(c, K)
+        assert farfield._BASIS_CACHE
+        for bt, bp in farfield._BASIS_CACHE.values():
+            assert bt.shape[1] <= 181 and bp.shape[1] <= 181
 
 
 class TestEnforceSymmetry:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from multipat import farfield
+from multipat import farfield, planner
 from multipat.dipole import DipoleSpec
 from multipat.planner import (
     capacity_objective,
@@ -257,6 +257,32 @@ class TestOptimizeOrientations:
         )
         assert closed.orientations == quad.orientations
         assert [n for n, _ in closed.trace] == [n for n, _ in quad.trace]
+
+    def test_upright_dipole_decomposed_once_per_run(self, monkeypatch):
+        ms = build_mode_set(3, "odd", "electric")
+        init = fibonacci_orientations(10)
+        evaluations = []
+
+        def per_evaluation(pairs):
+            evaluations.append(pairs)
+            return dipole_coefficient_matrix(pairs, ms)
+
+        reference = optimize_reference_orientations(init, matrix_builder=per_evaluation, budget=60)
+        calls = {"matrix": 0, "decompose": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
+                            counted("matrix", planner.dipole_coefficient_matrix))
+        monkeypatch.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
+        hoisted = optimize_reference_orientations(init, mode_set=ms, budget=60)
+        assert calls == {"matrix": len(evaluations), "decompose": 1}
+        assert hoisted.orientations == reference.orientations
+        assert hoisted.trace == reference.trace
 
     def test_capacity_objective_route(self):
         ms = build_mode_set(1, multipole="electric")

@@ -8,7 +8,7 @@ exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,10 +81,12 @@ def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
 
 @dataclass
 class ChannelMatrix:
-    """Linear map from multipole amplitude vectors to probe voltages."""
+    """Linear map from multipole amplitude vectors to probe voltages. cond is
+    taken once at construction; recon's solves check it against COND_ERROR."""
 
     entries: np.ndarray  # complex, N_s x mode_set.size
     mode_set: ModeSet
+    cond: float = field(init=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -92,10 +94,7 @@ class ChannelMatrix:
             raise ValueError(
                 f"channel must be N_s x {self.mode_set.size}, got {self.entries.shape}"
             )
-
-    @property
-    def cond(self) -> float:
-        return float(np.linalg.cond(self.entries))
+        self.cond = float(np.linalg.cond(self.entries))
 
 
 def analytic_channel(chamber: ChamberModel, mode_set: ModeSet) -> ChannelMatrix:

@@ -8,7 +8,10 @@ two runs produce identical outputs apart from the report timestamp.
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
 upright twin of the config's test dipole: R_r and D of an identical dipole
-do not depend on its orientation.
+do not depend on its orientation. The channel T = V_R inv(A_R) is solved
+once per set-up too, and each calibration matrix's condition number is
+taken when it is built, so an inverse or direct-weights reconstruction is
+one solve and no condition number.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/conditioning
 error.
@@ -55,16 +58,15 @@ class MeasurementSetup:
 
     theory is the radiation summary of the config's test dipole, computed
     once from its upright twin: R_r and D of an identical dipole are the
-    same at every orientation.
+    same at every orientation. channel is the calibrated T when A_R is
+    square, else None.
     """
 
     config: ExperimentConfig
-    mode_set: object
     grid: farfield.SphereGrid
     orientations: list[tuple[float, float]]
-    references: list[dipole.DipoleSpec]
-    reference_coeffs: list
     calibration: recon.CalibrationSet
+    channel: chamber_mod.ChannelMatrix | None
     chamber: chamber_mod.ChamberModel
     cond_v_selected: float
     theory: farfield.RadiationSummary
@@ -99,16 +101,16 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho
     )
     calibration = recon.calibrate(ref_coeffs, chamber=selected, fields=ref_fields)
+    square = calibration.n_references == mode_set.size
+    channel = recon.channel_from_calibration(calibration) if square else None
     upright = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)
     theory = farfield.field_radiation_summary(upright.field(k), grid, k, cfg.test_current)
     return MeasurementSetup(
         config=cfg,
-        mode_set=mode_set,
         grid=grid,
         orientations=orientations,
-        references=references,
-        reference_coeffs=ref_coeffs,
         calibration=calibration,
+        channel=channel,
         chamber=selected,
         cond_v_selected=cond_v,
         theory=theory,
@@ -118,9 +120,8 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
 def _reconstruct_voltages(setup: MeasurementSetup, voltages: np.ndarray) -> recon.ReconstructionResult:
     cfg = setup.config
     if cfg.method == "inverse":
-        channel = recon.channel_from_calibration(setup.calibration)
-        result = recon.reconstruct_inverse(channel, voltages)
-        result.diagnostics["cond_A"] = float(np.linalg.cond(setup.calibration.coefficient_matrix))
+        result = recon.reconstruct_inverse(setup.channel, voltages)
+        result.diagnostics["cond_A"] = setup.calibration.cond_a
     elif cfg.method == "direct-weights":
         result = recon.reconstruct_weights_direct(setup.calibration, voltages)
     else:
@@ -163,13 +164,9 @@ def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
 
 
 def _condition_numbers(setup: MeasurementSetup) -> dict:
-    cal = setup.calibration
-    out = {
-        "a_matrix": float(np.linalg.cond(cal.coefficient_matrix)),
-        "v_matrix": float(np.linalg.cond(cal.voltage_matrix)),
-    }
-    if cal.coefficient_matrix.shape[0] == cal.coefficient_matrix.shape[1]:
-        out["channel"] = recon.channel_from_calibration(cal).cond
+    out = {"a_matrix": setup.calibration.cond_a, "v_matrix": setup.calibration.cond_v}
+    if setup.channel is not None:
+        out["channel"] = setup.channel.cond
     return out
 
 
@@ -209,14 +206,11 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     setup = build_setup(cfg)
-    k = cfg.k
     fileio.write_json(out_dir / "chamber.json", fileio.chamber_to_dict(setup.chamber))
-    named = {
-        f"reference_{i:02d}": chamber_mod.probe_voltages(setup.chamber, spec.field(k))
-        for i, spec in enumerate(setup.references)
-    }
+    v_r = setup.calibration.voltage_matrix
+    named = {f"reference_{i:02d}": v_r[:, i] for i in range(v_r.shape[1])}
     test = dipole.DipoleSpec(cfg.test_length, cfg.test_theta0, cfg.test_phi0, cfg.test_current)
-    named["test"] = chamber_mod.probe_voltages(setup.chamber, test.field(k))
+    named["test"] = chamber_mod.probe_voltages(setup.chamber, test.field(cfg.k))
     fileio.write_json(out_dir / "voltages.json", fileio.voltages_to_dict(named))
     print(
         f"chamber seed {setup.chamber.seed} (cond V = {setup.cond_v_selected:.4g}); "

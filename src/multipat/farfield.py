@@ -197,46 +197,47 @@ def _project(field_t: np.ndarray, field_p: np.ndarray, mode_set: ModeSet, grid: 
     return out
 
 
+# decompose(check_convergence=True) warns when doubling the grid moves a
+# coefficient by more than this, relative to the largest amplitude.
+_DECOMPOSE_REL_TOL = 1e-6
+
+
 def decompose(
     field,
     mode_set: ModeSet,
     grid: SphereGrid | None = None,
     check_convergence: bool = False,
-    rel_tol: float = 1e-6,
 ) -> VshCoefficients:
     """Extract mode amplitudes from a field callable by surface quadrature.
 
     field maps broadcast (theta, phi) arrays to a TangentVector. With
     check_convergence=True the quadrature is repeated on a doubled grid and a
     ConvergenceWarning is emitted if any coefficient moves by more than
-    rel_tol relative to the largest amplitude; the original-grid result is
-    returned either way.
+    _DECOMPOSE_REL_TOL relative to the largest amplitude; the original-grid
+    result is returned either way.
     """
     if grid is None:
         grid = default_grid(mode_set.lambda_max)
-    sampled = field(grid.theta_mesh, grid.phi_mesh)
-    values = _project(
-        np.broadcast_to(sampled.e_theta, grid.theta_mesh.shape),
-        np.broadcast_to(sampled.e_phi, grid.theta_mesh.shape),
-        mode_set,
-        grid,
-    )
-    if check_convergence:
-        fine = SphereGrid(2 * grid.n_theta, 2 * grid.n_phi)
-        resampled = field(fine.theta_mesh, fine.phi_mesh)
-        refined = _project(
-            np.broadcast_to(resampled.e_theta, fine.theta_mesh.shape),
-            np.broadcast_to(resampled.e_phi, fine.theta_mesh.shape),
+
+    def project_on(g: SphereGrid) -> np.ndarray:
+        sampled = field(g.theta_mesh, g.phi_mesh)
+        return _project(
+            np.broadcast_to(sampled.e_theta, g.theta_mesh.shape),
+            np.broadcast_to(sampled.e_phi, g.theta_mesh.shape),
             mode_set,
-            fine,
+            g,
         )
+
+    values = project_on(grid)
+    if check_convergence:
+        refined = project_on(SphereGrid(2 * grid.n_theta, 2 * grid.n_phi))
         scale = np.max(np.abs(refined))
         if scale > 0.0:
             shift = np.max(np.abs(values - refined)) / scale
-            if shift > rel_tol:
+            if shift > _DECOMPOSE_REL_TOL:
                 warnings.warn(
                     f"decomposition not converged: doubling the grid moved a "
-                    f"coefficient by {shift:.3e} (> {rel_tol:.1e}) relative",
+                    f"coefficient by {shift:.3e} (> {_DECOMPOSE_REL_TOL:.1e}) relative",
                     ConvergenceWarning,
                     stacklevel=2,
                 )
@@ -264,8 +265,10 @@ _COARSE_THETA, _COARSE_PHI = np.meshgrid(
 # 3x3 stencil offsets (a, b) along theta-hat and phi-hat, row-major in a.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 _NEWTON_MAX_ITER = 50
+# Relative tolerance of the peak value found by the Newton ascent.
+_PEAK_REL_TOL = 1e-8
 # Objective error is quadratic in the position error near a smooth peak, so
-# a 1e-5 rad step already resolves |E|^2 well beyond rel_tol.
+# a 1e-5 rad step already resolves |E|^2 well beyond _PEAK_REL_TOL.
 _NEWTON_STEP_TOL = 1e-5
 
 
@@ -325,7 +328,7 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     return np.fft.irfft(spectrum, n=n_phi, norm="forward")
 
 
-def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float:
+def _max_magnitude_squared(eval_sq, coarse=None) -> float:
     """Maximum over the sphere of eval_sq(theta, phi) (broadcasting arrays).
 
     The argmax over the 1-degree mesh (_COARSE_THETA, _COARSE_PHI) of
@@ -339,11 +342,11 @@ def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float
     differences. Along each principal axis of the Hessian the step is
     Newton's where the curvature is negative (the whole Newton step when the
     Hessian is negative definite), and elsewhere an uphill step of h when
-    its first-order gain exceeds rel_tol; on an axisymmetric ridge this
+    its first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric ridge this
     converges across the ridge instead of crawling along it. The step is
     clamped to 2h, and h then shrinks toward the step length. The search
     stops once the step and h are below 1e-5 rad and the stencil raised the
-    best value by at most rel_tol relative. If the iteration cap is hit
+    best value by at most _PEAK_REL_TOL relative. If the iteration cap is hit
     first, a ConvergenceWarning is emitted. The best value seen is returned
     either way. A non-finite value on the mesh raises ValueError, since its
     argmax would be meaningless.
@@ -360,7 +363,7 @@ def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float
     for _ in range(_NEWTON_MAX_ITER):
         e_t, e_p = _tangent_frame(x)
         f = np.asarray(eval_sq(*_angles(_chart(x, e_t, e_p, h * _STENCIL))), dtype=float)
-        gained = f.max() > best * (1.0 + rel_tol)
+        gained = f.max() > best * (1.0 + _PEAK_REL_TOL)
         best = max(best, float(f.max()))
         f = f.reshape(3, 3)
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
@@ -371,7 +374,7 @@ def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float
         ]) / h**2
         curvature, axes = np.linalg.eigh(hess)
         slope = axes.T @ grad
-        along = np.where(np.abs(slope) * h > rel_tol * best, np.sign(slope) * h, 0.0)
+        along = np.where(np.abs(slope) * h > _PEAK_REL_TOL * best, np.sign(slope) * h, 0.0)
         concave = curvature < 0.0
         along[concave] = -slope[concave] / curvature[concave]
         s = axes @ along
@@ -392,12 +395,12 @@ def _max_magnitude_squared(eval_sq, coarse=None, rel_tol: float = 1e-8) -> float
     return best
 
 
-def directivity(coeffs: VshCoefficients, k: float, rel_tol: float = 1e-8) -> float:
+def directivity(coeffs: VshCoefficients, k: float) -> float:
     """Directivity: 4 pi max |E|^2 over the integrated squared magnitude.
 
     The peak comes from _max_magnitude_squared: the argmax of the 1-degree
     mesh refined by a batched tangent-plane Newton ascent, each step one
-    vectorized synthesize call on 9 points, to rel_tol relative. The mesh
+    vectorized synthesize call on 9 points, to _PEAK_REL_TOL relative. The mesh
     values come from _coarse_magnitude_squared: a cached basis on the
     181-node theta column only (modes x 181), per-order theta profiles, the
     4 m_max + 1 phi harmonics of |E|^2 on each row and one real inverse FFT
@@ -416,7 +419,7 @@ def directivity(coeffs: VshCoefficients, k: float, rel_tol: float = 1e-8) -> flo
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
     coarse = _coarse_magnitude_squared(coeffs)
-    peak = _max_magnitude_squared(eval_sq, coarse=coarse, rel_tol=rel_tol)
+    peak = _max_magnitude_squared(eval_sq, coarse=coarse)
     return 4.0 * math.pi * peak / total
 
 
@@ -431,16 +434,18 @@ class RadiationSummary:
     current: float
 
 
-def radiation_summary(coeffs: VshCoefficients, k: float, current: float) -> RadiationSummary:
-    p = radiated_power(coeffs, k)
-    d = directivity(coeffs, k)
+def _summary(power: float, d: float, current: float) -> RadiationSummary:
     return RadiationSummary(
-        power=p,
-        radiation_resistance=radiation_resistance(p, current),
+        power=power,
+        radiation_resistance=radiation_resistance(power, current),
         directivity=d,
         directivity_db=10.0 * math.log10(d),
         current=current,
     )
+
+
+def radiation_summary(coeffs: VshCoefficients, k: float, current: float) -> RadiationSummary:
+    return _summary(radiated_power(coeffs, k), directivity(coeffs, k), current)
 
 
 def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -> RadiationSummary:
@@ -463,14 +468,7 @@ def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
     peak = _max_magnitude_squared(eval_sq)
-    d = 4.0 * math.pi * peak / total
-    return RadiationSummary(
-        power=power,
-        radiation_resistance=radiation_resistance(power, current),
-        directivity=d,
-        directivity_db=10.0 * math.log10(d),
-        current=current,
-    )
+    return _summary(power, 4.0 * math.pi * peak / total, current)
 
 
 def enforce_symmetry(coeffs: VshCoefficients) -> VshCoefficients:

@@ -181,11 +181,16 @@ def dipole_coefficient_matrix(
     return upright[:, None] * y.conj()
 
 
-def nelder_mead(fun, x0: np.ndarray, budget: int, step: float = 0.25, ftol_rel: float = 1e-6):
+_SIMPLEX_STEP = 0.25  # initial simplex edge along each axis (rad for angles)
+_SIMPLEX_FTOL_REL = 1e-6  # relative objective spread that ends the search
+
+
+def nelder_mead(fun, x0: np.ndarray, budget: int):
     """Budgeted Nelder-Mead minimizer.
 
     Standard reflection/expansion/contraction coefficients (1, 2, 0.5) and
-    shrink 0.5. Stops when the simplex objective spread falls below ftol_rel
+    shrink 0.5, from a simplex of edge _SIMPLEX_STEP along each axis. Stops
+    when the simplex objective spread falls below _SIMPLEX_FTOL_REL
     relative or the evaluation budget is exhausted; always returns the best
     point seen. The trace records (evaluations_used, best_so_far) at every
     improvement.
@@ -220,7 +225,7 @@ def nelder_mead(fun, x0: np.ndarray, budget: int, step: float = 0.25, ftol_rel: 
         if evals >= budget:
             return best_x, best_f, trace
         xi = x0.copy()
-        xi[i] += step
+        xi[i] += _SIMPLEX_STEP
         simplex.append(xi)
         fvals.append(call(xi))
 
@@ -229,7 +234,7 @@ def nelder_mead(fun, x0: np.ndarray, budget: int, step: float = 0.25, ftol_rel: 
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
         spread = fvals[-1] - fvals[0]
-        if spread <= ftol_rel * max(abs(fvals[0]), 1e-300):
+        if spread <= _SIMPLEX_FTOL_REL * max(abs(fvals[0]), 1e-300):
             break
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + (centroid - simplex[-1])
@@ -282,7 +287,6 @@ def optimize_reference_orientations(
     budget: int = 2000,
     mode_set: ModeSet | None = None,
     length: float = 0.5,
-    step: float = 0.25,
 ) -> OptimizationResult:
     """Locally optimize reference-antenna orientations.
 
@@ -324,5 +328,5 @@ def optimize_reference_orientations(
         return score(matrix_builder(unpack(x)))
 
     x0 = np.array([a for pair in orientations for a in pair], dtype=float)
-    best_x, best_f, trace = nelder_mead(fun, x0, budget=budget, step=step)
+    best_x, best_f, trace = nelder_mead(fun, x0, budget=budget)
     return OptimizationResult(unpack(best_x), best_f, trace)

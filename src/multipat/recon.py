@@ -6,6 +6,11 @@ probe voltages by direct inversion, by reference-voltage weights, or by a
 real-weight least-square fit. All linear algebra acts on unscaled
 amplitude vectors (VshCoefficients.to_amplitude_vector); returned
 coefficient sets always satisfy the +-m conjugation constraint exactly.
+
+The condition numbers of A_R, V_R and the channel T are taken once, when
+each matrix is built; a solve checks the stored number against the one
+fixed limit COND_ERROR and warns above COND_WARN. Only the LSE route
+conditions its normal matrix Re(V_R^H V_R) on each call.
 """
 from __future__ import annotations
 
@@ -32,10 +37,10 @@ class IllConditionedError(RuntimeError):
         self.limit = limit
 
 
-def _checked_cond(matrix: np.ndarray, name: str, limit: float = COND_ERROR) -> float:
-    cond = float(np.linalg.cond(matrix))
-    if cond > limit or not np.isfinite(cond):
-        raise IllConditionedError(name, cond, limit)
+def _checked(cond: float, name: str) -> float:
+    """Refuse cond(name) above COND_ERROR (or non-finite); warn above COND_WARN."""
+    if cond > COND_ERROR or not np.isfinite(cond):
+        raise IllConditionedError(name, cond, COND_ERROR)
     if cond > COND_WARN:
         warnings.warn(f"cond({name}) = {cond:.4g} is large; results may be inaccurate")
     return cond
@@ -43,11 +48,14 @@ def _checked_cond(matrix: np.ndarray, name: str, limit: float = COND_ERROR) -> f
 
 @dataclass
 class CalibrationSet:
-    """Reference amplitude matrix (modes x refs) and voltage matrix (probes x refs)."""
+    """Reference amplitude matrix (modes x refs) and voltage matrix (probes x refs),
+    and their condition numbers cond_a and cond_v, taken once at construction."""
 
     coefficient_matrix: np.ndarray
     voltage_matrix: np.ndarray
     mode_set: ModeSet
+    cond_a: float = field(init=False)
+    cond_v: float = field(init=False)
 
     def __post_init__(self):
         self.coefficient_matrix = np.asarray(self.coefficient_matrix, dtype=complex)
@@ -59,6 +67,8 @@ class CalibrationSet:
             )
         if self.coefficient_matrix.shape[1] != self.voltage_matrix.shape[1]:
             raise ValueError("coefficient and voltage matrices disagree on reference count")
+        self.cond_a = float(np.linalg.cond(self.coefficient_matrix))
+        self.cond_v = float(np.linalg.cond(self.voltage_matrix))
 
     @property
     def n_references(self) -> int:
@@ -114,12 +124,14 @@ def calibrate(
     return CalibrationSet(a_matrix, v_matrix, mode_set)
 
 
-def channel_from_calibration(cal: CalibrationSet, cond_limit: float = COND_ERROR) -> ChannelMatrix:
-    """Channel estimate T = V_R inv(A_R); requires a square reference set."""
+def channel_from_calibration(cal: CalibrationSet) -> ChannelMatrix:
+    """Channel estimate T = V_R inv(A_R), solved once per calibration; requires
+    a square reference set. Refuses cal.cond_a above COND_ERROR, warns above
+    COND_WARN; the channel takes its own cond at construction."""
     a = cal.coefficient_matrix
     if a.shape[0] != a.shape[1]:
         raise ValueError("coefficient matrix must be square to invert; use the LSE method")
-    _checked_cond(a, "A_R", cond_limit)
+    _checked(cal.cond_a, "A_R")
     # T A_R = V_R  =>  A_R^T T^T = V_R^T
     entries = np.linalg.solve(a.T, cal.voltage_matrix.T).T
     return ChannelMatrix(entries, cal.mode_set)
@@ -143,7 +155,7 @@ def _finish(vec: np.ndarray, mode_set: ModeSet, method: str, weights, diagnostic
     )
 
 
-def reconstruct_inverse(channel: ChannelMatrix, voltages, cond_limit: float = COND_ERROR) -> ReconstructionResult:
+def reconstruct_inverse(channel: ChannelMatrix, voltages) -> ReconstructionResult:
     """Amplitudes by direct inversion of a square channel matrix."""
     t = channel.entries
     v = np.asarray(voltages, dtype=complex)
@@ -151,19 +163,12 @@ def reconstruct_inverse(channel: ChannelMatrix, voltages, cond_limit: float = CO
         raise ValueError("inverse reconstruction needs a square channel; use the LSE method")
     if v.shape != (t.shape[0],):
         raise ValueError(f"expected {t.shape[0]} probe voltages, got shape {v.shape}")
-    cond = _checked_cond(t, "T", cond_limit)
+    cond = _checked(channel.cond, "T")
     vec = np.linalg.solve(t, v)
-    return _finish(
-        vec,
-        channel.mode_set,
-        "inverse",
-        None,
-        {"cond_T": cond},
-        lambda a: v - t @ a,
-    )
+    return _finish(vec, channel.mode_set, "inverse", None, {"cond_T": cond}, lambda a: v - t @ a)
 
 
-def reconstruct_weights_direct(cal: CalibrationSet, voltages, cond_limit: float = COND_ERROR) -> ReconstructionResult:
+def reconstruct_weights_direct(cal: CalibrationSet, voltages) -> ReconstructionResult:
     """Amplitudes via reference weights w = inv(V_R) v, a = A_R w.
 
     For co-phase-centered antennas the weights should come out real; the
@@ -175,20 +180,14 @@ def reconstruct_weights_direct(cal: CalibrationSet, voltages, cond_limit: float 
     v = np.asarray(voltages, dtype=complex)
     if v.shape != (v_r.shape[0],):
         raise ValueError(f"expected {v_r.shape[0]} probe voltages, got shape {v.shape}")
-    cond = _checked_cond(v_r, "V_R", cond_limit)
+    cond = _checked(cal.cond_v, "V_R")
     w = np.linalg.solve(v_r, v)
-    vec = cal.coefficient_matrix @ w
-    return _finish(
-        vec,
-        cal.mode_set,
-        "direct-weights",
-        w,
-        {"cond_V": cond, "max_imag_weight": float(np.max(np.abs(w.imag)))},
-        lambda a: v - v_r @ w,
-    )
+    diagnostics = {"cond_V": cond, "max_imag_weight": float(np.max(np.abs(w.imag)))}
+    return _finish(cal.coefficient_matrix @ w, cal.mode_set, "direct-weights", w, diagnostics,
+                   lambda a: v - v_r @ w)
 
 
-def reconstruct_lse(cal: CalibrationSet, voltages, cond_limit: float = COND_ERROR) -> ReconstructionResult:
+def reconstruct_lse(cal: CalibrationSet, voltages) -> ReconstructionResult:
     """Real-weight least-square-error reconstruction.
 
     Minimizes the squared voltage mismatch over real weights:
@@ -200,18 +199,11 @@ def reconstruct_lse(cal: CalibrationSet, voltages, cond_limit: float = COND_ERRO
         raise ValueError(f"expected {v_r.shape[0]} probe voltages, got shape {v.shape}")
     normal = (v_r.conj().T @ v_r).real
     rhs = (v_r.conj().T @ v).real
-    cond = _checked_cond(normal, "Re(V_R^H V_R)", cond_limit)
+    cond = _checked(float(np.linalg.cond(normal)), "Re(V_R^H V_R)")
     w = np.linalg.solve(normal, rhs)
-    vec = cal.coefficient_matrix @ w
-    cost = float(np.linalg.norm(v - v_r @ w) ** 2)
-    return _finish(
-        vec,
-        cal.mode_set,
-        "lse",
-        w,
-        {"cond_normal": cond, "lse_cost": cost},
-        lambda a: v - v_r @ w,
-    )
+    diagnostics = {"cond_normal": cond, "lse_cost": float(np.linalg.norm(v - v_r @ w) ** 2)}
+    return _finish(cal.coefficient_matrix @ w, cal.mode_set, "lse", w, diagnostics,
+                   lambda a: v - v_r @ w)
 
 
 def apply_normalization(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multipat
-from multipat import cli, farfield, fileio
+from multipat import cli, farfield, fileio, recon
 from multipat.chamber import sample_chamber
 from multipat.dipole import DipoleSpec
 from multipat.farfield import SphereGrid, decompose
@@ -357,6 +357,18 @@ class TestCommands:
         out = tmp_path / "out"
         assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["calibrate"], ["reconstruct"],
+                                      ["sweep", "--step", "90", "--degrees"]],
+                             ids=["simulate", "calibrate", "reconstruct", "sweep"])
+    def test_singular_reference_set_is_refused_at_setup(self, tmp_path, capsys, argv):
+        orientations = [[0.1 * i, 0.5 * i] for i in range(1, 10)] + [[0.1, 0.5]]
+        cfg_path = write_config(tmp_path, references={"orientations": orientations, "count": 10})
+        out = tmp_path / "out"
+        assert cli.main([argv[0], "--config", str(cfg_path), "--out", str(out), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: cond(A_R) = ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["reconstruct", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)]) == 2
@@ -551,6 +563,49 @@ class TestPerAntennaPath:
             assert getattr(paper_setup.theory, name) == pytest.approx(
                 getattr(direct, name), rel=1e-13, abs=0.0
             )
+
+    def test_per_antenna_path_takes_no_condition_number(self, paper_setup, monkeypatch):
+        counts = {"cond": 0, "solve": 0, "channel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(recon, "channel_from_calibration",
+                            counted("channel", recon.channel_from_calibration))
+        cfg = paper_setup.config
+        golden = math.pi * (3.0 - math.sqrt(5.0))  # Fibonacci lattice over the sphere
+        for i in range(16):
+            spec = DipoleSpec(cfg.test_length, math.acos(1.0 - (2 * i + 1) / 16),
+                              (i * golden) % (2.0 * math.pi), cfg.test_current)
+            cli._reconstruct_test(paper_setup, spec)
+        assert counts == {"cond": 0, "solve": 16, "channel": 0}
+
+    def test_build_setup_solves_the_channel_once(self, monkeypatch):
+        calls = []
+        original = recon.channel_from_calibration
+
+        def counted(cal):
+            calls.append(cal)
+            return original(cal)
+
+        monkeypatch.setattr(recon, "channel_from_calibration", counted)
+        setup = cli.build_setup(fileio.parse_config(SMALL_CONFIG))
+        assert len(calls) == 1 and calls[0] is setup.calibration
+
+    def test_condition_numbers_are_those_of_the_matrices(self, paper_setup):
+        a = paper_setup.calibration.coefficient_matrix
+        v = paper_setup.calibration.voltage_matrix
+        t = np.linalg.solve(a.T, v.T).T
+        assert cli._condition_numbers(paper_setup) == {
+            "a_matrix": float(np.linalg.cond(a)),
+            "v_matrix": float(np.linalg.cond(v)),
+            "channel": float(np.linalg.cond(t)),
+        }
 
     def test_other_dipole_is_refused(self, paper_setup):
         cfg = paper_setup.config

@@ -5,6 +5,10 @@ Subcommands: decompose | simulate | calibrate | reconstruct | sweep | plan
 seeds, reference orientations, and the optimizer are all deterministic, so
 two runs produce identical outputs apart from the report timestamp.
 
+The set-up's reference amplitude matrix A_R is the closed form
+planner.dipole_coefficient_matrix, the builder the orientation optimizer
+scores: one decomposition of the upright reference dipole, rotated.
+
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
 upright twin of the config's test dipole: R_r and D of an identical dipole
@@ -68,13 +72,17 @@ class MeasurementSetup:
     calibration: recon.CalibrationSet
     channel: chamber_mod.ChannelMatrix | None
     chamber: chamber_mod.ChamberModel
-    cond_v_selected: float
     theory: farfield.RadiationSummary
+
+    @property
+    def cond_v_selected(self) -> float:  # the number the chamber was selected by
+        return self.calibration.cond_v
 
 
 def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
     """References (optionally orientation-optimized), chamber selection,
-    and calibration, all deterministic given the config."""
+    and calibration, all deterministic given the config. V_R is the matrix
+    select_chamber ranked the selected chamber by."""
     mode_set = cfg.mode_set()
     grid = farfield.SphereGrid(cfg.n_theta, cfg.n_phi)
     k = cfg.k
@@ -90,17 +98,19 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         )
         orientations = result.orientations
 
+    a_matrix = planner.dipole_coefficient_matrix(
+        orientations, mode_set, cfg.ref_length, cfg.ref_current, grid, k
+    )
     references = dipole.reference_dipole_set(orientations, cfg.ref_length, cfg.ref_current)
     ref_fields = [spec.field(k) for spec in references]
-    ref_coeffs = [farfield.decompose(f, mode_set, grid) for f in ref_fields]
 
     def voltage_matrix(ch):
         return np.column_stack([chamber_mod.probe_voltages(ch, f) for f in ref_fields])
 
-    selected, cond_v = chamber_mod.select_chamber(
+    selected, _ = chamber_mod.select_chamber(
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho
     )
-    calibration = recon.calibrate(ref_coeffs, chamber=selected, fields=ref_fields)
+    calibration = recon.calibrate(a_matrix, voltage_matrix(selected), mode_set)
     square = calibration.n_references == mode_set.size
     channel = recon.channel_from_calibration(calibration) if square else None
     upright = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)
@@ -112,7 +122,6 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         calibration=calibration,
         channel=channel,
         chamber=selected,
-        cond_v_selected=cond_v,
         theory=theory,
     )
 
@@ -355,6 +364,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     orientations = cfg.ref_orientations or planner.fibonacci_orientations(cfg.ref_count)
     objective = cfg.optimize_objective or "cond-A"
     budget = args.budget if args.budget is not None else (cfg.optimize_budget or 1000)
+    budget = fileio._integer(budget, "optimize.budget")
     result = planner.optimize_reference_orientations(
         orientations,
         objective=objective,
@@ -436,7 +446,7 @@ def main(argv=None) -> int:
             return cmd_plan(args)
         cfg = fileio.load_config(args.config)
         if args.seed is not None:
-            cfg.seeds = [args.seed]
+            cfg.seeds = [fileio._integer(args.seed, "chamber seed")]
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir, args)

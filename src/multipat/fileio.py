@@ -113,23 +113,6 @@ def chamber_to_dict(ch) -> dict:
     }
 
 
-def chamber_from_dict(d: dict):
-    from .chamber import ChamberModel
-
-    if d.get("format") != "chamber/1":
-        raise ConfigError(f"not a chamber document: format={d.get('format')!r}")
-    return ChamberModel(
-        n_probes=int(d["n_probes"]),
-        n_paths=int(d["n_paths"]),
-        sigma_rho=float(d["sigma_rho"]),
-        seed=int(d["seed"]),
-        rho=pairs_to_matrix(d["rho"]),
-        theta=np.array(d["theta"], dtype=float),
-        phi=np.array(d["phi"], dtype=float),
-        alpha=np.array(d["alpha"], dtype=float),
-    )
-
-
 def voltages_to_dict(named_voltages: dict[str, np.ndarray]) -> dict:
     return {
         "format": "probe-voltages/1",
@@ -194,17 +177,6 @@ def write_pattern_csv(path, theta_mesh, phi_mesh, field_values) -> None:
                 [repr(float(t)), repr(float(p)), repr(float(a.real)), repr(float(a.imag)),
                  repr(float(b.real)), repr(float(b.imag)), repr(float(m))]
             )
-
-
-def read_pattern_csv(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != PATTERN_HEADER:
-            raise ConfigError(f"unexpected pattern header {header}")
-        rows = [[float(c) for c in row] for row in reader]
-    arr = np.array(rows)
-    return {name: arr[:, i] for i, name in enumerate(PATTERN_HEADER)}
 
 
 SWEEP_HEADER = [

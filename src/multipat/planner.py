@@ -5,11 +5,12 @@ good is a particular calibration set or chamber at resolving them? The
 optimizer is a plain Nelder-Mead simplex over reference orientations with
 a budgeted evaluation count and a monotone best-so-far trace.
 
-The default objective builds the reference amplitude matrix in closed form
-from one quadrature decomposition of the upright dipole, made once per
-optimizer run. Each evaluation is then one spherical-harmonic recurrence
-over all orientations at once and one SVD of the modes x references
-matrix; no per-orientation quadrature runs.
+dipole_coefficient_matrix builds the reference amplitude matrix in closed
+form from one quadrature decomposition of the upright dipole. It serves the
+optimizer's default objective, which decomposes once per run, and the
+set-up's calibration (cli.build_setup). Each optimizer evaluation is then
+one spherical-harmonic recurrence over all orientations at once and one
+SVD of the modes x references matrix; no per-orientation quadrature runs.
 """
 from __future__ import annotations
 

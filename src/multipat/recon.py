@@ -1,9 +1,12 @@
 """Channel calibration and test-antenna reconstruction.
 
 The chamber is calibrated from reference antennas with known mode
-amplitudes; an unknown antenna's amplitudes are then recovered from its
-probe voltages by direct inversion, by reference-voltage weights, or by a
-real-weight least-square fit. All linear algebra acts on unscaled
+amplitudes: calibrate pairs their amplitude matrix A_R with their probe
+voltage matrix V_R. The pipeline builds A_R in closed form
+(planner.dipole_coefficient_matrix, the same builder the orientation
+optimizer scores). An unknown antenna's amplitudes are then recovered from
+its probe voltages by direct inversion, by reference-voltage weights, or by
+a real-weight least-square fit. All linear algebra acts on unscaled
 amplitude vectors (VshCoefficients.to_amplitude_vector); returned
 coefficient sets always satisfy the +-m conjugation constraint exactly.
 
@@ -19,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chamber import ChamberModel, ChannelMatrix, probe_voltages
+from .chamber import ChannelMatrix
+# Unused here; perfbench/tracer.py wraps recon.probe_voltages by name.
+from .chamber import probe_voltages  # noqa: F401
 from .farfield import VshCoefficients, enforce_symmetry, radiated_power
 from .vsh import ModeSet
 
@@ -79,43 +84,17 @@ class CalibrationSet:
         return self.voltage_matrix.shape[0]
 
 
-def calibrate(
-    references,
-    v_matrix: np.ndarray | None = None,
-    chamber: ChamberModel | None = None,
-    fields=None,
-) -> CalibrationSet:
-    """Assemble the calibration matrices in reference order.
+def calibrate(a_matrix: np.ndarray, v_matrix: np.ndarray, mode_set: ModeSet) -> CalibrationSet:
+    """Calibration from the reference amplitude matrix A_R (modes x refs) and
+    the reference voltage matrix V_R (probes x refs), columns in reference
+    order.
 
-    references: list of VshCoefficients sharing one mode set. The voltage
-    side comes either from a measured/precomputed v_matrix or from a
-    simulated chamber plus the references' exact field callables (the
-    physical route: voltages sample the true fields, the coefficient matrix
-    is the truncated expansion).
+    V_R must be 2-D with one column per reference (CalibrationSet checks the
+    count), and it needs at least as many probes as mode_set has modes.
     """
-    if not references:
-        raise ValueError("need at least one reference antenna")
-    mode_set = references[0].mode_set
-    if any(ref.mode_set != mode_set for ref in references):
-        raise ValueError("references use inconsistent mode sets")
-    a_matrix = np.column_stack([ref.to_amplitude_vector() for ref in references])
-
-    if v_matrix is not None:
-        v_matrix = np.asarray(v_matrix, dtype=complex)
-        if v_matrix.ndim != 2 or v_matrix.shape[1] != len(references):
-            raise ValueError(f"v_matrix must be N_s x {len(references)}")
-    elif chamber is not None:
-        if fields is None or len(fields) != len(references):
-            raise ValueError("chamber calibration needs one field callable per reference")
-        if chamber.n_paths < mode_set.size:
-            raise ValueError(
-                f"chamber has {chamber.n_paths} paths but the mode set needs "
-                f"at least {mode_set.size}; information would be lost"
-            )
-        v_matrix = np.column_stack([probe_voltages(chamber, f) for f in fields])
-    else:
-        raise ValueError("provide either v_matrix or chamber (with fields)")
-
+    v_matrix = np.asarray(v_matrix, dtype=complex)
+    if v_matrix.ndim != 2:
+        raise ValueError(f"v_matrix must be N_s x N_R, got shape {v_matrix.shape}")
     if v_matrix.shape[0] < mode_set.size:
         raise ValueError(
             f"{v_matrix.shape[0]} probes cannot resolve {mode_set.size} modes; "

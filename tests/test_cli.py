@@ -1,4 +1,5 @@
 """CLI commands, file formats, exit codes, and replay determinism."""
+import csv
 import json
 import math
 import os
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multipat
-from multipat import cli, farfield, fileio, recon
+from multipat import cli, farfield, fileio, planner, recon
 from multipat.chamber import sample_chamber
 from multipat.dipole import DipoleSpec
 from multipat.farfield import SphereGrid, decompose
 from multipat.fileio import ConfigError
 from multipat.vsh import build_mode_set
+from test_planner import quadrature_matrix
 
 K = 2 * np.pi
 
@@ -28,6 +30,17 @@ SMALL_CONFIG = {
     "chamber": {"n_probes": 10, "n_paths": 10, "sigma_rho": 0.001, "seeds": [0, 1, 2]},
     "test_antenna": {"length": 0.5, "theta0": 0.9, "phi0": 2.1, "current": 1.0},
     "reconstruction": {"method": "inverse", "normalization": None},
+}
+
+# The highorder-lse benchmark workload: L = 5 odd electric (21 modes), 21
+# full-wave references, 42 x 42 chambers, LSE.
+HIGHORDER_LSE_CONFIG = {
+    "wavelength": 1.0,
+    "mode_set": {"lambda_max": 5, "parity": "odd", "multipole": "electric"},
+    "references": {"length": 1.0, "current": 1.0, "count": 21},
+    "chamber": {"n_probes": 42, "n_paths": 42, "sigma_rho": 0.001, "seeds": list(range(100))},
+    "test_antenna": {"length": 1.0, "theta0": 0.0, "phi0": 0.0, "current": 1.0},
+    "reconstruction": {"method": "lse", "normalization": None},
 }
 
 
@@ -198,11 +211,13 @@ class TestRoundTrips:
         ch = sample_chamber(11, 5, 7, 0.001)
         path = tmp_path / "ch.json"
         fileio.write_json(path, fileio.chamber_to_dict(ch))
-        first = path.read_bytes()
-        again = fileio.chamber_from_dict(fileio.read_json(path))
-        fileio.write_json(path, fileio.chamber_to_dict(again))
-        assert path.read_bytes() == first
-        np.testing.assert_array_equal(again.rho, ch.rho)
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "chamber/1"
+        assert (doc["n_probes"], doc["n_paths"], doc["sigma_rho"], doc["seed"]) == (5, 7, 0.001, 11)
+        rho = np.array([[complex(re, im) for re, im in row] for row in doc["rho"]])
+        np.testing.assert_array_equal(rho, ch.rho)
+        for name in ("theta", "phi", "alpha"):
+            np.testing.assert_array_equal(np.array(doc[name]), getattr(ch, name))
 
     def test_voltages(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -219,18 +234,16 @@ class TestRoundTrips:
         field = DipoleSpec().field(K)(grid.theta_mesh, grid.phi_mesh)
         path = tmp_path / "p.csv"
         fileio.write_pattern_csv(path, grid.theta_mesh, grid.phi_mesh, field)
-        first = path.read_bytes()
-        data = fileio.read_pattern_csv(path)
-        assert data["theta"].size == 48
-
-        class Stub:
-            e_theta = (data["E_theta_re"] + 1j * data["E_theta_im"]).reshape(6, 8)
-            e_phi = (data["E_phi_re"] + 1j * data["E_phi_im"]).reshape(6, 8)
-
-        fileio.write_pattern_csv(
-            path, data["theta"].reshape(6, 8), data["phi"].reshape(6, 8), Stub()
-        )
-        assert path.read_bytes() == first
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == fileio.PATTERN_HEADER
+        e_theta, e_phi = (np.broadcast_to(e, grid.theta_mesh.shape).ravel()
+                          for e in (field.e_theta, field.e_phi))
+        expected = np.column_stack([
+            grid.theta_mesh.ravel(), grid.phi_mesh.ravel(), e_theta.real, e_theta.imag,
+            e_phi.real, e_phi.imag, np.sqrt(np.abs(e_theta) ** 2 + np.abs(e_phi) ** 2),
+        ])
+        np.testing.assert_array_equal(np.array(rows, dtype=float), expected)  # repr-exact cells
 
     def test_sweep_csv(self, tmp_path):
         rows = [(0.1, 0.2, 1e-3, -0.01, 2e-4, "ok"), (0.3, 0.4, float("nan"), 0.0, 0.0, "error:x")]
@@ -504,6 +517,25 @@ class TestCommands:
         values = [float(line.split(",")[1]) for line in trace[1:]]
         assert values == sorted(values, reverse=True)  # monotone improvement
 
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "decompose"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                         "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: chamber seed") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_budget_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out),
+                         "--budget", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: optimize.budget") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -613,6 +645,44 @@ class TestPerAntennaPath:
             spec = DipoleSpec(length, cfg.test_theta0, cfg.test_phi0, current)
             with pytest.raises(ValueError, match="differs"):
                 cli._reconstruct_test(paper_setup, spec)
+
+
+class TestClosedFormReferences:
+    """The set-up's A_R is planner.dipole_coefficient_matrix: one upright
+    decomposition, no per-reference quadrature."""
+
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG],
+                             ids=["small", "highorder-lse"])
+    def test_setup_matrix_matches_per_reference_quadrature(self, doc):
+        cfg = fileio.parse_config(doc)
+        setup = cli.build_setup(cfg)
+        ref = quadrature_matrix(setup.orientations, cfg.mode_set(), cfg.ref_length,
+                                cfg.ref_current, grid=setup.grid, k=cfg.k)
+        a = setup.calibration.coefficient_matrix
+        assert np.max(np.abs(a - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_setup_decomposes_once(self, monkeypatch):
+        calls = []
+        original = farfield.decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(farfield, "decompose", counted)
+        cli.build_setup(fileio.parse_config(SMALL_CONFIG))
+        assert len(calls) == 1
+
+    def test_cond_a_is_the_optimizer_objective(self, paper_config, paper_setup):
+        result = planner.optimize_reference_orientations(
+            planner.fibonacci_orientations(paper_config.ref_count),
+            objective=paper_config.optimize_objective,
+            budget=paper_config.optimize_budget,
+            mode_set=paper_config.mode_set(),
+            length=paper_config.ref_length,
+        )
+        assert paper_setup.orientations == result.orientations
+        assert paper_setup.calibration.cond_a == result.objective_value
 
 
 class TestConsoleScript:

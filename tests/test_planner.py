@@ -175,13 +175,14 @@ class TestNelderMead:
         assert calls["n"] <= 51  # baseline evaluation plus the budget
 
 
-def quadrature_matrix(orientations, mode_set, length=0.5, current=1.0):
-    """Reference for dipole_coefficient_matrix: one decomposition per orientation."""
-    grid = farfield.default_grid(mode_set.lambda_max)
+def quadrature_matrix(orientations, mode_set, length=0.5, current=1.0, grid=None, k=2 * math.pi):
+    """Reference for dipole_coefficient_matrix: one decomposition per orientation
+    on grid (default: farfield.default_grid)."""
+    if grid is None:
+        grid = farfield.default_grid(mode_set.lambda_max)
     return np.column_stack([
-        farfield.decompose(
-            DipoleSpec(length, t, p, current).field(2 * math.pi), mode_set, grid
-        ).to_amplitude_vector()
+        farfield.decompose(DipoleSpec(length, t, p, current).field(k), mode_set, grid)
+        .to_amplitude_vector()
         for t, p in orientations
     ])
 

@@ -1,10 +1,13 @@
 """Calibration assembly and the three reconstruction routes."""
+import inspect
+
 import numpy as np
 import pytest
 
 from multipat.chamber import analytic_channel, probe_voltages, sample_chamber
 from multipat.dipole import DipoleSpec, reference_dipole_set
-from multipat.farfield import VshCoefficients, decompose, default_grid, radiated_power, synthesize
+from multipat.farfield import VshCoefficients, radiated_power, synthesize
+from multipat.planner import dipole_coefficient_matrix
 from multipat.recon import (
     CalibrationSet,
     IllConditionedError,
@@ -19,7 +22,6 @@ from multipat.vsh import build_mode_set
 
 K = 2 * np.pi
 MS = build_mode_set(3, "odd", "electric")
-GRID = default_grid(3)
 
 
 def symmetric_random_coefficients(rng, mode_set=MS, scale=1.0):
@@ -31,6 +33,23 @@ def symmetric_random_coefficients(rng, mode_set=MS, scale=1.0):
     return enforce_symmetry(VshCoefficients(mode_set, scale * vals))
 
 
+def amplitude_matrix(coeffs):
+    """A_R: one amplitude-vector column per reference."""
+    return np.column_stack([c.to_amplitude_vector() for c in coeffs])
+
+
+def voltage_matrix(chamber, fields):
+    """V_R: one probe-voltage column per reference field."""
+    return np.column_stack([probe_voltages(chamber, f) for f in fields])
+
+
+def band_limited_calibration(refs, chamber):
+    """Calibration of exactly band-limited references: their fields are the
+    truncated expansions themselves."""
+    fields = [(lambda c: (lambda t, p: synthesize(c, t, p)))(c) for c in refs]
+    return calibrate(amplitude_matrix(refs), voltage_matrix(chamber, fields), refs[0].mode_set)
+
+
 @pytest.fixture(scope="module")
 def dipole_setup():
     """Ten-reference half-wave dipole calibration in a random 10x10 chamber."""
@@ -40,10 +59,10 @@ def dipole_setup():
     ]
     refs = reference_dipole_set(orientations)
     fields = [r.field(K) for r in refs]
-    coeffs = [decompose(f, MS, GRID) for f in fields]
+    a_matrix = dipole_coefficient_matrix(orientations, MS)
     chamber = sample_chamber(77, 10, 10, 0.001)
-    cal = calibrate(coeffs, chamber=chamber, fields=fields)
-    return refs, fields, coeffs, chamber, cal
+    cal = calibrate(a_matrix, voltage_matrix(chamber, fields), MS)
+    return refs, fields, a_matrix, chamber, cal
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +70,8 @@ def band_limited_setup():
     """Noiseless, exactly band-limited references and test antenna."""
     rng = np.random.default_rng(21)
     ref_coeffs = [symmetric_random_coefficients(rng) for _ in range(10)]
-    fields = [(lambda c: (lambda t, p: synthesize(c, t, p)))(c) for c in ref_coeffs]
     chamber = sample_chamber(5, 10, 10, 0.001)
-    cal = calibrate(ref_coeffs, chamber=chamber, fields=fields)
+    cal = band_limited_calibration(ref_coeffs, chamber)
     truth = symmetric_random_coefficients(rng)
     v = probe_voltages(chamber, lambda t, p: synthesize(truth, t, p))
     return cal, chamber, truth, v
@@ -69,33 +87,34 @@ class TestCalibrate:
     def test_single_reference(self):
         rng = np.random.default_rng(0)
         c = symmetric_random_coefficients(rng)
-        cal = calibrate([c], v_matrix=np.ones((10, 1), dtype=complex))
+        cal = calibrate(amplitude_matrix([c]), np.ones((10, 1), dtype=complex), MS)
         assert cal.coefficient_matrix.shape == (10, 1)
 
-    def test_inconsistent_mode_sets(self):
-        rng = np.random.default_rng(0)
-        a = symmetric_random_coefficients(rng)
-        b = symmetric_random_coefficients(rng, build_mode_set(1, multipole="electric"))
-        with pytest.raises(ValueError):
-            calibrate([a, b], v_matrix=np.ones((12, 2), dtype=complex))
+    def test_every_argument_is_required(self):
+        params = inspect.signature(calibrate).parameters.values()
+        assert [p.name for p in params] == ["a_matrix", "v_matrix", "mode_set"]
+        assert all(p.default is inspect.Parameter.empty for p in params)
 
-    def test_requires_voltage_source(self):
+    @pytest.mark.parametrize(
+        "v_matrix",
+        [np.ones(10, dtype=complex), np.ones((10, 9), dtype=complex),
+         np.ones((10, 11), dtype=complex)],
+        ids=["one-dimensional", "too-few-columns", "too-many-columns"],
+    )
+    def test_voltage_matrix_needs_one_column_per_reference(self, v_matrix):
         rng = np.random.default_rng(0)
+        a = amplitude_matrix([symmetric_random_coefficients(rng) for _ in range(10)])
         with pytest.raises(ValueError):
-            calibrate([symmetric_random_coefficients(rng)])
+            calibrate(a, v_matrix, MS)
 
     def test_information_preservation_guards(self):
         rng = np.random.default_rng(0)
         refs = [symmetric_random_coefficients(rng) for _ in range(10)]
-        fields = [(lambda c: (lambda t, p: synthesize(c, t, p)))(c) for c in refs]
         starved_probes = sample_chamber(1, 6, 12)
         with pytest.raises(ValueError, match="information"):
-            calibrate(refs, chamber=starved_probes, fields=fields)
-        starved_paths = sample_chamber(1, 12, 6)
+            band_limited_calibration(refs, starved_probes)
         with pytest.raises(ValueError, match="information"):
-            calibrate(refs, chamber=starved_paths, fields=fields)
-        with pytest.raises(ValueError, match="information"):
-            calibrate(refs, v_matrix=np.ones((6, 10), dtype=complex))
+            calibrate(amplitude_matrix(refs), np.ones((6, 10), dtype=complex), MS)
 
 
 class TestChannelFromCalibration:
@@ -108,17 +127,14 @@ class TestChannelFromCalibration:
     def test_identity_references(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        refs = [
-            VshCoefficients.from_amplitude_vector(MS, np.eye(10)[:, i]) for i in range(10)
-        ]
-        cal = calibrate(refs, v_matrix=v)
+        cal = calibrate(np.eye(10), v, MS)
         np.testing.assert_allclose(channel_from_calibration(cal).entries, v, rtol=1e-12)
 
     def test_ill_conditioned_error_carries_cond(self):
         rng = np.random.default_rng(2)
         c = symmetric_random_coefficients(rng)
         # two identical references: singular coefficient matrix
-        cal = calibrate([c] * 10, v_matrix=rng.normal(size=(10, 10)).astype(complex))
+        cal = calibrate(amplitude_matrix([c] * 10), rng.normal(size=(10, 10)).astype(complex), MS)
         with pytest.raises(IllConditionedError) as err:
             channel_from_calibration(cal)
         assert err.value.cond > 1e12 or not np.isfinite(err.value.cond)
@@ -126,7 +142,7 @@ class TestChannelFromCalibration:
     def test_non_square_rejected(self):
         rng = np.random.default_rng(3)
         refs = [symmetric_random_coefficients(rng) for _ in range(9)]
-        cal = calibrate(refs, v_matrix=np.ones((10, 9), dtype=complex))
+        cal = calibrate(amplitude_matrix(refs), np.ones((10, 9), dtype=complex), MS)
         with pytest.raises(ValueError):
             channel_from_calibration(cal)
 
@@ -218,9 +234,8 @@ class TestReconstructLse:
     def test_overdetermined_system(self):
         rng = np.random.default_rng(31)
         refs = [symmetric_random_coefficients(rng) for _ in range(10)]
-        fields = [(lambda c: (lambda t, p: synthesize(c, t, p)))(c) for c in refs]
         chamber = sample_chamber(9, 12, 15, 0.001)
-        cal = calibrate(refs, chamber=chamber, fields=fields)
+        cal = band_limited_calibration(refs, chamber)
         truth = symmetric_random_coefficients(rng)
         v = probe_voltages(chamber, lambda t, p: synthesize(truth, t, p))
         result = reconstruct_lse(cal, v)
@@ -246,9 +261,8 @@ class TestReconstructLse:
         ms1 = build_mode_set(1, multipole="electric")
         rng = np.random.default_rng(13)
         refs = [symmetric_random_coefficients(rng, ms1) for _ in range(3)]
-        fields = [(lambda c: (lambda t, p: synthesize(c, t, p)))(c) for c in refs]
         chamber = sample_chamber(2, 3, 3, 0.001)
-        cal = calibrate(refs, chamber=chamber, fields=fields)
+        cal = band_limited_calibration(refs, chamber)
         truth = symmetric_random_coefficients(rng, ms1)
         v = probe_voltages(chamber, lambda t, p: synthesize(truth, t, p))
         lse = reconstruct_lse(cal, v)
@@ -317,7 +331,7 @@ class TestNormalization:
 
 class TestMethodAgreementOnDipoles:
     def test_all_methods_close_on_physical_pipeline(self, dipole_setup):
-        refs, fields, coeffs, chamber, cal = dipole_setup
+        refs, fields, a_matrix, chamber, cal = dipole_setup
         v = probe_voltages(chamber, DipoleSpec(theta0=0.8, phi0=2.7).field(K))
         a = reconstruct_inverse(channel_from_calibration(cal), v)
         b = reconstruct_weights_direct(cal, v)

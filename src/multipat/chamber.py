@@ -8,6 +8,7 @@ exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.
     """
     if n_probes < 1 or n_paths < 1:
         raise ValueError("need at least one probe and one path")
-    if sigma_rho <= 0.0:
-        raise ValueError("sigma_rho must be positive")
+    if not 0.0 < sigma_rho < math.inf:
+        raise ValueError("sigma_rho must be positive and finite")
     rng = np.random.default_rng(seed)
     shape = (n_probes, n_paths)
     rho_re = rng.normal(0.0, sigma_rho, shape)
@@ -73,10 +74,14 @@ def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
 
     v_k = sum_n rho_kn [E_theta(launch_kn) cos(alpha_kn)
                         + E_phi(launch_kn) sin(alpha_kn)]
+
+    The sum runs over the last (path) axis, so a field with leading antenna
+    axes, such as dipole_field of a whole reference set, gives one row of
+    probe voltages per antenna from one call.
     """
     sampled = field(chamber.theta, chamber.phi)
     mixed = sampled.e_theta * np.cos(chamber.alpha) + sampled.e_phi * np.sin(chamber.alpha)
-    return np.sum(chamber.rho * mixed, axis=1)
+    return np.sum(chamber.rho * mixed, axis=-1)
 
 
 @dataclass
@@ -127,7 +132,10 @@ def select_chamber(
     """Pick the candidate chamber with the best-conditioned reference voltages.
 
     voltage_builder maps a ChamberModel to its N_s x N_R reference voltage
-    matrix. Ties keep the earliest seed, so selection is deterministic.
+    matrix; the set-up's builder takes the whole matrix from one batched
+    dipole-field pass over the references. Candidates are built one at a
+    time, so only one candidate's fields are held at once. Ties keep the
+    earliest seed, so selection is deterministic.
     """
     seeds = list(seeds)
     if not seeds:

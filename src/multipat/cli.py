@@ -7,7 +7,11 @@ two runs produce identical outputs apart from the report timestamp.
 
 The set-up's reference amplitude matrix A_R is the closed form
 planner.dipole_coefficient_matrix, the builder the orientation optimizer
-scores: one decomposition of the upright reference dipole, rotated.
+scores: one decomposition of the upright reference dipole, rotated. Its
+reference voltage matrix V_R comes from one batched dipole.dipole_field
+call over the whole reference set per candidate chamber: select_chamber
+ranks the candidates by cond(V_R), one at a time, and the selected
+chamber's V_R is built once more for the calibration.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
@@ -102,10 +106,14 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         orientations, mode_set, cfg.ref_length, cfg.ref_current, grid, k
     )
     references = dipole.reference_dipole_set(orientations, cfg.ref_length, cfg.ref_current)
-    ref_fields = [spec.field(k) for spec in references]
+
+    def reference_fields(theta, phi):
+        return dipole.dipole_field(references, theta, phi, k)
 
     def voltage_matrix(ch):
-        return np.column_stack([chamber_mod.probe_voltages(ch, f) for f in ref_fields])
+        # One batched field pass: rows are references, so V_R is the transpose,
+        # made C-contiguous like the column_stack of per-reference voltages.
+        return np.ascontiguousarray(chamber_mod.probe_voltages(ch, reference_fields).T)
 
     selected, _ = chamber_mod.select_chamber(
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho

@@ -29,24 +29,40 @@ class DipoleSpec:
     current: float = 1.0
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError("dipole length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("dipole length must be positive and finite")
         if not 0.0 <= self.theta0 <= math.pi:
             raise ValueError("theta0 must lie in [0, pi]")
+        if not math.isfinite(self.phi0):
+            raise ValueError("phi0 must be finite")
+        if not math.isfinite(self.current):
+            raise ValueError("dipole current must be finite")
 
     def field(self, k: float = 2.0 * math.pi):
         """Field callable (theta, phi) -> TangentVector for this dipole."""
         return lambda theta, phi: dipole_field(self, theta, phi, k)
 
 
-def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
+def dipole_field(spec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
     """Modified far field of an arbitrarily oriented center-fed dipole.
+
+    spec is one DipoleSpec, or a sequence of them that share one length and
+    one current (such as reference_dipole_set returns); a sequence gives
+    components with a leading reference axis, from one pass that takes the
+    trig of the launch directions once.
 
     The axis projections onto theta_hat, phi_hat, r_hat set the polarization
     and the pattern argument; the 0/0 along the axis is resolved by the
     analytic limit of the pattern bracket (the field there is zero because
     both polarization projections vanish).
     """
+    single = isinstance(spec, DipoleSpec)
+    specs = [spec] if single else list(spec)
+    if not specs:
+        raise ValueError("need at least one dipole")
+    length, current = specs[0].length, specs[0].current
+    if any(s.length != length or s.current != current for s in specs):
+        raise ValueError("batched dipoles must share one length and one current")
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
     th, ph = np.broadcast_arrays(th, ph)
@@ -54,8 +70,14 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     th = np.atleast_1d(th)
     ph = np.atleast_1d(ph)
 
-    st0, ct0 = math.sin(spec.theta0), math.cos(spec.theta0)
-    sp0, cp0 = math.sin(spec.phi0), math.cos(spec.phi0)
+    # Orientation trig per dipole: floats for one dipole, else arrays shaped
+    # (n_dipoles, 1, ...) to broadcast over the launch directions.
+    trig = [(math.sin(s.theta0), math.cos(s.theta0), math.sin(s.phi0), math.cos(s.phi0))
+            for s in specs]
+    if single:
+        st0, ct0, sp0, cp0 = trig[0]
+    else:
+        st0, ct0, sp0, cp0 = np.array(trig).T.reshape((4, len(specs)) + (1,) * th.ndim)
     st, ct = np.sin(th), np.cos(th)
     sp, cp = np.sin(ph), np.cos(ph)
 
@@ -64,7 +86,7 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     q = st0 * sp0 * cp - st0 * cp0 * sp
     g = st0 * cp0 * st * cp + st0 * sp0 * st * sp + ct0 * ct
 
-    kl = 2.0 * math.pi * spec.length  # k L depends only on length/wavelength
+    kl = 2.0 * math.pi * length  # k L depends only on length/wavelength
     denom = 1.0 - g * g
     on_axis = np.abs(denom) < _BRACKET_TOL
     numerator = np.cos(0.5 * kl * g) - math.cos(0.5 * kl)
@@ -78,11 +100,13 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
         limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
         bracket = np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
 
-    amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
+    amp = -1j * ETA0 * current * k / (2.0 * math.pi)
     e_theta = amp * p * bracket
     e_phi = amp * q * bracket
     if scalar:
-        return TangentVector(complex(e_theta[0]), complex(e_phi[0]))
+        if single:
+            return TangentVector(complex(e_theta[0]), complex(e_phi[0]))
+        e_theta, e_phi = e_theta[..., 0], e_phi[..., 0]
     return TangentVector(e_theta, e_phi)
 
 

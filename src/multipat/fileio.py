@@ -322,6 +322,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "multipole": ms_sec.get("multipole", "electric"),
         }
     )
+    if mode_set.size == 0:
+        raise ConfigError(
+            f"lambda_max = {mode_set.lambda_max} with parity {mode_set.parity!r} leaves no modes"
+        )
 
     grid_sec = _section(doc, "grid")
     n_default = 4 * mode_set.lambda_max + 16

@@ -11,14 +11,15 @@ amplitude vectors (VshCoefficients.to_amplitude_vector); returned
 coefficient sets always satisfy the +-m conjugation constraint exactly.
 
 The condition numbers of A_R, V_R and the channel T are taken once, when
-each matrix is built; a solve checks the stored number against the one
-fixed limit COND_ERROR and warns above COND_WARN. Only the LSE route
-conditions its normal matrix Re(V_R^H V_R) on each call.
+each matrix is built, and that of the LSE normal matrix Re(V_R^H V_R) once
+per calibration, on the LSE route's first solve; a solve checks the stored
+number against the one fixed limit COND_ERROR and warns above COND_WARN.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,9 @@ def _checked(cond: float, name: str) -> float:
 @dataclass
 class CalibrationSet:
     """Reference amplitude matrix (modes x refs) and voltage matrix (probes x refs),
-    and their condition numbers cond_a and cond_v, taken once at construction."""
+    and their condition numbers cond_a and cond_v, taken once at construction.
+    The LSE normal matrix and its condition number are taken once, on first
+    use: the other routes never need them."""
 
     coefficient_matrix: np.ndarray
     voltage_matrix: np.ndarray
@@ -74,6 +77,15 @@ class CalibrationSet:
             raise ValueError("coefficient and voltage matrices disagree on reference count")
         self.cond_a = float(np.linalg.cond(self.coefficient_matrix))
         self.cond_v = float(np.linalg.cond(self.voltage_matrix))
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """Re(V_R^H V_R), the normal matrix of the real-weight LSE fit."""
+        return (self.voltage_matrix.conj().T @ self.voltage_matrix).real
+
+    @cached_property
+    def cond_normal(self) -> float:
+        return float(np.linalg.cond(self.normal))
 
     @property
     def n_references(self) -> int:
@@ -170,16 +182,16 @@ def reconstruct_lse(cal: CalibrationSet, voltages) -> ReconstructionResult:
     """Real-weight least-square-error reconstruction.
 
     Minimizes the squared voltage mismatch over real weights:
-    w = inv(Re{V_R^H V_R}) Re{V_R^H v}. Works for any N_s >= N_R.
+    w = inv(Re{V_R^H V_R}) Re{V_R^H v}. Works for any N_s >= N_R. The normal
+    matrix and its condition number come from the calibration.
     """
     v_r = cal.voltage_matrix
     v = np.asarray(voltages, dtype=complex)
     if v.shape != (v_r.shape[0],):
         raise ValueError(f"expected {v_r.shape[0]} probe voltages, got shape {v.shape}")
-    normal = (v_r.conj().T @ v_r).real
     rhs = (v_r.conj().T @ v).real
-    cond = _checked(float(np.linalg.cond(normal)), "Re(V_R^H V_R)")
-    w = np.linalg.solve(normal, rhs)
+    cond = _checked(cal.cond_normal, "Re(V_R^H V_R)")
+    w = np.linalg.solve(cal.normal, rhs)
     diagnostics = {"cond_normal": cond, "lse_cost": float(np.linalg.norm(v - v_r @ w) ** 2)}
     return _finish(cal.coefficient_matrix @ w, cal.mode_set, "lse", w, diagnostics,
                    lambda a: v - v_r @ w)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from multipat.chamber import ChamberModel, analytic_channel, probe_voltages, sample_chamber, select_chamber
-from multipat.dipole import DipoleSpec
+from multipat.dipole import DipoleSpec, dipole_field, reference_dipole_set
 from multipat.farfield import VshCoefficients, decompose, default_grid, synthesize
 from multipat.vsh import TangentVector, build_mode_set
 
@@ -55,6 +55,11 @@ class TestSampleChamber:
         with pytest.raises(ValueError):
             sample_chamber(0, 5, 5, sigma_rho=0.0)
 
+    @pytest.mark.parametrize("sigma_rho", [np.nan, np.inf])
+    def test_non_finite_sigma_rho_refused(self, sigma_rho):
+        with pytest.raises(ValueError, match="sigma_rho"):
+            sample_chamber(1, 2, 2, sigma_rho)
+
 
 class TestProbeVoltages:
     def test_zero_gains(self):
@@ -88,6 +93,14 @@ class TestProbeVoltages:
         lhs = probe_voltages(ch, combined)
         rhs = probe_voltages(ch, f1) + probe_voltages(ch, f2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_leading_antenna_axis_equals_stacked_calls(self):
+        ch = sample_chamber(9, 7, 11)
+        specs = reference_dipole_set([(0.2, 0.1), (1.3, 2.0), (2.9, 5.5)], length=0.8)
+        batched = probe_voltages(ch, lambda t, p: dipole_field(specs, t, p, K))
+        stacked = np.stack([probe_voltages(ch, spec.field(K)) for spec in specs])
+        assert batched.shape == (3, 7)
+        assert np.array_equal(batched, stacked)
 
 
 class TestAnalyticChannel:

@@ -1,10 +1,13 @@
 """CLI commands, file formats, exit codes, and replay determinism."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multipat
-from multipat import cli, farfield, fileio, planner, recon
-from multipat.chamber import sample_chamber
-from multipat.dipole import DipoleSpec
+from multipat import chamber, cli, dipole, farfield, fileio, planner, recon
+from multipat.chamber import ChamberModel, probe_voltages, sample_chamber
+from multipat.dipole import DipoleSpec, reference_dipole_set
 from multipat.farfield import SphereGrid, decompose
 from multipat.fileio import ConfigError
-from multipat.vsh import build_mode_set
+from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, build_mode_set
 from test_planner import quadrature_matrix
 
 K = 2 * np.pi
@@ -193,6 +196,53 @@ class TestConfigProperties:
             assert "\n" not in str(exc)
         else:
             assert isinstance(cfg, fileio.ExperimentConfig)
+
+
+@st.composite
+def buildable_configs(draw):
+    """Configs near SMALL_CONFIG that parse_config accepts: every parity and
+    multipole filter up to lambda_max 3, each method at a shape it can
+    serve, reference lengths in [0.25, 1.5], listed orientations that may
+    sit on the poles, up to 30 probes and paths and up to 5 seeds."""
+    lambda_max, parity, multipole = draw(
+        st.tuples(st.integers(1, 3), st.sampled_from(PARITY_FILTERS),
+                  st.sampled_from(MULTIPOLE_FILTERS))
+        .filter(lambda ms: build_mode_set(*ms).size > 0))  # even parity at L = 1 has none
+    n_modes = build_mode_set(lambda_max, parity, multipole).size
+    sizes = st.integers(n_modes, 30)
+    method = draw(st.sampled_from(["inverse", "direct-weights", "lse"]))
+    if method == "inverse":
+        count = n_probes = n_modes
+    elif method == "direct-weights":
+        count = n_probes = draw(sizes)
+    else:
+        count, n_probes = draw(sizes), draw(sizes)
+    references = {"length": draw(st.floats(0.25, 1.5)), "current": 1.0, "count": count}
+    if draw(st.booleans()):
+        theta = st.sampled_from([0.0, math.pi]) | st.floats(0.0, math.pi)
+        references["orientations"] = draw(st.lists(
+            st.tuples(theta, st.floats(0.0, 2.0 * math.pi)), min_size=count, max_size=count))
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["mode_set"] = {"lambda_max": lambda_max, "parity": parity, "multipole": multipole}
+    doc["references"] = references
+    doc["chamber"].update(n_probes=n_probes, n_paths=draw(sizes),
+                          seeds=draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5)))
+    doc["reconstruction"]["method"] = method
+    return doc
+
+
+class TestSetupProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(doc=buildable_configs())
+    def test_config_that_parses_also_builds(self, doc):
+        fileio.parse_config(doc)
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+            path = Path(tmp) / "config.json"
+            fileio.write_json(path, doc)
+            code = cli.main(["calibrate", "--config", str(path), "--out", tmp])
+        assert code == 0 or (code == 3 and stderr.getvalue().count("\n") == 1), (
+            code, stderr.getvalue())
 
 
 class TestRoundTrips:
@@ -450,6 +500,16 @@ class TestCommands:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (out / "sweep.csv").exists()
 
+    def test_empty_mode_set_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, {"mode_set": {"lambda_max": 1, "parity": "even", "multipole": "electric"}},
+            reconstruction={"method": "lse"},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "no modes" in err and err.count("\n") == 1
+
     def test_degrees_is_a_sweep_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -645,6 +705,67 @@ class TestPerAntennaPath:
             spec = DipoleSpec(length, cfg.test_theta0, cfg.test_phi0, current)
             with pytest.raises(ValueError, match="differs"):
                 cli._reconstruct_test(paper_setup, spec)
+
+
+def setup_voltage_builder(monkeypatch, doc):
+    """The V_R builder build_setup ranks the candidate chambers with, the
+    config's reference dipoles, and the parsed config."""
+    captured = []
+    original = chamber.select_chamber
+
+    def spy(seeds, builder, *args):
+        captured.append(builder)
+        return original(seeds, builder, *args)
+
+    monkeypatch.setattr(chamber, "select_chamber", spy)
+    cfg = fileio.parse_config({**doc, "chamber": {**doc["chamber"], "seeds": [0]}})
+    setup = cli.build_setup(cfg)
+    return captured[0], reference_dipole_set(setup.orientations, cfg.ref_length,
+                                             cfg.ref_current), cfg
+
+
+class TestReferenceVoltages:
+    """build_setup takes each candidate's V_R from one batched dipole-field
+    pass; it equals the per-reference voltages bit for bit."""
+
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG],
+                             ids=["small", "highorder-lse"])
+    def test_batched_matrix_equals_per_reference_columns(self, monkeypatch, doc):
+        build, refs, cfg = setup_voltage_builder(monkeypatch, doc)
+        for seed in (0, 16, 77, 1234):
+            ch = sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho)
+            v_r = build(ch)
+            assert v_r.flags.c_contiguous
+            assert np.array_equal(
+                v_r, np.column_stack([probe_voltages(ch, spec.field(cfg.k)) for spec in refs]))
+
+    def test_launch_direction_on_a_reference_axis(self, monkeypatch):
+        build, refs, cfg = setup_voltage_builder(monkeypatch, SMALL_CONFIG)
+        base = sample_chamber(3, cfg.n_probes, cfg.n_paths, cfg.sigma_rho)
+        theta, phi = base.theta.copy(), base.phi.copy()
+        theta[2, 5], phi[2, 5] = refs[4].theta0, refs[4].phi0
+        ch = ChamberModel(cfg.n_probes, cfg.n_paths, cfg.sigma_rho, 3, base.rho, theta, phi,
+                          base.alpha)
+        on_axis = refs[4].field(cfg.k)(theta[2, 5], phi[2, 5])
+        assert abs(on_axis.e_theta) < 1e-9 and abs(on_axis.e_phi) < 1e-9
+        assert np.array_equal(
+            build(ch), np.column_stack([probe_voltages(ch, spec.field(cfg.k)) for spec in refs]))
+
+    def test_one_field_call_per_candidate(self, monkeypatch):
+        calls = []
+        original = dipole.dipole_field
+
+        def counted(spec, theta, phi, *args):
+            calls.append((spec, np.shape(theta)))
+            return original(spec, theta, phi, *args)
+
+        monkeypatch.setattr(dipole, "dipole_field", counted)
+        doc = {**SMALL_CONFIG, "chamber": {**SMALL_CONFIG["chamber"], "seeds": list(range(7))}}
+        setup = cli.build_setup(fileio.parse_config(doc))
+        refs = reference_dipole_set(setup.orientations, 0.5, 1.0)
+        at_launch = [spec for spec, shape in calls if shape == (10, 10)]
+        assert len(at_launch) == 7 + 1  # every candidate, then the selected chamber
+        assert all(spec == refs for spec in at_launch)
 
 
 class TestClosedFormReferences:

@@ -59,6 +59,25 @@ class TestDipoleField:
         with pytest.raises(ValueError):
             DipoleSpec(theta0=4.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_length_refused(self, value):
+        with pytest.raises(ValueError, match="length"):
+            DipoleSpec(length=value)
+
+    def test_nan_theta0_refused(self):
+        with pytest.raises(ValueError, match="theta0"):
+            DipoleSpec(theta0=np.nan)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi0_refused(self, value):
+        with pytest.raises(ValueError, match="phi0"):
+            DipoleSpec(phi0=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_current_refused(self, value):
+        with pytest.raises(ValueError, match="current"):
+            DipoleSpec(current=value)
+
     def test_band_limited_reconstruction_error(self):
         # 10-mode expansion reproduces any half-wave dipole to < 1e-3 RMS
         ms = build_mode_set(3, "odd", "electric")
@@ -96,3 +115,44 @@ class TestReferenceSet:
     def test_shared_feed_normalization(self):
         specs = reference_dipole_set([(0.1, 0.2), (0.3, 0.4)], length=0.5, current=0.7)
         assert {s.current for s in specs} == {0.7}
+
+
+class TestBatchedField:
+    """A sequence of specs gives the per-spec fields, bit for bit, along a
+    leading axis."""
+
+    ORIENTATIONS = [(0.0, 0.0), (0.7, 1.9), (np.pi / 2, 4.0), (np.pi, 0.3)]
+
+    def test_equals_per_spec_calls_bitwise(self):
+        specs = reference_dipole_set(self.ORIENTATIONS, length=1.0, current=0.7)
+        grid = default_grid(3)
+        # the grid plus one point on the axis of specs[1], which takes the limit branch
+        theta = np.append(grid.theta_mesh.ravel(), 0.7)[None, :]
+        phi = np.append(grid.phi_mesh.ravel(), 1.9)[None, :]
+        batched = dipole_field(specs, theta, phi, K)
+        assert batched.e_theta.shape == (len(specs),) + theta.shape
+        for i, spec in enumerate(specs):
+            single = dipole_field(spec, theta, phi, K)
+            assert np.array_equal(batched.e_theta[i], single.e_theta)
+            assert np.array_equal(batched.e_phi[i], single.e_phi)
+
+    def test_scalar_point_gives_one_value_per_spec(self):
+        specs = reference_dipole_set(self.ORIENTATIONS)
+        batched = dipole_field(specs, 1.1, 0.4, K)
+        assert batched.e_theta.shape == batched.e_phi.shape == (len(specs),)
+        for i, spec in enumerate(specs):
+            single = dipole_field(spec, 1.1, 0.4, K)
+            assert batched.e_theta[i] == single.e_theta and batched.e_phi[i] == single.e_phi
+
+    def test_one_element_sequence_keeps_its_axis(self):
+        field = dipole_field([DipoleSpec()], np.array([0.3, 1.2]), 0.0, K)
+        assert field.e_theta.shape == (1, 2)
+
+    @pytest.mark.parametrize("other", [DipoleSpec(length=0.6), DipoleSpec(current=2.0)])
+    def test_mixed_length_or_current_refused(self, other):
+        with pytest.raises(ValueError, match="share"):
+            dipole_field([DipoleSpec(), other], 0.5, 0.5, K)
+
+    def test_empty_sequence_refused(self):
+        with pytest.raises(ValueError, match="at least one"):
+            dipole_field([], 0.5, 0.5, K)

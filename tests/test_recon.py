@@ -225,6 +225,22 @@ class TestReconstructWeightsDirect:
 
 
 class TestReconstructLse:
+    def test_normal_matrix_is_conditioned_once_per_calibration(self, band_limited_setup,
+                                                                monkeypatch):
+        cal, chamber, truth, v = band_limited_setup
+        fresh = calibrate(cal.coefficient_matrix, cal.voltage_matrix, cal.mode_set)
+        conds = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: conds.append(a) or cond(*a, **k))
+        results = [reconstruct_lse(fresh, v) for _ in range(3)]
+        assert len(conds) == 1
+        v_r = fresh.voltage_matrix
+        normal = (v_r.conj().T @ v_r).real
+        assert np.array_equal(fresh.normal, normal)
+        for result in results:
+            assert result.diagnostics["cond_normal"] == float(cond(normal))
+            assert np.array_equal(result.weights, np.linalg.solve(normal, (v_r.conj().T @ v).real))
+
     def test_matches_direct_weights_noiseless(self, band_limited_setup):
         cal, chamber, truth, v = band_limited_setup
         direct = reconstruct_weights_direct(cal, v)

@@ -26,6 +26,7 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -85,12 +86,19 @@ _BASIS_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _BASIS_CACHE_MAX = 8
 
 
+@lru_cache(maxsize=32)
+def _synthesis_phase(mode_set: ModeSet) -> np.ndarray:
+    """j^(l+1) of every mode of the set, shape (size, 1)."""
+    return np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
+
+
 def mode_basis(mode_set: ModeSet, theta, phi, cache_token: tuple | None = None):
     """Stacked basis component arrays (B_theta, B_phi), shape (size, npts).
 
-    vsh.mode_components evaluates every mode in one pass; this adds the
-    j^(l+1) synthesis phase. theta/phi are arrays of equal size, read in
-    flattened order. Pass a hashable cache_token to memoize per (mode_set, token).
+    vsh.mode_components evaluates every mode in one pass, with the j^(l+1)
+    synthesis phase as its row factor. theta/phi are arrays of equal size,
+    read in flattened order. Pass a hashable cache_token to memoize per
+    (mode_set, token).
     """
     key = None
     if cache_token is not None:
@@ -99,10 +107,7 @@ def mode_basis(mode_set: ModeSet, theta, phi, cache_token: tuple | None = None):
         if hit is not None:
             _BASIS_CACHE.move_to_end(key)
             return hit
-    bt, bp = mode_components(mode_set.entries, theta, phi)
-    phase = np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
-    bt *= phase
-    bp *= phase
+    bt, bp = mode_components(mode_set.entries, theta, phi, _synthesis_phase(mode_set))
     if key is not None:
         _BASIS_CACHE[key] = (bt, bp)
         while len(_BASIS_CACHE) > _BASIS_CACHE_MAX:
@@ -414,6 +419,10 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
     if not 0.0 < total < math.inf:
         raise ValueError(f"directivity undefined for squared amplitude sum {total}")
 
+    # Each stencil is one call of this module's synthesize, looked up when
+    # called: the benchmark's traced run wraps that name, and its
+    # farfield.synthesize_us and synth_calls_per_directivity come from
+    # those calls alone.
     def eval_sq(t, p):
         f = synthesize(coeffs, t, p)
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2

@@ -251,6 +251,14 @@ class ExperimentConfig:
 # 13 GB, and building the mode set of an unbounded order would hang here.
 MAX_LAMBDA = 100
 
+# The largest accepted chamber gain scale. sigma_rho only scales every
+# voltage and T (rho = sigma_rho N(0, 1)), so no result depends on it beyond
+# rounding, but from about 1e154 on, V_R^H V_R of unit-current references
+# overflows: the LSE route fails and the inverse route prints overflow
+# warnings. The bound leaves fifty decades for larger fields, currents and
+# chambers.
+SIGMA_RHO_MAX = 1e100
+
 
 def _section(doc: dict, key: str) -> dict:
     section = doc.get(key, {})
@@ -264,6 +272,7 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _NONZERO = (lambda v: v != 0.0 and math.isfinite(v), "nonzero and finite")
 _POLAR = (lambda v: 0.0 <= v <= math.pi, "in [0, pi]")
 _FINITE = (math.isfinite, "finite")
+_GAIN_SCALE = (lambda v: 0.0 < v <= SIGMA_RHO_MAX, f"in (0, {SIGMA_RHO_MAX:g}]")
 
 
 def _number(value, name: str, rule) -> float:
@@ -372,7 +381,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ch_sec = _section(doc, "chamber")
     n_probes = _integer(ch_sec.get("n_probes", mode_set.size), "chamber.n_probes")
     n_paths = _integer(ch_sec.get("n_paths", mode_set.size), "chamber.n_paths")
-    sigma_rho = _number(ch_sec.get("sigma_rho", 0.001), "sigma_rho", _POSITIVE)
+    sigma_rho = _number(ch_sec.get("sigma_rho", 0.001), "sigma_rho", _GAIN_SCALE)
     if "seeds" in ch_sec:
         if not isinstance(ch_sec["seeds"], list):
             raise ConfigError(f"chamber.seeds must be a list, got {ch_sec['seeds']!r}")

@@ -2,18 +2,25 @@
 
 X_{l,m} is the tangential harmonic built from the angular-momentum operator
 acting on Y_{l,m}; r_hat x X_{l,m} is its 90-degree tangent-plane rotation.
-mode_components() evaluates every mode of a set in one pass: one
-orthonormal associated-Legendre recurrence per order m, carried as
-P_l^m / sin(theta) so that no expression divides by sin(theta) and the
-poles need no special case. vsh_x() and r_cross_x() are single-mode views
-of it, and spherical_harmonics() gives the scalar Y_{l,m} from the same
-recurrence. Mode bookkeeping (the flat q <-> (family, l, m) ordering used by
-every matrix in the toolkit) lives here as well.
+Every evaluation follows a plan, built once per tuple of modes and cached:
+the degrees and orders the associated-Legendre recurrence must reach, where
+each output row reads its real part, and each row's phase order and
+constant. mode_components() runs the orthonormal recurrence once, all
+orders climbing in degree together and carried as P_l^m / sin(theta), so
+that no expression divides by sin(theta) and the poles need no special
+case. At each degree it writes whole runs of rows (one family, one degree,
+consecutive orders) in place, as slices of the phase table exp(j m phi)
+times slices of the real parts; there is no loop over the modes. vsh_x()
+and r_cross_x() are single-mode views of it, and spherical_harmonics()
+gives the scalar Y_{l,m} from the same recurrence. Mode bookkeeping (the
+flat q <-> (family, l, m) ordering used by every matrix in the toolkit)
+lives here as well.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -107,45 +114,87 @@ def build_mode_set(lambda_max: int, parity: str = "all", multipole: str = "both"
     return ModeSet(lambda_max, parity, multipole, tuple(entries))
 
 
-def _sectoral(s: np.ndarray, m_max: int):
-    """Yield (0, Pbar_0^0), then (m, Pbar_m^m / sin(theta)) for m = 1..m_max.
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
 
-    The seed of order m >= 1 is a constant times s^(m-1): nothing overflows
-    at high order and the poles are ordinary points.
+
+def _raising(low: int, high: int, top: int) -> tuple:
+    """The steps of _legendre_rows for orders low..high and degrees
+    low..top: per degree l, (a, b, first, seed).
+
+    a and b are the (orders, 1) columns of the three-term recurrence for
+    the orders low..min(l-2, high); first = sqrt(2l+1) raises order l-1
+    from its seed, and seed = -sqrt((2l+1)/(2l)) gives the order-l seed
+    from the order-(l-1) one; None where the order is out of range.
     """
-    p_diag = np.full_like(s, 1.0 / math.sqrt(4.0 * math.pi))  # Pbar_{m-1}^{m-1}
-    yield 0, p_diag
-    for m in range(1, m_max + 1):
-        u_diag = -math.sqrt((2 * m + 1) / (2 * m)) * p_diag
-        yield m, u_diag
-        p_diag = s * u_diag
+    steps = []
+    for l in range(low, top + 1):
+        ms = range(low, min(l - 2, high) + 1)
+        steps.append((
+            _column([math.sqrt((4 * l * l - 1) / (l * l - m * m)) for m in ms]),
+            _column([math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) for m in ms]),
+            math.sqrt(2 * l + 1) if low <= l - 1 <= high else None,
+            -math.sqrt((2 * l + 1) / (2 * l)) if 0 < l <= high else None,
+        ))
+    return tuple(steps)
 
 
-def _raise_degree(x: np.ndarray, m: int, seed: np.ndarray, l_max: int):
-    """Yield (l, v_l, v_{l-1}) for l = m..l_max, where v_l = Pbar_l^m / f
-    for any f that does not depend on l, seeded with v_m (v_{m-1} = 0).
+def _legendre_rows(x: np.ndarray, s: np.ndarray, low: int, high: int, steps: tuple):
+    """Yield (l, v, v_prev) for the degrees l = low..top of
+    steps = _raising(low, high, top), each of shape (high - low + 1, npts).
 
-    The orthonormal three-term recurrence in l at fixed order m; it is
-    linear, so it carries Pbar_l^m and Pbar_l^m / sin(theta) alike.
+    Row m - low of v is v_l^m: Pbar_l^0 for m = 0, Pbar_l^m / sin(theta)
+    for m >= 1, and 0 for m > l; v_prev holds v_{l-1} alike.
+
+    All orders climb in degree together, one degree per step. The order-l
+    seed is a constant times s^(l-1), taken from the order-(l-1) seed, so
+    nothing overflows at high order and the poles are ordinary points;
+    order l-1 is raised from its seed, and the lower orders follow the
+    orthonormal three-term recurrence in l. The arrays are reused: each is
+    valid until the generator resumes.
     """
-    v_prev, v = np.zeros_like(x), seed
-    for l in range(m, l_max + 1):
-        if l == m + 1:
-            v_prev, v = v, math.sqrt(2 * m + 3) * x * v
-        elif l > m + 1:
-            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-            v_prev, v = v, a * (x * v - b * v_prev)
+    v_prev2, v_prev, v = np.zeros((3, high - low + 1, x.size))
+    p_diag = np.full_like(s, 1.0 / math.sqrt(4.0 * math.pi))  # Pbar_{l-1}^{l-1}
+    for l, (a, b, first, seed) in enumerate(steps, low):
+        if len(a):
+            t = x * v_prev[: len(a)]
+            t -= b * v_prev2[: len(a)]
+            np.multiply(a, t, out=v[: len(a)])
+        if first is not None:
+            np.multiply(first * x, v_prev[l - 1 - low], out=v[l - 1 - low])
+        if l == 0:
+            v[0] = p_diag
+        elif seed is not None:
+            np.multiply(seed, p_diag, out=v[l - low])
+            p_diag = s * v[l - low]
         yield l, v, v_prev
+        v_prev2, v_prev, v = v_prev, v, v_prev2
 
 
-def _by_order(modes, min_order: int) -> dict[int, dict[int, list[tuple[int, int]]]]:
-    """Row indices of (l, m) pairs grouped as
-    {max(|m|, min_order): {l: [(q, m), ...]}}."""
-    rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for q, (l, m) in enumerate(modes):
-        rows.setdefault(max(abs(m), min_order), {}).setdefault(l, []).append((q, m))
-    return rows
+class _ScalarPlan(NamedTuple):
+    high: int  # highest order
+    steps: tuple  # _raising(0, high, highest degree)
+    degrees: dict  # degree -> number of orders (0, 1, ...) the rows read
+    source: np.ndarray  # per row: index into the stacked Pbar of those degrees
+    sign: np.ndarray  # per row, (rows, 1): -1.0 for odd m < 0, else 1.0
+    order: np.ndarray  # per row, (rows, 1): m as a float
+
+
+@lru_cache(maxsize=32)
+def _scalar_plan(modes: tuple) -> _ScalarPlan:
+    high = max((abs(m) for _, m in modes), default=0)
+    degrees = {l: min(l, high) + 1 for l in sorted({l for l, _ in modes})}
+    offset, start = {}, 0
+    for l, k in degrees.items():
+        offset[l], start = start, start + k
+    return _ScalarPlan(
+        high,
+        _raising(0, high, max(degrees, default=-1)),
+        degrees,
+        np.array([offset[l] + abs(m) for l, m in modes], dtype=np.intp),
+        _column([-1.0 if m < 0 and m % 2 else 1.0 for _, m in modes]),
+        _column([m for _, m in modes]),
+    )
 
 
 def spherical_harmonics(modes, theta, phi) -> np.ndarray:
@@ -154,88 +203,175 @@ def spherical_harmonics(modes, theta, phi) -> np.ndarray:
 
     Orthonormal over the sphere, with the Condon-Shortley phase:
     Y_{l,m} = Pbar_l^m(cos theta) e^{j m phi} and
-    Y_{l,-m} = (-1)^m conj(Y_{l,m}). Pbar comes from the same per-order
-    recurrence as mode_components().
+    Y_{l,-m} = (-1)^m conj(Y_{l,m}). Pbar comes from the same recurrence
+    pass as mode_components(), with order 0 included.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
+    plan = _scalar_plan(tuple(map(tuple, modes)))
     x, s = np.cos(theta), np.sin(theta)
-    legendre = np.empty((len(modes), theta.size))  # Pbar_l^|m| (-1)^m for m < 0
-    rows = _by_order(modes, 0)
-    for m, seed in _sectoral(s, max(rows, default=0)):
-        if m not in rows:
+    blocks = [np.empty((0, theta.size))]
+    for l, v, _ in _legendre_rows(x, s, 0, plan.high, plan.steps):
+        if l in plan.degrees:
+            block = v[: plan.degrees[l]].copy()
+            block[1:] *= s  # Pbar_l^m = s v_l^m for m >= 1
+            blocks.append(block)
+    legendre = np.concatenate(blocks)[plan.source] * plan.sign  # Pbar_l^|m| (-1)^m for m < 0
+    return legendre * np.exp(1j * plan.order * phi)
+
+
+class _Degree(NamedTuple):
+    """What mode_components() does at one degree l of its plan."""
+
+    k: int  # orders 1..k
+    theta_scale: np.ndarray  # (k, 1): -m / n
+    c: np.ndarray  # (k, 1): sqrt((2l+1)(l^2-m^2)/(2l-1))
+    n: float  # sqrt(l(l+1))
+    zero: bool  # some row has m = 0
+    # Per run: (rows, columns m + high, component order, full component,
+    # its (rows, 1) constants, rows of the other component scaled by -1)
+    runs: tuple
+
+
+class _Plan(NamedTuple):
+    high: int  # highest order, at least 1
+    steps: tuple  # _raising(1, high, highest degree)
+    phase_k: np.ndarray  # (high, 1): 1j * m for m = 1..high
+    n_rows: int
+    degrees: dict  # degree -> _Degree
+
+
+@lru_cache(maxsize=32)
+def _plan(entries: tuple) -> _Plan:
+    """Evaluation plan of mode_components() for a tuple of entries.
+
+    A run is a stretch of rows with one family, one degree and consecutive
+    orders, such as a (family, l) block of a ModeSet. Its rows read column
+    m + high of the phase table and of the degree's real parts, which hold
+    X_theta and X_phi / -j of order |m| at every m != 0 and 0 and s u_l^1
+    at m = 0; so a run reads a slice of each.
+    """
+    high = max([1] + [abs(m) for _, _, m in entries])
+    # Per row: (family, l, m, const_t, const_p); X_{l,-m} = (-1)^(m+1) conj(X_{l,m}).
+    rows = []
+    for family, l, m in entries:
+        if m >= 0:
+            const_t, const_p = 1, -1j
+        else:
+            sign = (-1) ** (-m + 1)
+            const_t, const_p = sign, sign * 1j
+        if family == MAGNETIC:
+            rows.append((family, l, m, const_t, const_p))
+        else:  # r_hat x X = (-X_phi, X_theta)
+            rows.append((family, l, m, -const_p, const_t))
+
+    runs: dict[int, list] = {}
+    q0 = 0
+    for q in range(1, len(rows) + 1):
+        if q < len(rows) and rows[q][:2] == rows[q - 1][:2] and rows[q][2] == rows[q - 1][2] + 1:
             continue
-        for l, v, _ in _raise_degree(x, m, seed, max(rows[m])):
-            if l not in rows[m]:
-                continue
-            p = s * v if m else v
-            for q, mq in rows[m][l]:
-                legendre[q] = -p if mq < 0 and m % 2 else p
-    orders = np.array([m for _, m in modes], dtype=float)
-    return legendre * np.exp(1j * orders[:, None] * phi)
+        family, l, m0 = rows[q0][:3]
+        # Every row of the full component has a constant (+-j); the other
+        # component's constants are 1, or -1 on every other row with m < 0.
+        full = 1 if family == MAGNETIC else 0
+        flips = [r for r in range(q0, q) if rows[r][4 - full] != 1]
+        runs.setdefault(l, []).append((
+            slice(q0, q),
+            slice(high + m0, high + m0 + q - q0),
+            slice(None) if family == MAGNETIC else slice(None, None, -1),
+            full,
+            np.array([[row[3 + full]] for row in rows[q0:q]], dtype=complex),
+            slice(flips[0], flips[-1] + 1, 2) if flips else None,
+        ))
+        q0 = q
+
+    zeros = {l for _, l, m in entries if m == 0}
+    degrees = {}
+    for l in sorted(runs):
+        n = math.sqrt(l * (l + 1))
+        ms = range(1, min(l, high) + 1)
+        degrees[l] = _Degree(
+            k=len(ms),
+            theta_scale=_column([-m / n for m in ms]),
+            c=_column([math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1)) for m in ms]),
+            n=n,
+            zero=l in zeros,
+            runs=tuple(runs[l]),
+        )
+    return _Plan(
+        high,
+        _raising(1, high, max(degrees, default=0)),
+        np.array([[1j * m] for m in range(1, high + 1)]),
+        len(rows),
+        degrees,
+    )
 
 
-def _write(row: np.ndarray, real: np.ndarray, phase, const: complex) -> None:
-    """row = const * real * phase, in place."""
-    np.multiply(phase, real, out=row)
-    if const != 1:
-        row *= const
-
-
-def mode_components(entries, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+def mode_components(entries, theta, phi, row_factor=None) -> tuple[np.ndarray, np.ndarray]:
     """Theta and phi components of every mode at flat points, each of shape
     (len(entries), npts): X_{l,m} for magnetic entries, r_hat x X_{l,m} =
-    (-X_phi, X_theta) for electric ones.
+    (-X_phi, X_theta) for electric ones, each row times row_factor[q] when
+    a (len(entries), 1) row_factor is given (the last product of the row,
+    taken while the row is still in cache).
 
     With Pbar_l^m the orthonormal associated Legendre function (Condon-
     Shortley phase), x = cos(theta), s = sin(theta), n = sqrt(l(l+1)) and
-    u_l^m = Pbar_l^m / s, one upward recurrence per order m >= 1 gives
+    u_l^m = Pbar_l^m / s, the recurrence of _legendre_rows gives
 
       X_theta = -(m/n) u_l^m e^{j m phi}
       X_phi   = (-j/n) dPbar_l^m/dtheta e^{j m phi}
       dPbar_l^m/dtheta = l x u_l^m - sqrt((2l+1)(l^2-m^2)/(2l-1)) u_{l-1}^m
       dPbar_l^0/dtheta = n s u_l^1
 
-    and X_{l,-m} = (-1)^(m+1) conj(X_{l,m}). The seed u_m^m is a constant
-    times s^(m-1), so nothing overflows at high degree and the poles are
-    ordinary points. Rows are written in place; the temporaries are
-    O(npts).
+    and X_{l,-m} = (-1)^(m+1) conj(X_{l,m}).
+
+    The bookkeeping lives in the entries' plan (_plan, cached per entries
+    tuple). The recurrence makes one pass over the degrees, all orders at
+    once. At each degree the entries use, a few whole-array operations
+    give the real parts of every order, and each run of rows (one family,
+    one degree, consecutive orders) is written in place into the
+    preallocated output by one product, a slice of the phase table
+    exp(j m phi), m = -M..M, times a slice of the real parts, then scaled
+    by its per-row constants. The Python work per call grows with the
+    degrees and the runs, not with the modes, and the temporaries are
+    O(M npts).
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
+    plan = _plan(tuple(entries))
+    out = np.empty((2, plan.n_rows, theta.size), dtype=complex)
+    if not plan.degrees:
+        return out[0], out[1]
     x, s = np.cos(theta), np.sin(theta)
-    out_t = np.empty((len(entries), theta.size), dtype=complex)
-    out_p = np.empty_like(out_t)
-    # Order-0 modes come out of the order-1 recurrence.
-    rows = _by_order([(l, m) for _, l, m in entries], 1)
-
-    for m, u_diag in _sectoral(s, max(rows, default=0)):
-        if m not in rows:
+    high = plan.high
+    phase = np.empty((2 * high + 1, theta.size), dtype=complex)
+    phase[high] = 1.0
+    np.exp(plan.phase_k * phi, out=phase[high + 1 :])
+    np.conjugate(phase[:high:-1], out=phase[:high])
+    parts = np.empty((2, 2 * high + 1, theta.size))  # column m + high
+    parts[0, high] = 0.0
+    for l, v, v_prev in _legendre_rows(x, s, 1, high, plan.steps):
+        degree = plan.degrees.get(l)
+        if degree is None:
             continue
-        e = np.exp(1j * m * phi)
-        phases = {m: e, -m: e.conj(), 0: 1.0}
-        sign = (-1) ** (m + 1)
-        for l, u, u_prev in _raise_degree(x, m, u_diag, max(rows[m])):
-            if l not in rows[m]:
-                continue
-            n = math.sqrt(l * (l + 1))
-            c = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1))
-            x_theta = (-m / n) * u
-            x_phi = (l * x * u - c * u_prev) / n  # X_phi without its -j
-            for q, mq in rows[m][l]:
-                if mq == 0:
-                    comp_t, comp_p, const_t, const_p = np.zeros_like(u), s * u, 1, -1j
-                elif mq > 0:
-                    comp_t, comp_p, const_t, const_p = x_theta, x_phi, 1, -1j
-                else:
-                    comp_t, comp_p, const_t, const_p = x_theta, x_phi, sign, sign * 1j
-                if entries[q][0] == MAGNETIC:
-                    _write(out_t[q], comp_t, phases[mq], const_t)
-                    _write(out_p[q], comp_p, phases[mq], const_p)
-                else:
-                    _write(out_t[q], comp_p, phases[mq], -const_p)
-                    _write(out_p[q], comp_t, phases[mq], const_t)
-    return out_t, out_p
+        k = degree.k
+        np.multiply(degree.theta_scale, v[:k], out=parts[0, high + 1 : high + k + 1])
+        x_phi = parts[1, high + 1 : high + k + 1]
+        np.multiply(l * x, v[:k], out=x_phi)
+        x_phi -= degree.c * v_prev[:k]
+        x_phi /= degree.n
+        if degree.zero:
+            np.multiply(s, v[0], out=parts[1, high])
+        parts[:, high - k : high] = parts[:, high + k : high : -1]
+        for rows, cols, order, full, const, flip in degree.runs:
+            block = out[:, rows]
+            np.multiply(phase[cols], parts[order, cols], out=block)
+            block[full] *= const
+            if flip is not None:
+                out[1 - full, flip] *= -1
+            if row_factor is not None:
+                block *= row_factor[rows]
+    return out[0], out[1]
 
 
 def _single_mode(family: str, mode, theta, phi) -> TangentVector:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,14 @@ class TestConfigParsing:
         doc = json.loads(json.dumps(SMALL_CONFIG))
         doc["reconstruction"]["method"] = "magic"
         with pytest.raises(ConfigError):
+            fileio.parse_config(doc)
+
+    def test_sigma_rho_bound(self):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["chamber"]["sigma_rho"] = fileio.SIGMA_RHO_MAX
+        assert fileio.parse_config(doc).sigma_rho == fileio.SIGMA_RHO_MAX
+        doc["chamber"]["sigma_rho"] = 2 * fileio.SIGMA_RHO_MAX
+        with pytest.raises(ConfigError, match=r"sigma_rho must be in \(0, 1e\+100\]"):
             fileio.parse_config(doc)
 
     def test_orientation_count_mismatch(self):
@@ -509,6 +518,23 @@ class TestCommands:
         assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "no modes" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["inverse", "lse"])
+    def test_overflowing_sigma_rho_exits_2(self, tmp_path, capsys, method):
+        # At 1e160 V_R^H V_R overflows: lse used to exit 3 and inverse to
+        # print numpy overflow warnings and exit 0.
+        cfg_path = write_config(
+            tmp_path, chamber={"sigma_rho": 1e160}, reconstruction={"method": method}
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2 and not caught
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{fileio.SIGMA_RHO_MAX:g}" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_degrees_is_a_sweep_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -128,22 +128,23 @@ def select_chamber(
     n_probes: int,
     n_paths: int,
     sigma_rho: float = 0.001,
-) -> tuple[ChamberModel, float]:
-    """Pick the candidate chamber with the best-conditioned reference voltages.
+) -> tuple[ChamberModel, np.ndarray]:
+    """The candidate chamber with the best-conditioned reference voltages,
+    and the voltage matrix it was ranked by.
 
     voltage_builder maps a ChamberModel to its N_s x N_R reference voltage
-    matrix; the set-up's builder takes the whole matrix from one batched
-    dipole-field pass over the references. Candidates are built one at a
-    time, so only one candidate's fields are held at once. Ties keep the
+    matrix; the set-up's builder takes it from one batched dipole-field pass
+    over the references. Candidates are built one at a time. Ties keep the
     earliest seed, so selection is deterministic.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one candidate seed")
-    best: tuple[float, ChamberModel] | None = None
+    best: tuple[float, ChamberModel, np.ndarray] | None = None
     for seed in seeds:
         chamber = sample_chamber(seed, n_probes, n_paths, sigma_rho)
-        cond = float(np.linalg.cond(voltage_builder(chamber)))
+        v_matrix = voltage_builder(chamber)
+        cond = float(np.linalg.cond(v_matrix))
         if best is None or cond < best[0]:
-            best = (cond, chamber)
-    return best[1], best[0]
+            best = (cond, chamber, v_matrix)
+    return best[1], best[2]

@@ -10,8 +10,8 @@ planner.dipole_coefficient_matrix, the builder the orientation optimizer
 scores: one decomposition of the upright reference dipole, rotated. Its
 reference voltage matrix V_R comes from one batched dipole.dipole_field
 call over the whole reference set per candidate chamber: select_chamber
-ranks the candidates by cond(V_R), one at a time, and the selected
-chamber's V_R is built once more for the calibration.
+ranks the candidates by cond(V_R), one at a time, and hands back the
+selected chamber's V_R, which the calibration uses as it is.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
@@ -115,10 +115,10 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         # made C-contiguous like the column_stack of per-reference voltages.
         return np.ascontiguousarray(chamber_mod.probe_voltages(ch, reference_fields).T)
 
-    selected, _ = chamber_mod.select_chamber(
+    selected, v_matrix = chamber_mod.select_chamber(
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho
     )
-    calibration = recon.calibrate(a_matrix, voltage_matrix(selected), mode_set)
+    calibration = recon.calibrate(a_matrix, v_matrix, mode_set)
     square = calibration.n_references == mode_set.size
     channel = recon.channel_from_calibration(calibration) if square else None
     upright = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)

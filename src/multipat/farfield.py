@@ -18,13 +18,14 @@ refined by a Newton ascent. The mesh of a coefficient set is not
 synthesized node by node: every mode depends on phi only through
 exp(j m phi), so each theta row of |E|^2 is a trigonometric polynomial in
 phi, evaluated by one real FFT from per-order theta profiles on a cached
-181-node column basis.
+181-node column basis. mode_basis keeps nothing; a quadrature grid owns the
+basis on its nodes (SphereGrid.basis), which every projection and
+synthesis on it reads.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +47,8 @@ class SphereGrid:
     Exact for integrands polynomial in cos(theta) up to degree 2*n_theta - 1
     and band-limited in phi below n_phi, which covers every harmonic product
     used here. Non-polynomial integrands (physical antenna patterns) converge
-    geometrically; decompose() can verify by doubling.
+    geometrically; decompose() can verify by doubling. The grid owns the mode
+    basis on its nodes: basis() builds it once per mode set and keeps it.
     """
 
     def __init__(self, n_theta: int, n_phi: int):
@@ -66,24 +68,22 @@ class SphereGrid:
         self.solid_angle_weights = (
             np.repeat(self.theta_weights[:, None], self.n_phi, axis=1) * self.dphi
         )
+        self._bases: dict[ModeSet, tuple[np.ndarray, np.ndarray]] = {}
 
     def integrate(self, values: np.ndarray):
         """Integrate samples on the (n_theta, n_phi) mesh over the sphere."""
         return np.sum(values * self.solid_angle_weights)
 
-    def key(self) -> tuple:
-        return ("gl", self.n_theta, self.n_phi)
+    def basis(self, mode_set: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+        """mode_basis of mode_set on the mesh nodes, flattened theta-major."""
+        if mode_set not in self._bases:
+            self._bases[mode_set] = mode_basis(mode_set, self.theta_mesh.ravel(), self.phi_mesh.ravel())
+        return self._bases[mode_set]
 
 
 def default_grid(lambda_max: int) -> SphereGrid:
     n = 4 * lambda_max + 16
     return SphereGrid(n, n)
-
-
-# Mode-basis cache: evaluating the basis on a big grid dominates repeated
-# decompositions/syntheses, so keep a few basis matrices around.
-_BASIS_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_BASIS_CACHE_MAX = 8
 
 
 @lru_cache(maxsize=32)
@@ -92,27 +92,15 @@ def _synthesis_phase(mode_set: ModeSet) -> np.ndarray:
     return np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
 
 
-def mode_basis(mode_set: ModeSet, theta, phi, cache_token: tuple | None = None):
+def mode_basis(mode_set: ModeSet, theta, phi):
     """Stacked basis component arrays (B_theta, B_phi), shape (size, npts).
 
     vsh.mode_components evaluates every mode in one pass, with the j^(l+1)
     synthesis phase as its row factor. theta/phi are arrays of equal size,
-    read in flattened order. Pass a hashable cache_token to memoize per
-    (mode_set, token).
+    read in flattened order. Nothing is kept here: SphereGrid.basis and
+    _coarse_basis keep theirs.
     """
-    key = None
-    if cache_token is not None:
-        key = (mode_set, cache_token)
-        hit = _BASIS_CACHE.get(key)
-        if hit is not None:
-            _BASIS_CACHE.move_to_end(key)
-            return hit
-    bt, bp = mode_components(mode_set.entries, theta, phi, _synthesis_phase(mode_set))
-    if key is not None:
-        _BASIS_CACHE[key] = (bt, bp)
-        while len(_BASIS_CACHE) > _BASIS_CACHE_MAX:
-            _BASIS_CACHE.popitem(last=False)
-    return bt, bp
+    return mode_components(mode_set.entries, theta, phi, _synthesis_phase(mode_set))
 
 
 @dataclass
@@ -185,16 +173,16 @@ def synthesize(coeffs: VshCoefficients, theta, phi) -> TangentVector:
 
 
 def synthesize_on_grid(coeffs: VshCoefficients, grid: SphereGrid) -> TangentVector:
-    """Synthesize on a quadrature grid, caching the mode basis."""
-    bt, bp = mode_basis(coeffs.mode_set, grid.theta_mesh.ravel(), grid.phi_mesh.ravel(), grid.key())
+    """Synthesize on a quadrature grid from the grid's own basis."""
+    bt, bp = grid.basis(coeffs.mode_set)
     shape = grid.theta_mesh.shape
     return TangentVector((coeffs.values @ bt).reshape(shape), (coeffs.values @ bp).reshape(shape))
 
 
 def _project(field_t: np.ndarray, field_p: np.ndarray, mode_set: ModeSet, grid: SphereGrid):
-    bt, bp = mode_basis(mode_set, grid.theta_mesh.ravel(), grid.phi_mesh.ravel(), grid.key())
+    bt, bp = grid.basis(mode_set)
     w = grid.solid_angle_weights.ravel()
-    # conj(B) @ x as conj(B @ conj(x)), with no conjugate copy of the cached
+    # conj(B) @ x as conj(B @ conj(x)), with no conjugate copy of the grid's
     # basis. 0 - imag, not -imag, keeps exact zeros at +0.0, as conj(B) @ x
     # gives them, so written coefficients keep their bytes.
     out = bt @ np.conj(field_t.ravel() * w) + bp @ np.conj(field_p.ravel() * w)
@@ -295,14 +283,21 @@ def _chart(x, e_t, e_p, offsets) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+@lru_cache(maxsize=32)
+def _coarse_basis(mode_set: ModeSet) -> tuple[np.ndarray, np.ndarray]:
+    """mode_basis of mode_set on the 1-degree mesh's theta column, phi = 0."""
+    theta = _COARSE_THETA[:, 0]
+    return mode_basis(mode_set, theta, np.zeros_like(theta))
+
+
 def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     """|E|^2 of a coefficient set on the 1-degree mesh, shape (181, 360).
 
     Every mode depends on phi only through exp(j m phi), so on the row at
     theta E = sum_m g_m(theta) exp(j m phi), where the per-order profile g_m
-    sums c_q B_q(theta, 0) over the modes of order m; one cached basis on
-    the 181-node theta column gives all of them. |E|^2 on the row is then
-    the real trigonometric polynomial sum_M h_M exp(j M phi), |M| <= 2 m_max,
+    sums c_q B_q(theta, 0) over the modes of order m; _coarse_basis on the
+    181-node theta column gives all of them. |E|^2 on the row is then the
+    real trigonometric polynomial sum_M h_M exp(j M phi), |M| <= 2 m_max,
     with h_M = sum_m g_m conj(g_{m-M}) over both components and
     h_{-M} = conj(h_M), and one real inverse FFT gives all 360 columns. On
     the 1-degree phi grid harmonic M aliases onto 360 - M, so above
@@ -316,7 +311,7 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     m_max = int(np.abs(orders).max())
     if 2 * m_max >= n_phi:
         raise ValueError(f"order {m_max} aliases on the {n_phi}-column mesh")
-    bt, bp = mode_basis(ms, theta, np.zeros_like(theta), ("coarse", theta.size))
+    bt, bp = _coarse_basis(ms)
     weights = np.zeros((2 * m_max + 1, ms.size), dtype=complex)
     weights[orders + m_max, np.arange(ms.size)] = coeffs.values
     # Row m + m_max: the theta profiles of g_m, both components side by side.
@@ -333,15 +328,15 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     return np.fft.irfft(spectrum, n=n_phi, norm="forward")
 
 
-def _max_magnitude_squared(eval_sq, coarse=None) -> float:
+def _max_magnitude_squared(eval_sq, coarse: np.ndarray) -> float:
     """Maximum over the sphere of eval_sq(theta, phi) (broadcasting arrays).
 
     The argmax over the 1-degree mesh (_COARSE_THETA, _COARSE_PHI) of
     coarse, the values of eval_sq there, starts a Newton ascent in the
     gnomonic chart of the tangent plane at the current point, so neither
-    the poles nor the phi coordinate need a special case. When coarse is
-    not given, one eval_sq call on all 65 160 nodes computes it;
-    directivity() passes the FFT values of _coarse_magnitude_squared.
+    the poles nor the phi coordinate need a special case. directivity()
+    passes the FFT values of _coarse_magnitude_squared,
+    field_radiation_summary() one eval_sq call on all 65 160 nodes.
     Each iteration makes one eval_sq call on a 3x3 stencil of step h along
     theta-hat and phi-hat and takes the gradient and Hessian from central
     differences. Along each principal axis of the Hessian the step is
@@ -356,8 +351,6 @@ def _max_magnitude_squared(eval_sq, coarse=None) -> float:
     either way. A non-finite value on the mesh raises ValueError, since its
     argmax would be meaningless.
     """
-    if coarse is None:
-        coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
     if not np.all(np.isfinite(coarse)):
         raise ValueError("peak search: the pattern is not finite on the 1-degree mesh")
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
@@ -407,9 +400,10 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
     mesh refined by a batched tangent-plane Newton ascent, each step one
     vectorized synthesize call on 9 points, to _PEAK_REL_TOL relative. The mesh
     values come from _coarse_magnitude_squared: a cached basis on the
-    181-node theta column only (modes x 181), per-order theta profiles, the
-    4 m_max + 1 phi harmonics of |E|^2 on each row and one real inverse FFT
-    of 360 points per row, with harmonics past 180 folded when m_max > 90.
+    181-node theta column only (_coarse_basis, modes x 181), per-order theta
+    profiles, the 4 m_max + 1 phi harmonics of |E|^2 on each row and one
+    real inverse FFT of 360 points per row, with harmonics past 180 folded
+    when m_max > 90.
     On the paper's L = 3 set that is about a tenth of the time of the
     modes x 65 160 products it replaces, and no full-mesh basis is built.
     The spreading-free formulation makes the wavenumber cancel; it is kept
@@ -428,7 +422,7 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
     coarse = _coarse_magnitude_squared(coeffs)
-    peak = _max_magnitude_squared(eval_sq, coarse=coarse)
+    peak = _max_magnitude_squared(eval_sq, coarse)
     return 4.0 * math.pi * peak / total
 
 
@@ -476,7 +470,7 @@ def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -
         f = field(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
-    peak = _max_magnitude_squared(eval_sq)
+    peak = _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
     return _summary(power, 4.0 * math.pi * peak / total, current)
 
 

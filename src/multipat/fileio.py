@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -259,6 +260,14 @@ MAX_LAMBDA = 100
 # chambers.
 SIGMA_RHO_MAX = 1e100
 
+# The largest accepted wavelength and current magnitude; the smallest are
+# its reciprocal. A dipole's modified far field is eta0 I / wavelength times
+# a pattern factor of order one, so its scale lies within 1e40 of a unit
+# current at unit wavelength: |E|^2 stays in about [1e-75, 1e85], k^2 in
+# [4e-39, 4e41], and V_R^H V_R, (sigma_rho eta0 I / wavelength)^2 times the
+# probe and path counts, below about 1e290 up to SIGMA_RHO_MAX.
+PHYSICAL_SCALE_MAX = 1e20
+
 
 def _section(doc: dict, key: str) -> dict:
     section = doc.get(key, {})
@@ -269,30 +278,40 @@ def _section(doc: dict, key: str) -> dict:
 
 # (test, requirement) pairs for _number
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
-_NONZERO = (lambda v: v != 0.0 and math.isfinite(v), "nonzero and finite")
+_SCALE = (lambda v: 1.0 / PHYSICAL_SCALE_MAX <= v <= PHYSICAL_SCALE_MAX,
+          f"in [{1.0 / PHYSICAL_SCALE_MAX:g}, {PHYSICAL_SCALE_MAX:g}]")
+_CURRENT = (lambda v: 1.0 / PHYSICAL_SCALE_MAX <= abs(v) <= PHYSICAL_SCALE_MAX,
+            f"of magnitude in [{1.0 / PHYSICAL_SCALE_MAX:g}, {PHYSICAL_SCALE_MAX:g}]")
 _POLAR = (lambda v: 0.0 <= v <= math.pi, "in [0, pi]")
 _FINITE = (math.isfinite, "finite")
 _GAIN_SCALE = (lambda v: 0.0 < v <= SIGMA_RHO_MAX, f"in (0, {SIGMA_RHO_MAX:g}]")
 
 
+def _require_real(value, name: str, kind: str) -> None:
+    """ConfigError unless value is a real number: bools and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 def _number(value, name: str, rule) -> float:
     """value as a float that passes rule, else ConfigError."""
     valid, requirement = rule
+    _require_real(value, name, "a number")
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    except OverflowError:  # an int past the float range
+        number = math.inf if value > 0 else -math.inf
     if not valid(number):
         raise ConfigError(f"{name} must be {requirement}, got {number}")
     return number
 
 
 def _integer(value, name: str, minimum: int = 0, maximum: float = math.inf) -> int:
-    """value as an int in [minimum, maximum], else ConfigError."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    """value as an int in [minimum, maximum], else ConfigError; a float must be integral."""
+    _require_real(value, name, "an integer")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    number = int(value)
     if not minimum <= number <= maximum:
         raise ConfigError(f"{name} = {number} is outside [{minimum}, {maximum}]")
     return number
@@ -303,10 +322,6 @@ def _check_resistance_target(normalization: dict) -> None:
     (default 0) with a positive, finite target r_meas - r_loss."""
     if "r_meas" not in normalization:
         raise ConfigError("radiation-resistance normalization needs r_meas")
-    for name in ("r_meas", "r_loss"):
-        value = normalization.get(name, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
     r_meas, r_loss = (
         _number(normalization.get(name, 0.0), name, _FINITE) for name in ("r_meas", "r_loss")
     )
@@ -321,7 +336,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; every unusable value raises ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    wavelength = _number(doc.get("wavelength", 1.0), "wavelength", _POSITIVE)
+    wavelength = _number(doc.get("wavelength", 1.0), "wavelength", _SCALE)
 
     ms_sec = _section(doc, "mode_set")
     mode_set = mode_set_from_dict(
@@ -436,7 +451,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         n_theta=n_theta,
         n_phi=n_phi,
         ref_length=_number(ref_sec.get("length", 0.5), "references.length", _POSITIVE),
-        ref_current=_number(ref_sec.get("current", 1.0), "references.current", _NONZERO),
+        ref_current=_number(ref_sec.get("current", 1.0), "references.current", _CURRENT),
         ref_orientations=orientations,
         ref_count=count,
         optimize_objective=optimize_objective,
@@ -448,7 +463,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         test_length=_number(test_sec.get("length", 0.5), "test_antenna.length", _POSITIVE),
         test_theta0=_number(test_sec.get("theta0", 0.0), "test_antenna.theta0", _POLAR),
         test_phi0=_number(test_sec.get("phi0", 0.0), "test_antenna.phi0", _FINITE),
-        test_current=_number(test_sec.get("current", 1.0), "test_antenna.current", _NONZERO),
+        test_current=_number(test_sec.get("current", 1.0), "test_antenna.current", _CURRENT),
         method=method,
         normalization=normalization,
         raw=doc,

@@ -6,9 +6,9 @@ optimizer is a plain Nelder-Mead simplex over reference orientations with
 a budgeted evaluation count and a monotone best-so-far trace.
 
 dipole_coefficient_matrix builds the reference amplitude matrix in closed
-form from one quadrature decomposition of the upright dipole. It serves the
-optimizer's default objective, which decomposes once per run, and the
-set-up's calibration (cli.build_setup). Each optimizer evaluation is then
+form from one quadrature decomposition of the upright dipole. It is what
+the optimizer scores, decomposing once per run, and the set-up's
+calibration matrix (cli.build_setup). Each optimizer evaluation is then
 one spherical-harmonic recurrence over all orientations at once and one
 SVD of the modes x references matrix; no per-orientation quadrature runs.
 """
@@ -136,8 +136,6 @@ def _upright_column(
     """c_{l,0}^upright sqrt(4 pi / (2l + 1)) for every row (family, l, m) of
     mode_set: one quadrature decomposition on grid (default:
     farfield.default_grid) of the upright dipole."""
-    if grid is None:
-        grid = farfield.default_grid(mode_set.lambda_max)
     upright = dipole.DipoleSpec(length=length, current=current)
     c = farfield.decompose(upright.field(k), mode_set, grid).to_amplitude_vector()
     index = {entry: q for q, entry in enumerate(mode_set.entries)}
@@ -283,50 +281,39 @@ class OptimizationResult:
 
 def optimize_reference_orientations(
     initial,
-    matrix_builder=None,
+    mode_set: ModeSet,
     objective: str = "cond-A",
     budget: int = 2000,
-    mode_set: ModeSet | None = None,
     length: float = 0.5,
 ) -> OptimizationResult:
     """Locally optimize reference-antenna orientations.
 
-    matrix_builder maps a list of (theta0, phi0) pairs to the matrix the
-    objective is computed on; the default builds the dipole amplitude matrix
-    over mode_set. Objectives: "cond-A" (condition number) or "capacity"
-    (-det(M M^H)). Angles float freely during the search and are wrapped to
-    the canonical ranges for every evaluation, so no boundary clipping
-    distorts the simplex.
+    Every evaluation scores dipole_coefficient_matrix, looked up in this
+    module when called, over mode_set for dipoles of the given length, with
+    the upright dipole decomposed once per run on farfield.default_grid.
+    The objective is scale-free, so the reference current and the
+    wavenumber do not enter. Objectives: "cond-A" (condition number) or
+    "capacity" (-det(M M^H)). Angles float freely during the search and are
+    wrapped to the canonical ranges for every evaluation, so no boundary
+    clipping distorts the simplex.
     """
     orientations = [(float(t), float(p)) for t, p in initial]
-    if matrix_builder is None:
-        if mode_set is None:
-            raise ValueError("default matrix builder needs a mode_set")
-        if len(orientations) < mode_set.size:
-            raise ValueError(
-                f"{len(orientations)} orientations cannot span {mode_set.size} modes"
-            )
-        grid = farfield.default_grid(mode_set.lambda_max)
-        # The upright dipole is the same on every evaluation: decompose it once.
-        upright = _upright_column(mode_set, length, grid=grid)
-
-        def matrix_builder(pairs):
-            return dipole_coefficient_matrix(
-                pairs, mode_set, length=length, grid=grid, upright=upright
-            )
-
+    if len(orientations) < mode_set.size:
+        raise ValueError(f"{len(orientations)} orientations cannot span {mode_set.size} modes")
     if objective == "cond-A":
         score = lambda m: float(np.linalg.cond(m))
     elif objective == "capacity":
         score = capacity_objective
     else:
         raise ValueError(f"unknown objective {objective!r}")
+    # The upright dipole is the same on every evaluation: decompose it once.
+    upright = _upright_column(mode_set, length)
 
     def unpack(x):
         return [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(orientations))]
 
     def fun(x):
-        return score(matrix_builder(unpack(x)))
+        return score(dipole_coefficient_matrix(unpack(x), mode_set, length, upright=upright))
 
     x0 = np.array([a for pair in orientations for a in pair], dtype=float)
     best_x, best_f, trace = nelder_mead(fun, x0, budget=budget)

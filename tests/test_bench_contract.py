@@ -30,8 +30,17 @@ TINY_CONFIG = {
     "test_antenna": {"length": 0.1, "theta0": 0.0, "phi0": 0.0, "current": 1.0},
     "reconstruction": {"method": "inverse", "normalization": None},
 }
+# The set-up path of the highorder-lse workload: no optimizer, LSE, more
+# probes than references, here also one reference more than the 3 modes.
+TINY_LSE_CONFIG = {
+    **TINY_CONFIG,
+    "references": {"length": 0.1, "current": 1.0, "count": 4},
+    "chamber": {"n_probes": 6, "n_paths": 6, "sigma_rho": 0.001, "seeds": [0, 1, 2]},
+    "reconstruction": {"method": "lse", "normalization": None},
+}
 TINY_WORKLOADS = [
     workloads.Workload("tiny-reconstruct", TINY_CONFIG, workloads.RELATIVE_TOL, n_antennas=4),
+    workloads.Workload("tiny-lse", TINY_LSE_CONFIG, workloads.RELATIVE_TOL, n_antennas=4),
     workloads.Workload("tiny-sweep", TINY_CONFIG, workloads.RELATIVE_TOL,
                        sweep_step_deg=90.0, sweep_rows=12),
 ]

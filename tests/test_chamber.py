@@ -144,26 +144,42 @@ class TestAnalyticChannel:
 
 class TestSelectChamber:
     @staticmethod
-    def _builder(fields):
+    def _builder(fields, built=None):
+        """V_R of the fields; each matrix built is recorded in built by seed."""
         def build(ch):
-            return np.column_stack([probe_voltages(ch, f) for f in fields])
+            v = np.column_stack([probe_voltages(ch, f) for f in fields])
+            if built is not None:
+                built[ch.seed] = v
+            return v
         return build
 
     def test_single_seed_unconditional(self):
         fields = [DipoleSpec(theta0=t).field(K) for t in (0.2, 0.9, 1.6)]
-        ch, cond = select_chamber([7], self._builder(fields), 4, 4)
-        assert ch.seed == 7 and cond > 1.0
+        built = {}
+        ch, v = select_chamber([7], self._builder(fields, built), 4, 4)
+        assert ch.seed == 7 and v is built[7] and np.linalg.cond(v) > 1.0
 
     def test_minimizes_condition_number(self):
         fields = [DipoleSpec(theta0=t, phi0=p).field(K)
                   for t, p in [(0.1, 0), (0.8, 1.0), (1.5, 2.0), (2.2, 4.0)]]
-        build = self._builder(fields)
+        built = {}
+        build = self._builder(fields, built)
         seeds = list(range(30))
         conds = [np.linalg.cond(build(sample_chamber(s, 4, 6))) for s in seeds]
-        ch, cond = select_chamber(seeds, build, 4, 6)
-        assert cond == pytest.approx(min(conds))
-        assert cond <= np.median(conds)
+        built.clear()
+        ch, v = select_chamber(seeds, build, 4, 6)
+        assert sorted(built) == seeds  # every candidate was ranked
+        # The matrix handed back is the one the winner was ranked by.
+        assert v is built[ch.seed]
+        assert np.linalg.cond(v) == min(conds)
+        assert np.linalg.cond(v) <= np.median(conds)
         assert ch.seed == seeds[int(np.argmin(conds))]
+
+    def test_ties_keep_the_earliest_seed(self, monkeypatch):
+        # Every candidate ranks the same, so the first seed must win.
+        monkeypatch.setattr(np.linalg, "cond", lambda m: 2.0)
+        ch, v = select_chamber([5, 3, 9], lambda ch: np.full((2, 2), ch.seed), 2, 2)
+        assert ch.seed == 5 and np.all(v == 5)
 
     def test_empty_seed_list(self):
         with pytest.raises(ValueError):

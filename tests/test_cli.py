@@ -2,6 +2,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -64,6 +65,8 @@ IMPOSSIBLE_SHAPES = {
 BAD_RESISTANCE_NORMALIZATIONS = [
     {"mode": "radiation-resistance"},
     {"mode": "radiation-resistance", "r_meas": "73.1"},
+    {"mode": "radiation-resistance", "r_meas": True},
+    {"mode": "radiation-resistance", "r_meas": 73.1, "r_loss": False},
     {"mode": "radiation-resistance", "r_meas": 73.1, "r_loss": None},
     {"mode": "radiation-resistance", "r_meas": 73.1, "r_loss": 73.1},
     {"mode": "radiation-resistance", "r_meas": 50.0, "r_loss": 60.0},
@@ -115,6 +118,32 @@ class TestConfigParsing:
         doc["chamber"]["sigma_rho"] = 2 * fileio.SIGMA_RHO_MAX
         with pytest.raises(ConfigError, match=r"sigma_rho must be in \(0, 1e\+100\]"):
             fileio.parse_config(doc)
+
+    def test_integral_float_reads_as_an_integer(self):
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["chamber"].update(n_probes=10.0, seeds=[0, 1.0, 2])
+        cfg = fileio.parse_config(doc)
+        assert cfg.n_probes == 10 and type(cfg.n_probes) is int
+        assert cfg.seeds == [0, 1, 2] and all(type(s) is int for s in cfg.seeds)
+
+    def test_physical_scale_bounds(self):
+        top = fileio.PHYSICAL_SCALE_MAX
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["wavelength"] = top
+        doc["references"]["current"] = -1.0 / top
+        doc["test_antenna"]["current"] = top
+        cfg = fileio.parse_config(doc)
+        assert (cfg.wavelength, cfg.ref_current, cfg.test_current) == (top, -1.0 / top, top)
+        for path, value in [(("wavelength",), 0.5 / top), (("wavelength",), 2.0 * top),
+                            (("references", "current"), 2.0 * top),
+                            (("test_antenna", "current"), -0.5 / top)]:
+            bad = json.loads(json.dumps(doc))
+            section = bad
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            with pytest.raises(ConfigError, match=r"\[1e-20, 1e\+20\]"):
+                fileio.parse_config(bad)
 
     def test_orientation_count_mismatch(self):
         doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -470,6 +499,10 @@ class TestCommands:
             {"wavelength": math.nan},
             {"wavelength": math.inf},
             {"wavelength": "one"},
+            {"wavelength": "2"},
+            {"wavelength": True},
+            {"wavelength": 1e-160},
+            {"wavelength": 1e160},
             {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": math.nan}},
             {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": -0.001}},
             {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": "ten"}},
@@ -483,13 +516,31 @@ class TestCommands:
             {"references": {**SMALL_CONFIG["references"],
                             "orientations": [[-0.1, 0.0]] + [[0.1 * i, 0.5 * i] for i in range(1, 10)]}},
             {"test_antenna": {**SMALL_CONFIG["test_antenna"], "current": 0}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "current": 1e160}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "current": 1e-300}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "current": -1e21}},
             {"references": {**SMALL_CONFIG["references"], "current": math.nan}},
+            {"references": {**SMALL_CONFIG["references"], "current": 1e160}},
+            {"references": {**SMALL_CONFIG["references"], "current": "1"}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": 10.9}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": True}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "seeds": [0, 2.7]}},
+            {"chamber": {key: value for key, value in SMALL_CONFIG["chamber"].items()
+                         if key != "seeds"} | {"seed": 2.7}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": "0.001"}},
+            {"mode_set": {**SMALL_CONFIG["mode_set"], "lambda_max": 3.5}},
+            {"grid": {"n_theta": 28.5, "n_phi": 28}},
             *IMPOSSIBLE_SHAPES.values(),
         ],
         ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
-             "wavelength-text", "sigma-nan", "sigma-negative", "n-probes-text", "budget-text",
-             "mode-set-list", "ref-length-negative", "ref-length-text", "test-length-negative",
-             "test-theta-outside", "ref-theta-outside", "test-current-zero", "ref-current-nan",
+             "wavelength-text", "wavelength-numeric-text", "wavelength-bool",
+             "wavelength-1e-160", "wavelength-1e160", "sigma-nan", "sigma-negative",
+             "n-probes-text", "budget-text", "mode-set-list", "ref-length-negative",
+             "ref-length-text", "test-length-negative", "test-theta-outside",
+             "ref-theta-outside", "test-current-zero", "test-current-1e160",
+             "test-current-1e-300", "test-current--1e21", "ref-current-nan",
+             "ref-current-1e160", "ref-current-text", "n-probes-10.9", "n-probes-bool",
+             "seeds-2.7", "seed-2.7", "sigma-text", "lambda-max-3.5", "n-theta-28.5",
              *IMPOSSIBLE_SHAPES],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
@@ -535,6 +586,32 @@ class TestCommands:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"{fileio.SIGMA_RHO_MAX:g}" in err and "Warning" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["inverse", "lse"])
+    def test_physical_scale_corners_run(self, tmp_path, capsys, method):
+        # Every corner of the wavelength and current bounds, at the default
+        # and the largest sigma_rho: no overflow, no traceback.
+        top = fileio.PHYSICAL_SCALE_MAX
+        for sigma_rho, wavelength, ref_current, test_current in itertools.product(
+                [0.001, fileio.SIGMA_RHO_MAX], [1.0 / top, top], [1.0 / top, top],
+                [1.0 / top, -top]):
+            cfg_path = write_config(
+                tmp_path, {"wavelength": wavelength},
+                references={"current": ref_current},
+                chamber={"sigma_rho": sigma_rho},
+                test_antenna={"current": test_current},
+                reconstruction={"method": method},
+            )
+            out = tmp_path / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 0 or (code == 3 and err.count("\n") == 1), (code, err)
+            if code == 0:
+                report = json.loads((out / "report.json").read_text())
+                assert math.isfinite(report["rms_field_error"])
+                assert all(0.0 < abs(v) < math.inf for v in report["theory"].values())
 
     def test_degrees_is_a_sweep_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -785,13 +862,26 @@ class TestReferenceVoltages:
             calls.append((spec, np.shape(theta)))
             return original(spec, theta, phi, *args)
 
+        ranked = []
+        select = chamber.select_chamber
+
+        def spy(*args):
+            ranked.append(select(*args))
+            return ranked[-1]
+
         monkeypatch.setattr(dipole, "dipole_field", counted)
+        monkeypatch.setattr(chamber, "select_chamber", spy)
         doc = {**SMALL_CONFIG, "chamber": {**SMALL_CONFIG["chamber"], "seeds": list(range(7))}}
         setup = cli.build_setup(fileio.parse_config(doc))
         refs = reference_dipole_set(setup.orientations, 0.5, 1.0)
         at_launch = [spec for spec, shape in calls if shape == (10, 10)]
-        assert len(at_launch) == 7 + 1  # every candidate, then the selected chamber
+        assert len(at_launch) == 7  # every candidate once; the winner is not rebuilt
         assert all(spec == refs for spec in at_launch)
+        # The calibration holds the matrix the winner was ranked by, bit for bit.
+        (winner, v_ranked), = ranked
+        assert setup.chamber is winner
+        v_cal = setup.calibration.voltage_matrix
+        assert v_cal.shape == v_ranked.shape and v_cal.tobytes() == v_ranked.tobytes()
 
 
 class TestClosedFormReferences:

@@ -112,6 +112,31 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(1, 8)
 
+    def test_builds_its_basis_once_per_mode_set(self, monkeypatch):
+        calls = []
+        original = farfield.mode_basis
+
+        def spy(mode_set, theta, phi):
+            calls.append((mode_set, np.size(theta)))
+            return original(mode_set, theta, phi)
+
+        monkeypatch.setattr(farfield, "mode_basis", spy)
+        grid = SphereGrid(12, 14)
+        ms3, ms1 = build_mode_set(3), build_mode_set(1, multipole="electric")
+        coeffs = decompose(DipoleSpec(theta0=0.7, phi0=0.3).field(K), ms3, grid)
+        on_grid = synthesize_on_grid(coeffs, grid)
+        decompose(DipoleSpec(theta0=1.1).field(K), ms3, grid)
+        synthesize_on_grid(decompose(DipoleSpec().field(K), ms1, grid), grid)
+        assert calls == [(ms3, 12 * 14), (ms1, 12 * 14)]
+        # The kept basis is the one a fresh evaluation on the nodes gives.
+        bt, bp = original(ms3, grid.theta_mesh.ravel(), grid.phi_mesh.ravel())
+        assert np.array_equal(grid.basis(ms3)[0], bt) and np.array_equal(grid.basis(ms3)[1], bp)
+        direct = coeffs.values @ bt
+        assert np.array_equal(on_grid.e_theta, direct.reshape(grid.theta_mesh.shape))
+        # Another grid of the same size keeps its own.
+        synthesize_on_grid(coeffs, SphereGrid(12, 14))
+        assert len(calls) == 3
+
 
 class TestSynthesize:
     def test_zero_coefficients(self):
@@ -312,7 +337,7 @@ class TestPeakSearch:
             return values
 
         with pytest.warns(ConvergenceWarning, match="cap"):
-            peak = _max_magnitude_squared(eval_sq)
+            peak = _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
         assert peak == max(seen)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -327,7 +352,7 @@ class TestPeakSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
-                _max_magnitude_squared(eval_sq)
+                _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
 
 
 def direct_coarse(coeffs, rows=20):
@@ -396,12 +421,22 @@ class TestCoarseMesh:
             assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12)
 
     def test_caches_only_the_theta_column(self, monkeypatch):
-        monkeypatch.setattr(farfield, "_BASIS_CACHE", type(farfield._BASIS_CACHE)())
+        points = []
+        original = farfield.mode_basis
+
+        def spy(mode_set, theta, phi):
+            points.append(np.size(theta))
+            return original(mode_set, theta, phi)
+
+        monkeypatch.setattr(farfield, "mode_basis", spy)
+        farfield._coarse_basis.cache_clear()
         c = random_coefficients(build_mode_set(15), np.random.default_rng(4))
         directivity(c, K)
-        assert farfield._BASIS_CACHE
-        for bt, bp in farfield._BASIS_CACHE.values():
-            assert bt.shape[1] <= 181 and bp.shape[1] <= 181
+        assert points[0] == 181 and max(points) <= 181
+        # The column is kept: a second pattern of the set evaluates only stencils.
+        calls = len(points)
+        directivity(c.scaled(1j), K)
+        assert 181 not in points[calls:] and max(points[calls:]) <= 9
 
 
 class TestEnforceSymmetry:

@@ -249,26 +249,33 @@ class TestOptimizeOrientations:
         )
         assert orthogonal <= best + 1e-9
 
-    def test_closed_form_follows_the_quadrature_optimizer(self):
+    def test_closed_form_follows_the_quadrature_optimizer(self, monkeypatch):
         ms = build_mode_set(3, "odd", "electric")
         init = fibonacci_orientations(10)
         closed = optimize_reference_orientations(init, mode_set=ms, budget=200)
-        quad = optimize_reference_orientations(
-            init, matrix_builder=lambda pairs: quadrature_matrix(pairs, ms), budget=200
-        )
+        # The optimizer scores planner.dipole_coefficient_matrix; put the
+        # per-orientation quadrature in its place.
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
+                            lambda pairs, mode_set, length, upright: quadrature_matrix(
+                                pairs, mode_set, length))
+        quad = optimize_reference_orientations(init, mode_set=ms, budget=200)
         assert closed.orientations == quad.orientations
         assert [n for n, _ in closed.trace] == [n for n, _ in quad.trace]
 
     def test_upright_dipole_decomposed_once_per_run(self, monkeypatch):
         ms = build_mode_set(3, "odd", "electric")
         init = fibonacci_orientations(10)
+        original = planner.dipole_coefficient_matrix
         evaluations = []
 
-        def per_evaluation(pairs):
+        def per_evaluation(pairs, mode_set, length, upright):
+            # Decomposes the upright dipole again on every evaluation.
             evaluations.append(pairs)
-            return dipole_coefficient_matrix(pairs, ms)
+            return original(pairs, mode_set, length)
 
-        reference = optimize_reference_orientations(init, matrix_builder=per_evaluation, budget=60)
+        with monkeypatch.context() as m:
+            m.setattr(planner, "dipole_coefficient_matrix", per_evaluation)
+            reference = optimize_reference_orientations(init, mode_set=ms, budget=60)
         calls = {"matrix": 0, "decompose": 0}
 
         def counted(name, fn):
@@ -277,8 +284,7 @@ class TestOptimizeOrientations:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
-                            counted("matrix", planner.dipole_coefficient_matrix))
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted("matrix", original))
         monkeypatch.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
         hoisted = optimize_reference_orientations(init, mode_set=ms, budget=60)
         assert calls == {"matrix": len(evaluations), "decompose": 1}
@@ -294,13 +300,18 @@ class TestOptimizeOrientations:
         start = capacity_objective(dipole_coefficient_matrix(init, ms))
         assert result.objective_value <= start + 1e-12
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         ms = build_mode_set(3, "odd", "electric")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot span"):
             optimize_reference_orientations([(0.1, 0.2)], mode_set=ms, budget=10)
-        with pytest.raises(ValueError):
-            optimize_reference_orientations([(0.1, 0.2)], budget=10)  # no builder
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
+            optimize_reference_orientations([(0.1, 0.2)], budget=10)  # no mode set
+        # An unknown objective is refused before any matrix is built.
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
+                            lambda *args, **kwargs: pytest.fail("matrix built"))
+        monkeypatch.setattr(farfield, "decompose",
+                            lambda *args, **kwargs: pytest.fail("upright decomposed"))
+        with pytest.raises(ValueError, match="unknown objective"):
             optimize_reference_orientations(
-                [(0.1, 0.2)], matrix_builder=lambda o: np.eye(2), objective="magic", budget=1
+                fibonacci_orientations(ms.size), mode_set=ms, objective="magic", budget=1
             )

@@ -44,6 +44,8 @@ REPORT_FORMAT = "report/1"
 # About a 0.255-degree grid. At milliseconds per orientation that sweep
 # already takes hours; a finer step is refused before the set-up runs.
 MAX_SWEEP_ORIENTATIONS = 1_000_000
+# Numerical failures: exit 3, or one orientation's error: row in a sweep.
+_NUMERICAL_ERRORS = (farfield.PatternError, recon.IllConditionedError, np.linalg.LinAlgError)
 
 
 def _timestamp() -> str:
@@ -336,7 +338,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
                     rec.directivity - theory.directivity,
                     "ok",
                 )
-            except (recon.IllConditionedError, np.linalg.LinAlgError, ValueError) as exc:
+            except _NUMERICAL_ERRORS as exc:
                 row = (math.nan, math.nan, math.nan, f"error:{exc}")
             rows.append((float(t0), float(p0), *row))
 
@@ -461,7 +463,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (recon.IllConditionedError, np.linalg.LinAlgError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,13 +14,13 @@ impedance-scaled (modified) amplitudes; the unscaled amplitudes that the
 probe-voltage channel acts on are obtained via to_amplitude_vector().
 
 directivity() finds the pattern's peak from the argmax of a 1-degree mesh,
-refined by a Newton ascent. The mesh of a coefficient set is not
-synthesized node by node: every mode depends on phi only through
+refined by a Newton ascent in Python floats. The mesh of a coefficient set
+is not synthesized node by node: every mode depends on phi only through
 exp(j m phi), so each theta row of |E|^2 is a trigonometric polynomial in
-phi, evaluated by one real FFT from per-order theta profiles on a cached
-181-node column basis. mode_basis keeps nothing; a quadrature grid owns the
-basis on its nodes (SphereGrid.basis), which every projection and
-synthesis on it reads.
+phi, evaluated from per-order theta profiles on a cached 181-node column
+basis and a cached cos/sin table of the 360 phi nodes. mode_basis keeps
+nothing; a quadrature grid owns the basis on its nodes (SphereGrid.basis),
+which every projection and synthesis on it reads.
 """
 from __future__ import annotations
 
@@ -39,6 +39,11 @@ ETA0 = 376.730313668  # free-space impedance, ohms
 class ConvergenceWarning(UserWarning):
     """Raised (as a warning) when grid doubling moves a decomposition, or
     when the peak search hits its iteration cap."""
+
+
+class PatternError(ValueError):
+    """A pattern that is numerically unusable: zero or non-finite power, a
+    non-finite peak-search mesh, or an all-zero reference."""
 
 
 class SphereGrid:
@@ -255,8 +260,6 @@ def radiation_resistance(power: float, current: float) -> float:
 _COARSE_THETA, _COARSE_PHI = np.meshgrid(
     np.linspace(0.0, np.pi, 181), np.arange(360) * math.radians(1.0), indexing="ij"
 )
-# 3x3 stencil offsets (a, b) along theta-hat and phi-hat, row-major in a.
-_STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 _NEWTON_MAX_ITER = 50
 # Relative tolerance of the peak value found by the Newton ascent.
 _PEAK_REL_TOL = 1e-8
@@ -265,22 +268,36 @@ _PEAK_REL_TOL = 1e-8
 _NEWTON_STEP_TOL = 1e-5
 
 
-def _angles(x: np.ndarray):
-    return np.arccos(np.clip(x[..., 2], -1.0, 1.0)), np.arctan2(x[..., 1], x[..., 0])
+def _angles(x) -> tuple[float, float]:
+    """(theta, phi) of the unit vector x, a float triple."""
+    return math.acos(max(-1.0, min(1.0, x[2]))), math.atan2(x[1], x[0])
 
 
-def _tangent_frame(x: np.ndarray):
-    """Unit theta-hat and phi-hat at unit vector x (at a pole, for the phi
-    that arctan2 returns)."""
+def _tangent_frame(x):
+    """Unit theta-hat and phi-hat (less its zero z) at x; at a pole, for atan2's phi."""
     theta, phi = _angles(x)
-    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    return np.array([ct * cp, ct * sp, -st]), np.array([-sp, cp, 0.0])
+    ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
+    return (ct * cp, ct * sp, -st), (-sp, cp)
 
 
-def _chart(x, e_t, e_p, offsets) -> np.ndarray:
-    """Gnomonic chart at x: tangent-plane offsets (n, 2) to unit vectors (n, 3)."""
-    pts = x + offsets[:, :1] * e_t + offsets[:, 1:] * e_p
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+def _chart(x, frame, u: float, v: float):
+    """Gnomonic chart at x: the unit vector along x + u theta-hat + v phi-hat."""
+    (tx, ty, tz), (px, py) = frame
+    c = (x[0] + u * tx + v * px, x[1] + u * ty + v * py, x[2] + u * tz)
+    norm = math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    return c[0] / norm, c[1] / norm, c[2] / norm
+
+
+def _principal_axes(a: float, c: float, b: float):
+    """Eigenpairs (curvature, (u, v)) of the symmetric [[a, c], [c, b]],
+    ascending; the chart axes when it is isotropic."""
+    half = 0.5 * (a - b)
+    r = math.hypot(half, c)
+    if r == 0.0:
+        return (a, (1.0, 0.0)), (b, (0.0, 1.0))
+    u, v = (half + r, c) if half >= 0.0 else (c, r - half)  # no cancellation
+    n = math.hypot(u, v)
+    return (0.5 * (a + b) - r, (-v / n, u / n)), (0.5 * (a + b) + r, (u / n, v / n))
 
 
 @lru_cache(maxsize=32)
@@ -290,99 +307,93 @@ def _coarse_basis(mode_set: ModeSet) -> tuple[np.ndarray, np.ndarray]:
     return mode_basis(mode_set, theta, np.zeros_like(theta))
 
 
+@lru_cache(maxsize=32)
+def _coarse_trig(n: int) -> np.ndarray:
+    """[cos M phi_j, M = 0..n; -sin M phi_j, M = 1..n] on the 1-degree mesh's
+    360 phi nodes, M j reduced modulo 360 first so each angle is one rounding."""
+    angle = np.outer(np.arange(n + 1), np.arange(360)) % 360 * math.radians(1.0)
+    return np.concatenate([np.cos(angle), -np.sin(angle[1:])])
+
+
 def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     """|E|^2 of a coefficient set on the 1-degree mesh, shape (181, 360).
 
     Every mode depends on phi only through exp(j m phi), so on the row at
     theta E = sum_m g_m(theta) exp(j m phi), where the per-order profile g_m
     sums c_q B_q(theta, 0) over the modes of order m; _coarse_basis on the
-    181-node theta column gives all of them. |E|^2 on the row is then the
-    real trigonometric polynomial sum_M h_M exp(j M phi), |M| <= 2 m_max,
-    with h_M = sum_m g_m conj(g_{m-M}) over both components and
-    h_{-M} = conj(h_M), and one real inverse FFT gives all 360 columns. On
-    the 1-degree phi grid harmonic M aliases onto 360 - M, so above
-    m_max = 90 the harmonics past 180 are folded there first.
+    181-node theta column gives all of them. |E|^2 on the row is then
+    Re h_0 + 2 sum_M (Re h_M cos M phi - Im h_M sin M phi), 0 < M <= 2 m_max,
+    with lag sums h_M = sum_m g_m conj(g_{m-M}) over both components: one
+    real product with the cached trig table _coarse_trig at the 360 nodes
+    themselves, so no harmonic aliases, whatever the orders.
     """
     ms = coeffs.mode_set
-    theta = _COARSE_THETA[:, 0]
-    n_phi = _COARSE_THETA.shape[1]
-    half = n_phi // 2
     orders = np.array([e.m for e in ms.entries])
     m_max = int(np.abs(orders).max())
-    if 2 * m_max >= n_phi:
-        raise ValueError(f"order {m_max} aliases on the {n_phi}-column mesh")
     bt, bp = _coarse_basis(ms)
     weights = np.zeros((2 * m_max + 1, ms.size), dtype=complex)
     weights[orders + m_max, np.arange(ms.size)] = coeffs.values
     # Row m + m_max: the theta profiles of g_m, both components side by side.
     g = np.concatenate([weights @ bt, weights @ bp], axis=1)
-    gc = g.conj()
-    spectrum = np.zeros((theta.size, half + 1), dtype=complex)
-    for lag in range(2 * m_max + 1):
-        h = (g[lag:] * gc[: g.shape[0] - lag]).sum(axis=0)
-        h = h[: theta.size] + h[theta.size :]
-        if lag <= half:
-            spectrum[:, lag] += h
-        if lag >= half:
-            spectrum[:, n_phi - lag] += h.conj()
-    return np.fft.irfft(spectrum, n=n_phi, norm="forward")
+    gc, n = g.conj(), g.shape[0]
+    h = np.stack([(g[lag:] * gc[: n - lag]).sum(axis=0) for lag in range(n)])
+    h = h[:, : bt.shape[1]] + h[:, bt.shape[1] :]
+    h[1:] *= 2.0
+    return np.concatenate([h.real, h[1:].imag]).T @ _coarse_trig(n - 1)
 
 
 def _max_magnitude_squared(eval_sq, coarse: np.ndarray) -> float:
     """Maximum over the sphere of eval_sq(theta, phi) (broadcasting arrays).
 
-    The argmax over the 1-degree mesh (_COARSE_THETA, _COARSE_PHI) of
-    coarse, the values of eval_sq there, starts a Newton ascent in the
-    gnomonic chart of the tangent plane at the current point, so neither
-    the poles nor the phi coordinate need a special case. directivity()
-    passes the FFT values of _coarse_magnitude_squared,
-    field_radiation_summary() one eval_sq call on all 65 160 nodes.
-    Each iteration makes one eval_sq call on a 3x3 stencil of step h along
-    theta-hat and phi-hat and takes the gradient and Hessian from central
-    differences. Along each principal axis of the Hessian the step is
-    Newton's where the curvature is negative (the whole Newton step when the
-    Hessian is negative definite), and elsewhere an uphill step of h when
-    its first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric ridge this
+    The argmax of coarse, the values of eval_sq on the 1-degree mesh
+    (_COARSE_THETA, _COARSE_PHI), starts a Newton ascent in the gnomonic
+    chart of the tangent plane at the current point, so neither the poles
+    nor the phi coordinate need a special case. The point, its frame, the
+    gradient, the Hessian and the step are Python floats. Each iteration
+    makes one eval_sq call on the two 9-element angle arrays of a 3x3
+    stencil of step h along theta-hat and phi-hat, and takes the gradient
+    and Hessian from central differences. Along each principal axis of the
+    Hessian (a closed-form 2x2 eigensystem) the step is Newton's where the
+    curvature is negative, and elsewhere an uphill step of h when its
+    first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric ridge this
     converges across the ridge instead of crawling along it. The step is
     clamped to 2h, and h then shrinks toward the step length. The search
     stops once the step and h are below 1e-5 rad and the stencil raised the
-    best value by at most _PEAK_REL_TOL relative. If the iteration cap is hit
-    first, a ConvergenceWarning is emitted. The best value seen is returned
-    either way. A non-finite value on the mesh raises ValueError, since its
-    argmax would be meaningless.
+    best value by at most _PEAK_REL_TOL relative; at the iteration cap it
+    warns (ConvergenceWarning). Either way it returns the best value seen.
+    A non-finite mesh value raises PatternError: its argmax is meaningless.
     """
     if not np.all(np.isfinite(coarse)):
-        raise ValueError("peak search: the pattern is not finite on the 1-degree mesh")
+        raise PatternError("peak search: the pattern is not finite on the 1-degree mesh")
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = float(coarse[i, j])
     t0, p0 = float(_COARSE_THETA[i, j]), float(_COARSE_PHI[i, j])
-    x = np.array([math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0)])
+    x = (math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0))
     h = float(_COARSE_THETA[1, 0] - _COARSE_THETA[0, 0])
     for _ in range(_NEWTON_MAX_ITER):
-        e_t, e_p = _tangent_frame(x)
-        f = np.asarray(eval_sq(*_angles(_chart(x, e_t, e_p, h * _STENCIL))), dtype=float)
-        gained = f.max() > best * (1.0 + _PEAK_REL_TOL)
-        best = max(best, float(f.max()))
-        f = f.reshape(3, 3)
-        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-        hess = np.array([
-            [f[2, 1] - 2.0 * f[1, 1] + f[0, 1], cross],
-            [cross, f[1, 2] - 2.0 * f[1, 1] + f[1, 0]],
-        ]) / h**2
-        curvature, axes = np.linalg.eigh(hess)
-        slope = axes.T @ grad
-        along = np.where(np.abs(slope) * h > _PEAK_REL_TOL * best, np.sign(slope) * h, 0.0)
-        concave = curvature < 0.0
-        along[concave] = -slope[concave] / curvature[concave]
-        s = axes @ along
-        length = math.hypot(*s)
+        frame = _tangent_frame(x)
+        # Stencil node (a, b), offsets a h along theta-hat and b h along phi-hat, is f[3a + b + 4].
+        nodes = [_angles(_chart(x, frame, u, v)) for u in (-h, 0.0, h) for v in (-h, 0.0, h)]
+        f = np.asarray(eval_sq(*np.array(nodes).T), dtype=float).tolist()
+        gained = max(f) > best * (1.0 + _PEAK_REL_TOL)
+        best = max(best, *f)
+        g_t, g_p = (f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)
+        hess = ((f[7] - 2.0 * f[4] + f[1]) / h**2, (f[8] - f[6] - f[2] + f[0]) / 4.0 / h**2,
+                (f[5] - 2.0 * f[4] + f[3]) / h**2)
+        s_t = s_p = 0.0
+        for curvature, (u, v) in _principal_axes(*hess):
+            slope = u * g_t + v * g_p
+            if curvature < 0.0:
+                along = -slope / curvature
+            else:
+                along = math.copysign(h, slope) if abs(slope) * h > _PEAK_REL_TOL * best else 0.0
+            s_t, s_p = s_t + u * along, s_p + v * along
+        length = math.hypot(s_t, s_p)
         if length > 2.0 * h:
-            s *= 2.0 * h / length
-            length = 2.0 * h
+            s_t, s_p, length = s_t * (2.0 * h / length), s_p * (2.0 * h / length), 2.0 * h
         if not gained and length < _NEWTON_STEP_TOL and h < _NEWTON_STEP_TOL:
             return best
-        x = _chart(x, e_t, e_p, s[None, :])[0]
+        x = _chart(x, frame, s_t, s_p)
         # At most 1000-fold per step, so a zero step never collapses the stencil.
         h = min(h, max(length, 1e-3 * h))
     warnings.warn(
@@ -396,22 +407,16 @@ def _max_magnitude_squared(eval_sq, coarse: np.ndarray) -> float:
 def directivity(coeffs: VshCoefficients, k: float) -> float:
     """Directivity: 4 pi max |E|^2 over the integrated squared magnitude.
 
-    The peak comes from _max_magnitude_squared: the argmax of the 1-degree
-    mesh refined by a batched tangent-plane Newton ascent, each step one
-    vectorized synthesize call on 9 points, to _PEAK_REL_TOL relative. The mesh
-    values come from _coarse_magnitude_squared: a cached basis on the
-    181-node theta column only (_coarse_basis, modes x 181), per-order theta
-    profiles, the 4 m_max + 1 phi harmonics of |E|^2 on each row and one
-    real inverse FFT of 360 points per row, with harmonics past 180 folded
-    when m_max > 90.
-    On the paper's L = 3 set that is about a tenth of the time of the
-    modes x 65 160 products it replaces, and no full-mesh basis is built.
-    The spreading-free formulation makes the wavenumber cancel; it is kept
-    in the signature for interface symmetry with radiated_power.
+    The peak is _max_magnitude_squared's float Newton ascent, one 9-point
+    synthesize call per step, to _PEAK_REL_TOL relative, from the argmax of
+    _coarse_magnitude_squared's trig-table mesh; no full-mesh basis is
+    built. A zero or non-finite amplitude sum raises PatternError. The
+    spreading-free formulation makes the wavenumber cancel; it is kept in
+    the signature for interface symmetry with radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:
-        raise ValueError(f"directivity undefined for squared amplitude sum {total}")
+        raise PatternError(f"directivity undefined for squared amplitude sum {total}")
 
     # Each stencil is one call of this module's synthesize, looked up when
     # called: the benchmark's traced run wraps that name, and its
@@ -455,15 +460,16 @@ def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -
     """Radiation summary straight from a field callable (no mode expansion).
 
     Power by quadrature of |E|^2, peak by the same search as directivity()
-    (1-degree grid, then the batched tangent-plane Newton ascent), with the
-    field callable evaluated on whole stencils. Serves as the theory-side
-    reference.
+    (1-degree grid, then the tangent-plane Newton ascent), with the field
+    callable evaluated on whole stencils. Serves as the theory-side
+    reference. A power integral that is not positive and finite raises
+    PatternError.
     """
     sampled = field(grid.theta_mesh, grid.phi_mesh)
     mag_sq = np.abs(sampled.e_theta) ** 2 + np.abs(sampled.e_phi) ** 2
     total = float(grid.integrate(np.broadcast_to(mag_sq, grid.theta_mesh.shape)))
     if not 0.0 < total < math.inf:
-        raise ValueError(f"field power integral {total} is not positive and finite")
+        raise PatternError(f"field power integral {total} is not positive and finite")
     power = total / (2.0 * ETA0 * k * k)
 
     def eval_sq(t, p):
@@ -516,5 +522,5 @@ def rms_field_error(reference, reconstructed) -> float:
         raise ValueError(f"grids differ: {ref.shape} vs {rec.shape}")
     peak = float(np.max(ref))
     if peak == 0.0:
-        raise ValueError("all-zero reference pattern")
+        raise PatternError("all-zero reference pattern")
     return float(np.sqrt(np.mean(((ref - rec) / peak) ** 2)))

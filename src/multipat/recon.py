@@ -26,7 +26,7 @@ import numpy as np
 from .chamber import ChannelMatrix
 # Unused here; perfbench/tracer.py wraps recon.probe_voltages by name.
 from .chamber import probe_voltages  # noqa: F401
-from .farfield import VshCoefficients, enforce_symmetry, radiated_power
+from .farfield import PatternError, VshCoefficients, enforce_symmetry, radiated_power
 from .vsh import ModeSet
 
 COND_WARN = 1e6
@@ -217,7 +217,7 @@ def apply_normalization(
             raise ValueError("unit-weight normalization needs a weight-based reconstruction")
         norm_sq = float(np.sum(np.abs(result.weights) ** 2))
         if norm_sq == 0.0:
-            raise ValueError("cannot normalize zero weights")
+            raise PatternError("cannot normalize zero weights")
         scale = 1.0 / np.sqrt(norm_sq)
     elif mode == "radiation-resistance":
         if k is None or current is None or r_meas is None:
@@ -227,7 +227,7 @@ def apply_normalization(
             raise ValueError(f"target resistance {target} is not positive")
         power = radiated_power(result.coefficients, k)
         if power <= 0.0:
-            raise ValueError("cannot normalize a zero-power reconstruction")
+            raise PatternError("cannot normalize a zero-power reconstruction")
         # power scales with the square of the amplitude scale
         scale = float(np.sqrt(target * abs(current) ** 2 / (2.0 * power)))
     else:

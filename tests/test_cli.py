@@ -145,6 +145,18 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=r"\[1e-20, 1e\+20\]"):
                 fileio.parse_config(bad)
 
+    def test_dipole_length_bound(self):
+        low = fileio.DIPOLE_LENGTH_MIN
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["references"]["length"] = doc["test_antenna"]["length"] = low
+        cfg = fileio.parse_config(doc)
+        assert (cfg.ref_length, cfg.test_length) == (low, low)
+        for section in ("references", "test_antenna"):
+            bad = json.loads(json.dumps(doc))
+            bad[section]["length"] = 0.5 * low
+            with pytest.raises(ConfigError, match=rf"{section}\.length must be at least 0\.0001"):
+                fileio.parse_config(bad)
+
     def test_orientation_count_mismatch(self):
         doc = json.loads(json.dumps(SMALL_CONFIG))
         doc["references"]["orientations"] = [[0.1, 0.2]]
@@ -512,6 +524,9 @@ class TestCommands:
             {"references": {**SMALL_CONFIG["references"], "length": -0.5}},
             {"references": {**SMALL_CONFIG["references"], "length": "half"}},
             {"test_antenna": {**SMALL_CONFIG["test_antenna"], "length": -0.5}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "length": 1e-10}},
+            {"references": {**SMALL_CONFIG["references"], "length": 1e-10}},
+            {"references": {**SMALL_CONFIG["references"], "length": 5e-5}},
             {"test_antenna": {**SMALL_CONFIG["test_antenna"], "theta0": 4.0}},
             {"references": {**SMALL_CONFIG["references"],
                             "orientations": [[-0.1, 0.0]] + [[0.1 * i, 0.5 * i] for i in range(1, 10)]}},
@@ -536,7 +551,8 @@ class TestCommands:
              "wavelength-text", "wavelength-numeric-text", "wavelength-bool",
              "wavelength-1e-160", "wavelength-1e160", "sigma-nan", "sigma-negative",
              "n-probes-text", "budget-text", "mode-set-list", "ref-length-negative",
-             "ref-length-text", "test-length-negative", "test-theta-outside",
+             "ref-length-text", "test-length-negative", "test-length-1e-10",
+             "ref-length-1e-10", "ref-length-5e-5", "test-theta-outside",
              "ref-theta-outside", "test-current-zero", "test-current-1e160",
              "test-current-1e-300", "test-current--1e21", "ref-current-nan",
              "ref-current-1e160", "ref-current-text", "n-probes-10.9", "n-probes-bool",
@@ -613,6 +629,37 @@ class TestCommands:
                 assert math.isfinite(report["rms_field_error"])
                 assert all(0.0 < abs(v) < math.inf for v in report["theory"].values())
 
+    @pytest.mark.parametrize("method", ["inverse", "lse"])
+    def test_dipole_length_bound_runs(self, tmp_path, capsys, method):
+        # Both dipoles at the shortest accepted length: no traceback. The
+        # short references leave the L = 3 modes barely excited, so
+        # cond(A_R) may warn or, for LSE, refuse with exit 3.
+        low = fileio.DIPOLE_LENGTH_MIN
+        cfg_path = write_config(
+            tmp_path, references={"length": low}, test_antenna={"length": low},
+            reconstruction={"method": method},
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", r"cond\(A_R\)", UserWarning)
+            code = cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 3 and err.count("\n") == 1), (code, err)
+        if code == 0:
+            report = json.loads((out / "report.json").read_text())
+            assert math.isfinite(report["rms_field_error"])
+            assert all(0.0 < abs(v) < math.inf for v in report["theory"].values())
+
+    def test_dipole_length_bound_test_antenna_reconstructs(self, tmp_path):
+        cfg_path = write_config(tmp_path, test_antenna={"length": fileio.DIPOLE_LENGTH_MIN})
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # A short dipole: D = 1.5.
+        assert report["theory"]["directivity"] == pytest.approx(1.5, rel=1e-6)
+        assert report["reconstruction"]["directivity"] == pytest.approx(1.5, rel=1e-2)
+
     def test_degrees_is_a_sweep_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -642,6 +689,54 @@ class TestCommands:
         meta = fileio.read_json(out / "sweep_meta.json")
         assert meta["grid_shape"] == [5, 8]
         assert len(meta["reference_orientations"]) == 10
+
+    @staticmethod
+    def _fail_third_orientation(monkeypatch, error):
+        calls = []
+        original = cli._reconstruct_test
+
+        def failing(setup, spec):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise error
+            return original(setup, spec)
+
+        monkeypatch.setattr(cli, "_reconstruct_test", failing)
+        return calls
+
+    def test_sweep_turns_a_pattern_error_into_one_error_row(self, tmp_path, monkeypatch):
+        calls = self._fail_third_orientation(monkeypatch, farfield.PatternError("unusable"))
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--step", "45", "--degrees"]) == 0
+        rows = fileio.read_sweep_csv(out / "sweep.csv")
+        assert len(rows) == len(calls) == 40
+        failed = [r for r in rows if r[5] != "ok"]
+        assert len(failed) == 1 and failed[0][5] == "error:unusable"
+        assert (failed[0][0], failed[0][1]) == (calls[2].theta0, calls[2].phi0)
+        assert all(math.isnan(v) for v in failed[0][2:5])
+
+    def test_sweep_lets_a_plain_value_error_propagate(self, tmp_path, monkeypatch):
+        self._fail_third_orientation(monkeypatch, ValueError("a bug, not a pattern"))
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                      "--step", "45", "--degrees"])
+        assert not (out / "sweep.csv").exists()
+
+    def test_reconstruct_pattern_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def unusable(coeffs, k):
+            raise farfield.PatternError("directivity undefined for squared amplitude sum 0.0")
+
+        monkeypatch.setattr(farfield, "directivity", unusable)
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical error: directivity undefined for squared amplitude sum 0.0\n"
+        assert not (out / "report.json").exists()
 
     def test_sweep_bad_step_exits_2(self, tmp_path, monkeypatch):
         def no_setup(cfg):

@@ -16,6 +16,7 @@ from multipat.farfield import (
     _COARSE_THETA,
     ETA0,
     ConvergenceWarning,
+    PatternError,
     SphereGrid,
     VshCoefficients,
     _coarse_magnitude_squared,
@@ -394,12 +395,18 @@ class TestCoarseMesh:
         expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
         np.testing.assert_allclose(mesh[i, j], expected, rtol=0, atol=1e-12 * mesh.max())
 
-    def test_rejects_orders_the_mesh_aliases(self):
-        # Orders -180 and 180 beat at phi harmonic 360, which the
-        # 360-column mesh cannot tell from harmonic 0.
+    def test_orders_180_match_synthesize(self):
+        # Orders -180 and 180 beat at phi harmonic 360, which a 360-point
+        # FFT cannot tell from harmonic 0; the trig table evaluates every
+        # harmonic at the nodes themselves.
+        rng = np.random.default_rng(12)
         ms = ModeSet(180, entries=(ModeEntry("E", 180, -180), ModeEntry("E", 180, 180)))
-        with pytest.raises(ValueError, match="aliases"):
-            directivity(VshCoefficients(ms, [1.0, 1.0]), K)
+        c = random_coefficients(ms, rng)
+        mesh = _coarse_magnitude_squared(c)
+        i, j = rng.integers(0, 181, 200), rng.integers(0, 360, 200)
+        f = synthesize(c, _COARSE_THETA[i, j], _COARSE_PHI[i, j])
+        expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
+        np.testing.assert_allclose(mesh[i, j], expected, rtol=0, atol=1e-12 * mesh.max())
 
     def test_directivity_matches_the_full_basis_route(self, paper_setup):
         # The 16-antenna Fibonacci design over the sphere, reconstructed on
@@ -437,6 +444,31 @@ class TestCoarseMesh:
         calls = len(points)
         directivity(c.scaled(1j), K)
         assert 181 not in points[calls:] and max(points[calls:]) <= 9
+
+
+class TestPatternError:
+    """Numerically unusable patterns raise PatternError, a ValueError."""
+
+    def test_zero_amplitude_sum(self):
+        with pytest.raises(PatternError, match="squared amplitude sum"):
+            directivity(VshCoefficients.zeros(build_mode_set(1)), K)
+
+    def test_non_finite_mesh(self):
+        coarse = np.ones(_COARSE_THETA.shape)
+        coarse[90, 0] = np.nan
+        with pytest.raises(PatternError, match="not finite"):
+            _max_magnitude_squared(lambda t, p: np.ones(np.shape(t)), coarse)
+
+    def test_field_power_integral(self):
+        def zero_field(t, p):
+            return TangentVector(np.zeros(np.shape(t), dtype=complex), 0.0)
+
+        with pytest.raises(PatternError, match="power integral"):
+            field_radiation_summary(zero_field, default_grid(1), K, 1.0)
+
+    def test_all_zero_reference(self):
+        with pytest.raises(PatternError, match="all-zero"):
+            rms_field_error(np.zeros(4), np.ones(4))
 
 
 class TestEnforceSymmetry:

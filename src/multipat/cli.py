@@ -30,6 +30,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -396,7 +397,8 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         writer.writerow(["evaluations", "objective"])
         for evals, value in result.trace:
             writer.writerow([evals, repr(float(value))])
-    print(f"{objective} improved to {result.objective_value:.4g} after {budget} evaluations")
+    print(f"{objective} improved to {result.objective_value:.4g} "
+          f"after {result.evaluations} of {budget} evaluations")
     return 0
 
 
@@ -449,8 +451,15 @@ _COMMANDS = {
 }
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command. Printed warnings take one line, "warning: <message>",
+    while it runs; which warnings show is left to the warning filters."""
     args = build_parser().parse_args(argv)
+    default_format, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         if args.command == "plan":
             return cmd_plan(args)
@@ -466,6 +475,8 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -127,22 +127,6 @@ class VshCoefficients:
                 f"expected {self.mode_set.size} coefficients, got shape {self.values.shape}"
             )
 
-    @classmethod
-    def zeros(cls, mode_set: ModeSet) -> "VshCoefficients":
-        return cls(mode_set, np.zeros(mode_set.size, dtype=complex))
-
-    @property
-    def electric(self) -> np.ndarray:
-        """Modified electric amplitudes (view into values)."""
-        return self.values[: self.mode_set.n_electric]
-
-    @property
-    def magnetic(self) -> np.ndarray:
-        return self.values[self.mode_set.n_electric :]
-
-    def get(self, family: str, l: int, m: int) -> complex:
-        return complex(self.values[self.mode_set.index_of(family, l, m)])
-
     def to_amplitude_vector(self) -> np.ndarray:
         """Unscaled multipole amplitudes [a_E; a_M], the vector the linear
         probe-voltage channel acts on (electric entries divided by -eta0)."""

@@ -1,9 +1,8 @@
 """File formats for configs, coefficients, chambers, and pattern grids.
 
 JSON documents are written with sorted keys and repr-exact floats, and CSV
-cells use repr as well, so write -> read -> write is byte-identical and
-replayed experiments diff clean. Complex numbers are [re, im] pairs.
-Angles in files are always radians.
+cells use repr as well, so replayed experiments diff clean. Complex numbers
+are [re, im] pairs. Angles in files are always radians.
 """
 from __future__ import annotations
 
@@ -11,12 +10,12 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .vsh import ModeEntry, ModeSet, build_mode_set
+from .vsh import ModeSet, build_mode_set
 
 
 class ConfigError(Exception):
@@ -43,16 +42,8 @@ def complex_to_pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def pair_to_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
 def matrix_to_pairs(matrix) -> list:
     return [[complex_to_pair(z) for z in row] for row in np.asarray(matrix, dtype=complex)]
-
-
-def pairs_to_matrix(rows) -> np.ndarray:
-    return np.array([[pair_to_complex(p) for p in row] for row in rows], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +51,6 @@ def pairs_to_matrix(rows) -> np.ndarray:
 
 def mode_set_to_dict(ms: ModeSet) -> dict:
     return {"lambda_max": ms.lambda_max, "parity": ms.parity, "multipole": ms.multipole}
-
-
-def mode_set_from_dict(d: dict) -> ModeSet:
-    try:
-        return build_mode_set(
-            int(d["lambda_max"]), d.get("parity", "all"), d.get("multipole", "both")
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad mode_set section: {exc}") from exc
 
 
 def coefficients_to_dict(coeffs) -> dict:
@@ -82,19 +64,6 @@ def coefficients_to_dict(coeffs) -> dict:
         "mode_set": mode_set_to_dict(coeffs.mode_set),
         "modes": modes,
     }
-
-
-def coefficients_from_dict(d: dict):
-    from .farfield import VshCoefficients
-
-    if d.get("format") != "vsh-coefficients/1":
-        raise ConfigError(f"not a coefficient document: format={d.get('format')!r}")
-    ms = mode_set_from_dict(d["mode_set"])
-    listed = tuple(ModeEntry(m["family"], int(m["l"]), int(m["m"])) for m in d["modes"])
-    if listed != ms.entries:
-        raise ConfigError("coefficient file ordering disagrees with its mode_set")
-    values = np.array([pair_to_complex(m["value"]) for m in d["modes"]], dtype=complex)
-    return VshCoefficients(ms, values)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +93,6 @@ def voltages_to_dict(named_voltages: dict[str, np.ndarray]) -> dict:
     }
 
 
-def voltages_from_dict(d: dict) -> dict[str, np.ndarray]:
-    if d.get("format") != "probe-voltages/1":
-        raise ConfigError(f"not a voltage document: format={d.get('format')!r}")
-    return {
-        a["name"]: np.array([pair_to_complex(p) for p in a["voltages"]], dtype=complex)
-        for a in d["antennas"]
-    }
-
-
 def calibration_to_dict(cal, extra: dict | None = None) -> dict:
     doc = {
         "format": "calibration/1",
@@ -143,18 +103,6 @@ def calibration_to_dict(cal, extra: dict | None = None) -> dict:
     if extra:
         doc.update(extra)
     return doc
-
-
-def calibration_from_dict(d: dict):
-    from .recon import CalibrationSet
-
-    if d.get("format") != "calibration/1":
-        raise ConfigError(f"not a calibration document: format={d.get('format')!r}")
-    return CalibrationSet(
-        coefficient_matrix=pairs_to_matrix(d["coefficient_matrix"]),
-        voltage_matrix=pairs_to_matrix(d["voltage_matrix"]),
-        mode_set=mode_set_from_dict(d["mode_set"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +185,6 @@ class ExperimentConfig:
     test_current: float
     method: str
     normalization: dict | None
-    raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def k(self) -> float:
@@ -346,13 +293,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     wavelength = _number(doc.get("wavelength", 1.0), "wavelength", _SCALE)
 
     ms_sec = _section(doc, "mode_set")
-    mode_set = mode_set_from_dict(
-        {
-            "lambda_max": _integer(ms_sec.get("lambda_max", 3), "lambda_max", 1, MAX_LAMBDA),
-            "parity": ms_sec.get("parity", "odd"),
-            "multipole": ms_sec.get("multipole", "electric"),
-        }
-    )
+    lambda_max = _integer(ms_sec.get("lambda_max", 3), "lambda_max", 1, MAX_LAMBDA)
+    try:
+        mode_set = build_mode_set(
+            lambda_max, ms_sec.get("parity", "odd"), ms_sec.get("multipole", "electric")
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad mode_set section: {exc}") from exc
     if mode_set.size == 0:
         raise ConfigError(
             f"lambda_max = {mode_set.lambda_max} with parity {mode_set.parity!r} leaves no modes"
@@ -473,7 +420,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         test_current=_number(test_sec.get("current", 1.0), "test_antenna.current", _CURRENT),
         method=method,
         normalization=normalization,
-        raw=doc,
     )
 
 

@@ -62,8 +62,6 @@ class ModeBudget:
     lambda_max: int
     n_modes: int
     rule: str  # "simple-ceiling" or "jensen"
-    p_tr: float | None = None
-    p_r: float = 0.0
 
 
 def plan_modes(k_r: float, p_tr: float | None = None, p_r: float = 0.0) -> ModeBudget:
@@ -72,7 +70,7 @@ def plan_modes(k_r: float, p_tr: float | None = None, p_r: float = 0.0) -> ModeB
         lam = lambda_simple(k_r)
         return ModeBudget(lam, mode_count(lam), "simple-ceiling")
     lam = lambda_jensen(k_r, p_tr, p_r)
-    return ModeBudget(lam, mode_count(lam), "jensen", p_tr=p_tr, p_r=p_r)
+    return ModeBudget(lam, mode_count(lam), "jensen")
 
 
 def _entries(matrix) -> np.ndarray:
@@ -190,9 +188,9 @@ def nelder_mead(fun, x0: np.ndarray, budget: int):
     Standard reflection/expansion/contraction coefficients (1, 2, 0.5) and
     shrink 0.5, from a simplex of edge _SIMPLEX_STEP along each axis. Stops
     when the simplex objective spread falls below _SIMPLEX_FTOL_REL
-    relative or the evaluation budget is exhausted; always returns the best
-    point seen. The trace records (evaluations_used, best_so_far) at every
-    improvement.
+    relative or the evaluation budget is exhausted; returns the best point
+    seen, its value, the trace and the evaluations used. The trace records
+    (evaluations_used, best_so_far) at every improvement.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -216,13 +214,13 @@ def nelder_mead(fun, x0: np.ndarray, budget: int):
     f0 = fun(x0)  # baseline, not counted against the budget
     record(x0, f0)
     if budget <= 0:
-        return best_x, best_f, trace
+        return best_x, best_f, trace, evals
 
     simplex = [x0.copy()]
     fvals = [f0]
     for i in range(n):
         if evals >= budget:
-            return best_x, best_f, trace
+            return best_x, best_f, trace, evals
         xi = x0.copy()
         xi[i] += _SIMPLEX_STEP
         simplex.append(xi)
@@ -269,7 +267,7 @@ def nelder_mead(fun, x0: np.ndarray, budget: int):
                 break
             simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
             fvals[i] = call(simplex[i])
-    return best_x, best_f, trace
+    return best_x, best_f, trace, evals
 
 
 @dataclass
@@ -277,6 +275,7 @@ class OptimizationResult:
     orientations: list[tuple[float, float]]
     objective_value: float
     trace: list[tuple[int, float]]
+    evaluations: int  # counted against the budget; the baseline is not
 
 
 def optimize_reference_orientations(
@@ -316,5 +315,5 @@ def optimize_reference_orientations(
         return score(dipole_coefficient_matrix(unpack(x), mode_set, length, upright=upright))
 
     x0 = np.array([a for pair in orientations for a in pair], dtype=float)
-    best_x, best_f, trace = nelder_mead(fun, x0, budget=budget)
-    return OptimizationResult(unpack(best_x), best_f, trace)
+    best_x, best_f, trace, evals = nelder_mead(fun, x0, budget=budget)
+    return OptimizationResult(unpack(best_x), best_f, trace, evals)

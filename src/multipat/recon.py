@@ -91,10 +91,6 @@ class CalibrationSet:
     def n_references(self) -> int:
         return self.coefficient_matrix.shape[1]
 
-    @property
-    def n_probes(self) -> int:
-        return self.voltage_matrix.shape[0]
-
 
 def calibrate(a_matrix: np.ndarray, v_matrix: np.ndarray, mode_set: ModeSet) -> CalibrationSet:
     """Calibration from the reference amplitude matrix A_R (modes x refs) and

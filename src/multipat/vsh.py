@@ -74,12 +74,6 @@ class ModeSet:
     def n_electric(self) -> int:
         return sum(1 for e in self.entries if e.family == ELECTRIC)
 
-    def index_of(self, family: str, l: int, m: int) -> int:
-        for q, entry in enumerate(self.entries):
-            if entry == (family, l, m):
-                return q
-        raise KeyError(f"mode ({family}, {l}, {m}) not in set")
-
 
 def _filtered_degrees(lambda_max: int, parity: str):
     for l in range(1, lambda_max + 1):

@@ -85,6 +85,12 @@ def write_config(tmp_path, overrides=None, **sections):
     return path
 
 
+def read_modes(path):
+    """A coefficients.json's modes list as {(family, l, m): complex amplitude}."""
+    return {(m["family"], m["l"], m["m"]): complex(*m["value"])
+            for m in fileio.read_json(path)["modes"]}
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = fileio.parse_config(SMALL_CONFIG)
@@ -296,17 +302,6 @@ class TestSetupProperties:
 
 
 class TestRoundTrips:
-    def test_coefficients(self, tmp_path):
-        ms = build_mode_set(3, "odd", "electric")
-        c = decompose(DipoleSpec(theta0=0.4, phi0=1.0).field(K), ms)
-        path = tmp_path / "c.json"
-        fileio.write_json(path, fileio.coefficients_to_dict(c))
-        first = path.read_bytes()
-        again = fileio.coefficients_from_dict(fileio.read_json(path))
-        fileio.write_json(path, fileio.coefficients_to_dict(again))
-        assert path.read_bytes() == first
-        np.testing.assert_array_equal(again.values, c.values)
-
     def test_chamber(self, tmp_path):
         ch = sample_chamber(11, 5, 7, 0.001)
         path = tmp_path / "ch.json"
@@ -318,16 +313,6 @@ class TestRoundTrips:
         np.testing.assert_array_equal(rho, ch.rho)
         for name in ("theta", "phi", "alpha"):
             np.testing.assert_array_equal(np.array(doc[name]), getattr(ch, name))
-
-    def test_voltages(self, tmp_path):
-        rng = np.random.default_rng(1)
-        named = {"a": rng.normal(size=4) + 1j * rng.normal(size=4)}
-        path = tmp_path / "v.json"
-        fileio.write_json(path, fileio.voltages_to_dict(named))
-        first = path.read_bytes()
-        again = fileio.voltages_from_dict(fileio.read_json(path))
-        fileio.write_json(path, fileio.voltages_to_dict(again))
-        assert path.read_bytes() == first
 
     def test_pattern_csv(self, tmp_path):
         grid = SphereGrid(6, 8)
@@ -353,32 +338,14 @@ class TestRoundTrips:
         fileio.write_sweep_csv(path, fileio.read_sweep_csv(path))
         assert path.read_bytes() == first
 
-    def test_calibration(self, tmp_path):
-        rng = np.random.default_rng(2)
-        from multipat.recon import CalibrationSet
-
-        cal = CalibrationSet(
-            rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)),
-            rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)),
-            build_mode_set(3, "odd", "electric"),
-        )
-        path = tmp_path / "cal.json"
-        fileio.write_json(path, fileio.calibration_to_dict(cal))
-        first = path.read_bytes()
-        again = fileio.calibration_from_dict(fileio.read_json(path))
-        fileio.write_json(path, fileio.calibration_to_dict(again))
-        assert path.read_bytes() == first
-
 
 class TestCommands:
     def test_decompose_spectrum_structure(self, tmp_path):
         cfg_path = write_config(tmp_path, test_antenna={"theta0": 0.0, "phi0": 0.0})
         out = tmp_path / "out"
         assert cli.main(["decompose", "--config", str(cfg_path), "--out", str(out)]) == 0
-        doc = fileio.read_json(out / "coefficients.json")
-        coeffs = fileio.coefficients_from_dict(doc)
-        mags = np.abs(coeffs.values)
-        assert coeffs.mode_set.entries[int(np.argmax(mags))][:3] == ("E", 1, 0)
+        modes = read_modes(out / "coefficients.json")
+        assert max(modes, key=lambda mode: abs(modes[mode])) == ("E", 1, 0)
         spectrum = (out / "spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "family,l,m,magnitude,normalized"
         assert len(spectrum) == 11
@@ -390,10 +357,10 @@ class TestCommands:
         cfg_path = write_config(tmp_path, test_antenna={"theta0": np.pi / 2, "phi0": 0.0})
         out = tmp_path / "out"
         assert cli.main(["decompose", "--config", str(cfg_path), "--out", str(out)]) == 0
-        coeffs = fileio.coefficients_from_dict(fileio.read_json(out / "coefficients.json"))
-        top = np.max(np.abs(coeffs.values))
-        assert abs(coeffs.get("E", 1, 1)) > 0.1 * top
-        assert abs(coeffs.get("E", 1, -1)) > 0.1 * top
+        modes = read_modes(out / "coefficients.json")
+        top = max(abs(value) for value in modes.values())
+        assert abs(modes["E", 1, 1]) > 0.1 * top
+        assert abs(modes["E", 1, -1]) > 0.1 * top
 
     def test_decompose_single_degree_set(self, tmp_path):
         # electrically tiny dipole against a first-degree-only mode set
@@ -406,9 +373,9 @@ class TestCommands:
         fileio.write_json(cfg_path, doc)
         out = tmp_path / "out"
         assert cli.main(["decompose", "--config", str(cfg_path), "--out", str(out)]) == 0
-        coeffs = fileio.coefficients_from_dict(fileio.read_json(out / "coefficients.json"))
-        assert {e.l for e in coeffs.mode_set.entries} == {1}
-        assert np.max(np.abs(coeffs.values)) > 0
+        modes = read_modes(out / "coefficients.json")
+        assert {l for _, l, _ in modes} == {1}
+        assert max(abs(value) for value in modes.values()) > 0
 
     def test_reconstruct_with_resistance_normalization(self, tmp_path):
         cfg_path = write_config(
@@ -433,9 +400,9 @@ class TestCommands:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert (out1 / "chamber.json").read_bytes() == (out2 / "chamber.json").read_bytes()
         assert (out1 / "voltages.json").read_bytes() == (out2 / "voltages.json").read_bytes()
-        named = fileio.voltages_from_dict(fileio.read_json(out1 / "voltages.json"))
-        assert len(named) == 11  # ten references plus the test antenna
-        assert all(v.shape == (10,) for v in named.values())
+        antennas = fileio.read_json(out1 / "voltages.json")["antennas"]
+        assert len(antennas) == 11  # ten references plus the test antenna
+        assert all(np.shape(a["voltages"]) == (10, 2) for a in antennas)
 
     def test_reconstruct_report(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -672,8 +639,7 @@ class TestCommands:
         out = tmp_path / "out"
         assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 0
         doc = fileio.read_json(out / "calibration.json")
-        cal = fileio.calibration_from_dict(doc)
-        assert cal.coefficient_matrix.shape == (10, 10)
+        assert np.shape(doc["coefficient_matrix"]) == (10, 10, 2)
         assert doc["condition_numbers"]["v_matrix"] > 1.0
 
     def test_sweep_shape_and_metadata(self, tmp_path):
@@ -774,6 +740,29 @@ class TestCommands:
         assert trace[0] == "evaluations,objective"
         values = [float(line.split(",")[1]) for line in trace[1:]]
         assert values == sorted(values, reverse=True)  # monotone improvement
+
+    def test_optimize_reports_the_evaluations_used(self, tmp_path, monkeypatch, capsys):
+        # Three references for the three L = 1 electric modes: the simplex
+        # spread test ends the search well before the budget.
+        cfg_path = write_config(
+            tmp_path,
+            mode_set={"lambda_max": 1, "parity": "all"},
+            references={"count": 3},
+            chamber={"n_probes": 3, "n_paths": 3},
+        )
+        calls = []
+        original = planner.dipole_coefficient_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted)
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                         "--budget", "1000"]) == 0
+        used = len(calls) - 1  # the baseline evaluation is not counted
+        assert 0 < used < 1000
+        assert f"after {used} of 1000 evaluations" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["simulate", "reconstruct", "decompose"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -1017,18 +1006,41 @@ class TestClosedFormReferences:
         assert paper_setup.calibration.cond_a == result.objective_value
 
 
+def source_env() -> dict:
+    """os.environ with this checkout's multipat first on PYTHONPATH."""
+    src = str(Path(multipat.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 class TestConsoleScript:
     def test_runtime_does_not_import_scipy(self):
         # scipy is a test dependency only; loading it costs ~19 MB resident.
-        src = str(Path(multipat.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import multipat.cli, sys; assert 'scipy' not in sys.modules"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=source_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_warning_prints_one_line(self, tmp_path):
+        # References this short put cond(A_R) past the warning threshold but
+        # not the error one: the run warns and succeeds.
+        cfg_path = write_config(tmp_path, references={"length": fileio.DIPOLE_LENGTH_MIN})
+        proc = subprocess.run(
+            [sys.executable, "-m", "multipat.cli", "reconstruct", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: cond(A_R) ="), proc.stderr
+
+    def test_main_restores_the_warning_format(self, tmp_path):
+        default_format = warnings.formatwarning
+        assert cli.main(["plan", "--kr", "3.0"]) == 0
+        assert cli.main(["reconstruct", "--config", str(tmp_path / "missing.json")]) == 2
+        assert warnings.formatwarning is default_format
 
     def test_entry_point_runs(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -52,6 +52,13 @@ def random_coefficients(mode_set, rng, scale=1.0):
     return VshCoefficients(mode_set, scale * vals)
 
 
+def single_mode(ms, entry, value=1.0):
+    """Coefficients over ms, zero but for value at the ModeEntry entry."""
+    values = np.zeros(ms.size, dtype=complex)
+    values[ms.entries.index(entry)] = value
+    return VshCoefficients(ms, values)
+
+
 def polished_directivity(coeffs, step_deg):
     """Reference directivity: the best point of a step_deg grid, polished by
     Nelder-Mead (xatol 1e-10) on scalar synthesize calls.
@@ -142,13 +149,11 @@ class TestSphereGrid:
 class TestSynthesize:
     def test_zero_coefficients(self):
         ms = build_mode_set(2)
-        v = synthesize(VshCoefficients.zeros(ms), 0.7, 1.3)
+        v = synthesize(VshCoefficients(ms, np.zeros(ms.size)), 0.7, 1.3)
         assert v.e_theta == 0 and v.e_phi == 0
 
     def test_single_magnetic_mode(self):
-        ms = build_mode_set(1)
-        c = VshCoefficients.zeros(ms)
-        c.values[ms.index_of("M", 1, 0)] = 1.0
+        c = single_mode(build_mode_set(1), ModeEntry("M", 1, 0))
         got = synthesize(c, np.pi / 2, 0.0)
         want = vsh_x((1, 0), np.pi / 2, 0.0)
         # one-term sum with the j^(l+1) = j^2 phase
@@ -184,14 +189,14 @@ class TestDecompose:
         even_l = [m for m, e in zip(mags, ms.entries) if e.l == 2]
         assert np.max(even_l) < 1e-10 * top
         # third-degree content present per the tilted-spectrum structure
-        assert abs(c.get("E", 3, 0)) > 1e-3 * top
+        assert abs(c.values[ms.entries.index(ModeEntry("E", 3, 0))]) > 1e-3 * top
 
     def test_tilted_dipole_spreads_azimuthal_orders(self):
         ms = build_mode_set(3, "odd", "electric")
         c = decompose(DipoleSpec(theta0=np.pi / 2, phi0=0.0).field(K), ms)
         top = np.max(np.abs(c.values))
-        assert abs(c.get("E", 1, 1)) > 0.1 * top
-        assert abs(c.get("E", 1, -1)) > 0.1 * top
+        for m in (1, -1):
+            assert abs(c.values[ms.entries.index(ModeEntry("E", 1, m))]) > 0.1 * top
 
     def test_convergence_warning_on_coarse_grid(self):
         ms = build_mode_set(3, "odd", "electric")
@@ -207,12 +212,11 @@ class TestDecompose:
 
 class TestPower:
     def test_zero(self):
-        assert radiated_power(VshCoefficients.zeros(build_mode_set(1)), K) == 0.0
+        assert radiated_power(VshCoefficients(build_mode_set(1), np.zeros(6)), K) == 0.0
 
     def test_single_mode_formula(self):
         ms = build_mode_set(1, multipole="electric")
-        c = VshCoefficients.zeros(ms)
-        c.values[0] = 1.0
+        c = single_mode(ms, ms.entries[0])
         assert radiated_power(c, 2 * np.pi) == pytest.approx(
             1.0 / (2 * ETA0 * (2 * np.pi) ** 2), rel=1e-14
         )
@@ -249,9 +253,7 @@ class TestDirectivity:
         assert d == pytest.approx(1.64, abs=0.01)
 
     def test_magnetic_dipole_mode(self):
-        ms = build_mode_set(1, multipole="magnetic")
-        c = VshCoefficients.zeros(ms)
-        c.values[ms.index_of("M", 1, 0)] = 1.0
+        c = single_mode(build_mode_set(1, multipole="magnetic"), ModeEntry("M", 1, 0))
         assert directivity(c, K) == pytest.approx(1.5, abs=1e-6)
 
     def test_orientation_invariance(self):
@@ -270,7 +272,7 @@ class TestDirectivity:
 
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
-            directivity(VshCoefficients.zeros(build_mode_set(1)), K)
+            directivity(VshCoefficients(build_mode_set(1), np.zeros(6)), K)
 
     def test_non_finite_power_rejected(self):
         ms = build_mode_set(1)
@@ -326,6 +328,32 @@ class TestPeakSearch:
         d = directivity(c, K)
         assert d >= 1.0
         assert d >= (1.0 - 1e-8) * polished_directivity(c, 0.5)
+
+    @pytest.mark.parametrize("power, theta0, phi0", [(1.05, 2.5665, 0.3678), (1.04, 1.8046, 2.1221)])
+    def test_step_is_clamped_to_twice_the_stencil_step(self, power, theta0, phi0):
+        # A cusp 1 - psi^power at an off-mesh peak: Newton's step overshoots
+        # the peak 1 / (power - 1)-fold, so the clamp is what bounds it.
+        peak = np.array([math.sin(theta0) * math.cos(phi0),
+                         math.sin(theta0) * math.sin(phi0), math.cos(theta0)])
+        stencils = []
+
+        def eval_sq(t, p):
+            x = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+            if np.shape(t) == (9,):
+                stencils.append(x)
+            return 1.0 - np.arccos(np.clip(x @ peak, -1.0, 1.0)) ** power
+
+        def angle(a, b):
+            return math.atan2(np.linalg.norm(np.cross(a, b)), a @ b)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI)) > 1.0 - 1e-7
+        # Node 4 is the stencil centre and node 7 lies h along theta-hat; in
+        # the gnomonic chart a point at angle psi is tan(psi) away.
+        ratios = [math.tan(angle(a[4], b[4])) / math.tan(angle(a[4], a[7]))
+                  for a, b in zip(stencils, stencils[1:])]
+        assert max(ratios) == pytest.approx(2.0, rel=1e-6)  # the clamp engaged
 
     def test_iteration_cap_warns_and_returns_best_seen(self):
         # A level that drifts upward between calls: every stencil gains, so
@@ -451,7 +479,7 @@ class TestPatternError:
 
     def test_zero_amplitude_sum(self):
         with pytest.raises(PatternError, match="squared amplitude sum"):
-            directivity(VshCoefficients.zeros(build_mode_set(1)), K)
+            directivity(VshCoefficients(build_mode_set(1), np.zeros(6)), K)
 
     def test_non_finite_mesh(self):
         coarse = np.ones(_COARSE_THETA.shape)
@@ -474,11 +502,9 @@ class TestPatternError:
 class TestEnforceSymmetry:
     def test_direct_arithmetic(self):
         ms = build_mode_set(1, multipole="electric")
-        c = VshCoefficients.zeros(ms)
-        c.values[ms.index_of("E", 1, 1)] = 1 + 1j
-        out = enforce_symmetry(c)
-        assert out.get("E", 1, 1) == pytest.approx(0.5 + 0.5j)
-        assert out.get("E", 1, -1) == pytest.approx(-(0.5 - 0.5j))
+        out = enforce_symmetry(single_mode(ms, ModeEntry("E", 1, 1), 1 + 1j))
+        assert out.values[ms.entries.index(ModeEntry("E", 1, 1))] == pytest.approx(0.5 + 0.5j)
+        assert out.values[ms.entries.index(ModeEntry("E", 1, -1))] == pytest.approx(-(0.5 - 0.5j))
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
@@ -491,12 +517,13 @@ class TestEnforceSymmetry:
         rng = np.random.default_rng(10)
         ms = build_mode_set(2)
         out = enforce_symmetry(random_coefficients(ms, rng))
+        amplitude = dict(zip(ms.entries, out.values))
         for family, l, m in ms.entries:
             if m == 0:
-                assert out.get(family, l, 0).imag == 0.0
+                assert amplitude[family, l, 0].imag == 0.0
             elif m > 0:
-                a = out.get(family, l, m)
-                b = out.get(family, l, -m)
+                a = amplitude[family, l, m]
+                b = amplitude[family, l, -m]
                 assert b == (-1) ** m * np.conj(a)  # exact, not approximate
 
     def test_noisy_dipole_change_below_noise_floor(self):
@@ -555,8 +582,9 @@ class TestAmplitudeVector:
         back = VshCoefficients.from_amplitude_vector(ms, c.to_amplitude_vector())
         np.testing.assert_allclose(back.values, c.values, rtol=1e-15)
         vec = c.to_amplitude_vector()
-        np.testing.assert_allclose(vec[: ms.n_electric], c.electric / -ETA0, rtol=1e-15)
-        np.testing.assert_array_equal(vec[ms.n_electric:], c.magnetic)
+        np.testing.assert_allclose(vec[: ms.n_electric], c.values[: ms.n_electric] / -ETA0,
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(vec[ms.n_electric:], c.values[ms.n_electric:])
 
     def test_summary_fields(self):
         ms = build_mode_set(3, "odd", "electric")

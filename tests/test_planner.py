@@ -151,16 +151,17 @@ class TestNelderMead:
 
     def test_zero_budget_returns_initial(self):
         x0 = np.array([0.0, 0.0])
-        x, f, trace = nelder_mead(self.quadratic, x0, budget=0)
+        x, f, trace, evals = nelder_mead(self.quadratic, x0, budget=0)
         np.testing.assert_array_equal(x, x0)
         assert f == pytest.approx(self.quadratic(x0))
+        assert evals == 0
 
     def test_converges_on_quadratic(self):
-        x, f, trace = nelder_mead(self.quadratic, np.zeros(3), budget=600)
+        x, f, trace, _ = nelder_mead(self.quadratic, np.zeros(3), budget=600)
         assert f < 1e-8
 
     def test_trace_monotone(self):
-        _, _, trace = nelder_mead(self.quadratic, np.zeros(4), budget=300)
+        _, _, trace, _ = nelder_mead(self.quadratic, np.zeros(4), budget=300)
         values = [v for _, v in trace]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -171,8 +172,9 @@ class TestNelderMead:
             calls["n"] += 1
             return self.quadratic(x)
 
-        nelder_mead(counted, np.zeros(3), budget=50)
+        *_, evals = nelder_mead(counted, np.zeros(3), budget=50)
         assert calls["n"] <= 51  # baseline evaluation plus the budget
+        assert evals == calls["n"] - 1
 
 
 def quadrature_matrix(orientations, mode_set, length=0.5, current=1.0, grid=None, k=2 * math.pi):

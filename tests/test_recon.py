@@ -82,7 +82,7 @@ class TestCalibrate:
         *_, cal = dipole_setup
         assert cal.coefficient_matrix.shape == (10, 10)
         assert cal.voltage_matrix.shape == (10, 10)
-        assert cal.n_references == 10 and cal.n_probes == 10
+        assert cal.n_references == 10
 
     def test_single_reference(self):
         rng = np.random.default_rng(0)
@@ -187,12 +187,12 @@ class TestReconstructInverse:
         chamber, cal = dipole_setup[3], dipole_setup[4]
         v = probe_voltages(chamber, DipoleSpec(theta0=1.0, phi0=0.3).field(K))
         result = reconstruct_inverse(channel_from_calibration(cal), v)
-        c = result.coefficients
+        amplitude = dict(zip(MS.entries, result.coefficients.values))
         for family, l, m in MS.entries:
             if m > 0:
-                assert c.get(family, l, -m) == (-1) ** m * np.conj(c.get(family, l, m))
+                assert amplitude[family, l, -m] == (-1) ** m * np.conj(amplitude[family, l, m])
             elif m == 0:
-                assert c.get(family, l, 0).imag == 0.0
+                assert amplitude[family, l, 0].imag == 0.0
 
 
 class TestReconstructWeightsDirect:

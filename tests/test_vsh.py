@@ -175,9 +175,7 @@ class TestModeSet:
 
     def test_index_lookup(self):
         ms = build_mode_set(3, "odd", "electric")
-        assert ms.index_of("E", 3, -3) == 3
-        with pytest.raises(KeyError):
-            ms.index_of("M", 1, 0)
+        assert ms.entries.index(ModeEntry("E", 3, -3)) == 3
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .farfield import VshCoefficients, mode_basis
-from .vsh import ModeSet
+from .vsh import ModeSet, scratch
 
 
 @dataclass
@@ -69,7 +69,7 @@ def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.
     )
 
 
-def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
+def probe_voltages(chamber: ChamberModel, field, workspace: dict | None = None) -> np.ndarray:
     """Voltages at every probe for a radiating field.
 
     v_k = sum_n rho_kn [E_theta(launch_kn) cos(alpha_kn)
@@ -77,11 +77,25 @@ def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
 
     The sum runs over the last (path) axis, so a field with leading antenna
     axes, such as dipole_field of a whole reference set, gives one row of
-    probe voltages per antenna from one call.
+    probe voltages per antenna from one call. With a workspace (see
+    vsh.scratch) the polarization mix and the path gains are written into
+    its "e_theta" and "e_phi" buffers, where dipole_field given the same
+    workspace leaves the field, so the mix runs in place; the voltages
+    returned are a fresh array either way.
     """
     sampled = field(chamber.theta, chamber.phi)
-    mixed = sampled.e_theta * np.cos(chamber.alpha) + sampled.e_phi * np.sin(chamber.alpha)
-    return np.sum(chamber.rho * mixed, axis=-1)
+
+    def buffer(name):
+        if workspace is None:
+            return None
+        shape = np.broadcast_shapes(np.shape(sampled.e_theta), np.shape(sampled.e_phi),
+                                    chamber.alpha.shape)
+        return scratch(workspace, name, shape, complex)
+
+    mixed = np.add(np.multiply(sampled.e_theta, np.cos(chamber.alpha), out=buffer("e_theta")),
+                   np.multiply(sampled.e_phi, np.sin(chamber.alpha), out=buffer("e_phi")),
+                   out=buffer("e_theta"))
+    return np.sum(np.multiply(chamber.rho, mixed, out=buffer("e_theta")), axis=-1)
 
 
 @dataclass
@@ -122,29 +136,48 @@ def analytic_channel(chamber: ChamberModel, mode_set: ModeSet) -> ChannelMatrix:
     return ChannelMatrix(summed * scale, mode_set)
 
 
+@dataclass
+class ChamberSelection:
+    """select_chamber's pick and its ranking: every candidate's cond(V_R),
+    in seed order, and the index of the selected one."""
+
+    chamber: ChamberModel
+    voltage_matrix: np.ndarray  # the V_R the chamber was ranked by
+    cond_v: list[float]
+    index: int
+
+
 def select_chamber(
     seeds,
     voltage_builder,
     n_probes: int,
     n_paths: int,
     sigma_rho: float = 0.001,
-) -> tuple[ChamberModel, np.ndarray]:
+) -> ChamberSelection:
     """The candidate chamber with the best-conditioned reference voltages,
-    and the voltage matrix it was ranked by.
+    the voltage matrix it was ranked by, and every candidate's cond(V_R).
 
-    voltage_builder maps a ChamberModel to its N_s x N_R reference voltage
-    matrix; the set-up's builder takes it from one batched dipole-field pass
-    over the references. Candidates are built one at a time. Ties keep the
-    earliest seed, so selection is deterministic.
+    voltage_builder(chamber, workspace) returns the chamber's N_s x N_R
+    reference voltage matrix as a fresh array, never a view of workspace.
+    workspace is one dict of scratch buffers (vsh.scratch) that lives for
+    this call only: every candidate is built in the same buffers, so a
+    set-up allocates its large intermediates once instead of once per
+    candidate, and frees them when the selection returns. The set-up's
+    builder takes V_R from one batched dipole-field pass over the
+    references. Candidates are built one at a time. Ties keep the earliest
+    seed, so selection is deterministic.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one candidate seed")
-    best: tuple[float, ChamberModel, np.ndarray] | None = None
-    for seed in seeds:
+    workspace: dict = {}
+    cond_v: list[float] = []
+    best: tuple[int, ChamberModel, np.ndarray] | None = None
+    for index, seed in enumerate(seeds):
         chamber = sample_chamber(seed, n_probes, n_paths, sigma_rho)
-        v_matrix = voltage_builder(chamber)
-        cond = float(np.linalg.cond(v_matrix))
-        if best is None or cond < best[0]:
-            best = (cond, chamber, v_matrix)
-    return best[1], best[2]
+        v_matrix = voltage_builder(chamber, workspace)
+        cond_v.append(float(np.linalg.cond(v_matrix)))
+        if best is None or cond_v[-1] < cond_v[best[0]]:
+            best = (index, chamber, v_matrix)
+    index, chamber, v_matrix = best
+    return ChamberSelection(chamber, v_matrix, cond_v, index)

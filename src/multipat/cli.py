@@ -7,11 +7,16 @@ two runs produce identical outputs apart from the report timestamp.
 
 The set-up's reference amplitude matrix A_R is the closed form
 planner.dipole_coefficient_matrix, the builder the orientation optimizer
-scores: one decomposition of the upright reference dipole, rotated. Its
-reference voltage matrix V_R comes from one batched dipole.dipole_field
-call over the whole reference set per candidate chamber: select_chamber
-ranks the candidates by cond(V_R), one at a time, and hands back the
-selected chamber's V_R, which the calibration uses as it is.
+scores on the same config grid: one decomposition of the upright reference
+dipole, rotated. Its reference voltage matrix V_R comes from one batched
+dipole.dipole_field call over the whole reference set, then one
+chamber.probe_voltages call, per candidate chamber. Both write their
+intermediates into one workspace that select_chamber allocates for the
+selection and frees when it returns, so every candidate reuses the same
+buffers and only its N_s x N_R V_R is a fresh array. select_chamber ranks
+the candidates by cond(V_R), one at a time, and hands back the selected
+chamber's V_R, which the calibration uses as it is, with every
+candidate's cond(V_R); reports list that ranking under chamber_selection.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
@@ -70,7 +75,8 @@ class MeasurementSetup:
     theory is the radiation summary of the config's test dipole, computed
     once from its upright twin: R_r and D of an identical dipole are the
     same at every orientation. channel is the calibrated T when A_R is
-    square, else None.
+    square, else None. selection holds the selected chamber and how every
+    candidate ranked.
     """
 
     config: ExperimentConfig
@@ -78,8 +84,12 @@ class MeasurementSetup:
     orientations: list[tuple[float, float]]
     calibration: recon.CalibrationSet
     channel: chamber_mod.ChannelMatrix | None
-    chamber: chamber_mod.ChamberModel
+    selection: chamber_mod.ChamberSelection
     theory: farfield.RadiationSummary
+
+    @property
+    def chamber(self) -> chamber_mod.ChamberModel:
+        return self.selection.chamber
 
     @property
     def cond_v_selected(self) -> float:  # the number the chamber was selected by
@@ -102,6 +112,7 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
             budget=cfg.optimize_budget,
             mode_set=mode_set,
             length=cfg.ref_length,
+            grid=grid,
         )
         orientations = result.orientations
 
@@ -110,18 +121,21 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
     )
     references = dipole.reference_dipole_set(orientations, cfg.ref_length, cfg.ref_current)
 
-    def reference_fields(theta, phi):
-        return dipole.dipole_field(references, theta, phi, k)
-
-    def voltage_matrix(ch):
+    def voltage_matrix(ch, workspace):
         # One batched field pass: rows are references, so V_R is the transpose,
         # made C-contiguous like the column_stack of per-reference voltages.
-        return np.ascontiguousarray(chamber_mod.probe_voltages(ch, reference_fields).T)
+        # probe_voltages returns a fresh sum, so V_R never aliases workspace.
+        def reference_fields(theta, phi):
+            return dipole.dipole_field(references, theta, phi, k, workspace)
 
-    selected, v_matrix = chamber_mod.select_chamber(
+        return np.ascontiguousarray(
+            chamber_mod.probe_voltages(ch, reference_fields, workspace).T
+        )
+
+    selection = chamber_mod.select_chamber(
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho
     )
-    calibration = recon.calibrate(a_matrix, v_matrix, mode_set)
+    calibration = recon.calibrate(a_matrix, selection.voltage_matrix, mode_set)
     square = calibration.n_references == mode_set.size
     channel = recon.channel_from_calibration(calibration) if square else None
     upright = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)
@@ -132,7 +146,7 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         orientations=orientations,
         calibration=calibration,
         channel=channel,
-        chamber=selected,
+        selection=selection,
         theory=theory,
     )
 
@@ -181,6 +195,14 @@ def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
     synth = farfield.synthesize_on_grid(result.coefficients, setup.grid)
     rms = farfield.rms_field_error(exact.magnitude(), synth.magnitude())
     return result, rms, setup.theory, reconstructed, exact, synth
+
+
+def _chamber_selection(setup: MeasurementSetup) -> dict:
+    """Every candidate's seed and cond(V_R), in candidate order, and the
+    index of the selected one."""
+    selection = setup.selection
+    return {"seeds": setup.config.seeds, "cond_v": selection.cond_v,
+            "selected_index": selection.index}
 
 
 def _condition_numbers(setup: MeasurementSetup) -> dict:
@@ -281,6 +303,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "method": result.method,
         "normalization": cfg.normalization,
         "seeds": {"candidates": cfg.seeds, "chamber_selected": setup.chamber.seed},
+        "chamber_selection": _chamber_selection(setup),
         "reference_orientations": [[t, p] for t, p in setup.orientations],
         "test_antenna": {
             "length": cfg.test_length,
@@ -350,6 +373,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "grid_shape": [len(theta0s), len(phi0s)],
         "reference_orientations": [[t, p] for t, p in setup.orientations],
         "chamber_seed": setup.chamber.seed,
+        "chamber_selection": _chamber_selection(setup),
         "condition_numbers": _condition_numbers(setup),
         "theory": _summary_dict(setup.theory),
     }
@@ -382,6 +406,7 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         budget=budget,
         mode_set=mode_set,
         length=cfg.ref_length,
+        grid=farfield.SphereGrid(cfg.n_theta, cfg.n_phi),
     )
     fileio.write_json(
         out_dir / "orientations.json",

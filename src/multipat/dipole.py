@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .farfield import ETA0
-from .vsh import TangentVector
+from .vsh import TangentVector, scratch
 
 _BRACKET_TOL = 1e-8
 
@@ -43,7 +43,9 @@ class DipoleSpec:
         return lambda theta, phi: dipole_field(self, theta, phi, k)
 
 
-def dipole_field(spec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
+def dipole_field(
+    spec, theta, phi, k: float = 2.0 * math.pi, workspace: dict | None = None
+) -> TangentVector:
     """Modified far field of an arbitrarily oriented center-fed dipole.
 
     spec is one DipoleSpec, or a sequence of them that share one length and
@@ -55,6 +57,14 @@ def dipole_field(spec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
     and the pattern argument; the 0/0 along the axis is resolved by the
     analytic limit of the pattern bracket (the field there is zero because
     both polarization projections vanish).
+
+    The pass keeps its intermediates over the launch directions in three
+    real arrays and a mask, updated in place. With a workspace (see
+    vsh.scratch) these are its buffers, reused by every call of the same
+    shape, and the returned components live in its "e_theta" and "e_phi"
+    buffers, which the next such call overwrites; without one every array
+    is allocated per call. Either way each value comes from the same
+    operations in the same order.
     """
     single = isinstance(spec, DipoleSpec)
     specs = [spec] if single else list(spec)
@@ -80,18 +90,35 @@ def dipole_field(spec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
         st0, ct0, sp0, cp0 = np.array(trig).T.reshape((4, len(specs)) + (1,) * th.ndim)
     st, ct = np.sin(th), np.cos(th)
     sp, cp = np.sin(ph), np.cos(ph)
+    shape = th.shape if single else (len(specs),) + th.shape
 
-    # axis . theta_hat, axis . phi_hat, axis . r_hat
-    p = st0 * cp0 * ct * cp + st0 * sp0 * ct * sp - ct0 * st
-    q = st0 * sp0 * cp - st0 * cp0 * sp
-    g = st0 * cp0 * st * cp + st0 * sp0 * st * sp + ct0 * ct
+    def buffer(name, dtype=float):
+        return scratch(workspace, name, shape, dtype)
+
+    # The axis projections, each summed left to right. g = axis . r_hat sets
+    # the pattern bracket first; p = axis . theta_hat and q = axis . phi_hat
+    # then take turns in g's array, so three real arrays serve the whole pass:
+    #   g = st0 cp0 st cp + st0 sp0 st sp + ct0 ct
+    #   p = st0 cp0 ct cp + st0 sp0 ct sp - ct0 st
+    #   q = st0 sp0 cp - st0 cp0 sp
+    a, b = st0 * cp0, st0 * sp0
+    g = np.multiply(a, st, out=buffer("dipole.projection"))
+    g *= cp
+    term = np.multiply(b, st, out=buffer("dipole.term"))
+    term *= sp
+    g += term
+    g += np.multiply(ct0, ct, out=term)
 
     kl = 2.0 * math.pi * length  # k L depends only on length/wavelength
-    denom = 1.0 - g * g
-    on_axis = np.abs(denom) < _BRACKET_TOL
-    numerator = np.cos(0.5 * kl * g) - math.cos(0.5 * kl)
+    denom = np.multiply(g, g, out=term)
+    np.subtract(1.0, denom, out=denom)
+    numerator = np.abs(denom, out=buffer("dipole.bracket"))
+    on_axis = np.less(numerator, _BRACKET_TOL, out=buffer("dipole.on_axis", bool))
+    np.multiply(0.5 * kl, g, out=numerator)
+    np.cos(numerator, out=numerator)
+    numerator -= math.cos(0.5 * kl)
     if not on_axis.any():
-        bracket = numerator / denom
+        bracket = np.divide(numerator, denom, out=numerator)
     else:
         # L'Hopital limit at g -> +-1; p and q vanish there so the field is
         # zero, but keep the bracket finite for well-defined intermediate
@@ -101,8 +128,18 @@ def dipole_field(spec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
         bracket = np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
 
     amp = -1j * ETA0 * current * k / (2.0 * math.pi)
-    e_theta = amp * p * bracket
-    e_phi = amp * q * bracket
+    p = np.multiply(a, ct, out=g)
+    p *= cp
+    np.multiply(b, ct, out=term)
+    term *= sp
+    p += term
+    p -= np.multiply(ct0, st, out=term)
+    e_theta = np.multiply(amp, p, out=buffer("e_theta", complex))
+    e_theta *= bracket
+    q = np.multiply(b, cp, out=p)
+    q -= np.multiply(a, sp, out=term)
+    e_phi = np.multiply(amp, q, out=buffer("e_phi", complex))
+    e_phi *= bracket
     if scalar:
         if single:
             return TangentVector(complex(e_theta[0]), complex(e_phi[0]))

@@ -284,12 +284,15 @@ def optimize_reference_orientations(
     objective: str = "cond-A",
     budget: int = 2000,
     length: float = 0.5,
+    grid: farfield.SphereGrid | None = None,
 ) -> OptimizationResult:
     """Locally optimize reference-antenna orientations.
 
     Every evaluation scores dipole_coefficient_matrix, looked up in this
     module when called, over mode_set for dipoles of the given length, with
-    the upright dipole decomposed once per run on farfield.default_grid.
+    the upright dipole decomposed once per run on grid (default:
+    farfield.default_grid); the set-up passes its config grid, so the
+    optimizer scores the A_R the calibration uses.
     The objective is scale-free, so the reference current and the
     wavenumber do not enter. Objectives: "cond-A" (condition number) or
     "capacity" (-det(M M^H)). Angles float freely during the search and are
@@ -306,7 +309,7 @@ def optimize_reference_orientations(
     else:
         raise ValueError(f"unknown objective {objective!r}")
     # The upright dipole is the same on every evaluation: decompose it once.
-    upright = _upright_column(mode_set, length)
+    upright = _upright_column(mode_set, length, grid=grid)
 
     def unpack(x):
         return [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(orientations))]

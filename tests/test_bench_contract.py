@@ -1,9 +1,11 @@
-"""The benchmark's traced result line must stay strict JSON.
+"""The benchmark's result lines must stay strict JSON.
 
 A span name that no call reaches makes its per-layer median NaN, and
 json.dumps writes that as a bare NaN, which strict JSON parsers refuse. So
-the traced workloads are run in-process on a tiny config, and every
-per-layer metric must come out finite.
+the workloads are run in-process on a tiny config, traced and untraced, and
+every metric must come out finite. The untraced sweep also pins the hook
+its per-orientation timer needs: after the set-up, cmd_sweep's per-antenna
+path calls chamber.probe_voltages exactly once per orientation.
 """
 import json
 import math
@@ -58,3 +60,16 @@ def test_traced_result_line_is_strict_json_with_finite_metrics(wl):
     assert not [name for name, value in metrics.items() if not math.isfinite(value)]
     assert metrics["farfield.synthesize_us"] > 0.0
     assert metrics["farfield.synth_calls_per_directivity"] >= 1
+
+
+@pytest.mark.parametrize("wl", TINY_WORKLOADS, ids=lambda w: w.name)
+def test_untraced_result_line_is_strict_json_with_finite_metrics(wl):
+    result, detail = workloads.run(wl, seed=3, seconds=0, trace=False)
+    parsed = json.loads(json.dumps(result), parse_constant=_refuse)
+    assert parsed["correct"] and parsed["failed"] == 0
+    metrics = {name: m["value"] for name, m in parsed["metrics"].items()}
+    assert set(metrics) == set(workloads.END_TO_END_UNITS)
+    assert not [name for name, value in metrics.items() if not math.isfinite(value)]
+    # seconds=0 runs one pass or one sweep: one latency per orientation.
+    expected = wl.sweep_rows if wl.is_sweep else wl.n_antennas
+    assert detail["latency_samples"] == detail["orientations"] == expected

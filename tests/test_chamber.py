@@ -102,6 +102,26 @@ class TestProbeVoltages:
         assert batched.shape == (3, 7)
         assert np.array_equal(batched, stacked)
 
+    def test_workspace_gives_the_same_bytes_and_a_fresh_result(self):
+        specs = reference_dipole_set([(0.2, 0.1), (1.3, 2.0), (2.9, 5.5)], length=0.8,
+                                     current=-1.0)
+        workspace = {}
+
+        def in_workspace(t, p):
+            return dipole_field(specs, t, p, K, workspace)
+
+        kept = []
+        for seed in (9, 10):
+            ch = sample_chamber(seed, 7, 11)
+            plain = probe_voltages(ch, lambda t, p: dipole_field(specs, t, p, K))
+            kept.append((probe_voltages(ch, in_workspace, workspace), plain.tobytes()))
+            # A field that leaves the workspace alone is mixed into it all the same.
+            other = probe_voltages(ch, DipoleSpec(theta0=0.4).field(K), workspace)
+            assert other.tobytes() == probe_voltages(ch, DipoleSpec(theta0=0.4).field(K)).tobytes()
+        for voltages, expected in kept:  # the second seed left the first's voltages alone
+            assert voltages.tobytes() == expected
+            assert not any(np.shares_memory(voltages, b) for b in workspace.values())
+
 
 class TestAnalyticChannel:
     def test_exact_on_truncated_field_with_magnetic_modes(self):
@@ -146,7 +166,7 @@ class TestSelectChamber:
     @staticmethod
     def _builder(fields, built=None):
         """V_R of the fields; each matrix built is recorded in built by seed."""
-        def build(ch):
+        def build(ch, workspace):
             v = np.column_stack([probe_voltages(ch, f) for f in fields])
             if built is not None:
                 built[ch.seed] = v
@@ -156,8 +176,11 @@ class TestSelectChamber:
     def test_single_seed_unconditional(self):
         fields = [DipoleSpec(theta0=t).field(K) for t in (0.2, 0.9, 1.6)]
         built = {}
-        ch, v = select_chamber([7], self._builder(fields, built), 4, 4)
+        selection = select_chamber([7], self._builder(fields, built), 4, 4)
+        ch, v = selection.chamber, selection.voltage_matrix
         assert ch.seed == 7 and v is built[7] and np.linalg.cond(v) > 1.0
+        assert selection.index == 0
+        assert selection.cond_v == [np.linalg.cond(v)]
 
     def test_minimizes_condition_number(self):
         fields = [DipoleSpec(theta0=t, phi0=p).field(K)
@@ -165,10 +188,14 @@ class TestSelectChamber:
         built = {}
         build = self._builder(fields, built)
         seeds = list(range(30))
-        conds = [np.linalg.cond(build(sample_chamber(s, 4, 6))) for s in seeds]
+        conds = [np.linalg.cond(build(sample_chamber(s, 4, 6), {})) for s in seeds]
         built.clear()
-        ch, v = select_chamber(seeds, build, 4, 6)
+        selection = select_chamber(seeds, build, 4, 6)
+        ch, v = selection.chamber, selection.voltage_matrix
         assert sorted(built) == seeds  # every candidate was ranked
+        # The ranking lists every candidate's cond(V_R) in seed order.
+        assert selection.cond_v == conds
+        assert seeds[selection.index] == ch.seed
         # The matrix handed back is the one the winner was ranked by.
         assert v is built[ch.seed]
         assert np.linalg.cond(v) == min(conds)
@@ -178,9 +205,10 @@ class TestSelectChamber:
     def test_ties_keep_the_earliest_seed(self, monkeypatch):
         # Every candidate ranks the same, so the first seed must win.
         monkeypatch.setattr(np.linalg, "cond", lambda m: 2.0)
-        ch, v = select_chamber([5, 3, 9], lambda ch: np.full((2, 2), ch.seed), 2, 2)
-        assert ch.seed == 5 and np.all(v == 5)
+        selection = select_chamber([5, 3, 9], lambda ch, ws: np.full((2, 2), ch.seed), 2, 2)
+        assert selection.chamber.seed == 5 and np.all(selection.voltage_matrix == 5)
+        assert selection.index == 0 and selection.cond_v == [2.0, 2.0, 2.0]
 
     def test_empty_seed_list(self):
         with pytest.raises(ValueError):
-            select_chamber([], lambda ch: np.eye(2), 2, 2)
+            select_chamber([], lambda ch, ws: np.eye(2), 2, 2)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multipat
-from multipat import chamber, cli, dipole, farfield, fileio, planner, recon
+from multipat import chamber, cli, farfield, fileio, planner, recon
 from multipat.chamber import ChamberModel, probe_voltages, sample_chamber
 from multipat.dipole import DipoleSpec, reference_dipole_set
 from multipat.farfield import SphereGrid, decompose
@@ -911,20 +911,31 @@ def setup_voltage_builder(monkeypatch, doc):
                                              cfg.ref_current), cfg
 
 
+def per_reference_columns(ch, refs, k):
+    """V_R from one probe_voltages call per reference, without a workspace."""
+    return np.column_stack([probe_voltages(ch, spec.field(k)) for spec in refs])
+
+
+NEGATIVE_CURRENT_CONFIG = {**SMALL_CONFIG,
+                           "references": {**SMALL_CONFIG["references"], "current": -1.0}}
+
+
 class TestReferenceVoltages:
     """build_setup takes each candidate's V_R from one batched dipole-field
-    pass; it equals the per-reference voltages bit for bit."""
+    pass, built in the workspace select_chamber shares between candidates;
+    it equals the per-reference voltages bit for bit, signed zeros
+    included (tobytes, since np.array_equal takes -0.0 == 0.0)."""
 
-    @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG],
-                             ids=["small", "highorder-lse"])
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG, NEGATIVE_CURRENT_CONFIG],
+                             ids=["small", "highorder-lse", "negative-current"])
     def test_batched_matrix_equals_per_reference_columns(self, monkeypatch, doc):
         build, refs, cfg = setup_voltage_builder(monkeypatch, doc)
-        for seed in (0, 16, 77, 1234):
+        workspace = {}
+        for seed in range(100):
             ch = sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho)
-            v_r = build(ch)
+            v_r = build(ch, workspace)
             assert v_r.flags.c_contiguous
-            assert np.array_equal(
-                v_r, np.column_stack([probe_voltages(ch, spec.field(cfg.k)) for spec in refs]))
+            assert v_r.tobytes() == per_reference_columns(ch, refs, cfg.k).tobytes()
 
     def test_launch_direction_on_a_reference_axis(self, monkeypatch):
         build, refs, cfg = setup_voltage_builder(monkeypatch, SMALL_CONFIG)
@@ -935,37 +946,79 @@ class TestReferenceVoltages:
                           base.alpha)
         on_axis = refs[4].field(cfg.k)(theta[2, 5], phi[2, 5])
         assert abs(on_axis.e_theta) < 1e-9 and abs(on_axis.e_phi) < 1e-9
-        assert np.array_equal(
-            build(ch), np.column_stack([probe_voltages(ch, spec.field(cfg.k)) for spec in refs]))
+        assert build(ch, {}).tobytes() == per_reference_columns(ch, refs, cfg.k).tobytes()
 
-    def test_one_field_call_per_candidate(self, monkeypatch):
-        calls = []
-        original = dipole.dipole_field
+    @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG],
+                             ids=["small", "highorder-lse"])
+    def test_matrix_outlives_the_next_candidate(self, monkeypatch, doc):
+        build, refs, cfg = setup_voltage_builder(monkeypatch, doc)
+        workspace = {}
+        first = build(sample_chamber(0, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), workspace)
+        kept = first.tobytes()
+        build(sample_chamber(1, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), workspace)
+        assert first.tobytes() == kept
+        assert workspace and not any(np.shares_memory(first, b) for b in workspace.values())
 
-        def counted(spec, theta, phi, *args):
-            calls.append((spec, np.shape(theta)))
-            return original(spec, theta, phi, *args)
-
+    def test_one_builder_pass_per_candidate(self, monkeypatch):
+        passes = []
         ranked = []
         select = chamber.select_chamber
 
-        def spy(*args):
-            ranked.append(select(*args))
+        def spy(seeds, builder, *args):
+            def counted(ch, workspace):
+                passes.append(ch.seed)
+                return builder(ch, workspace)
+
+            ranked.append(select(seeds, counted, *args))
             return ranked[-1]
 
-        monkeypatch.setattr(dipole, "dipole_field", counted)
         monkeypatch.setattr(chamber, "select_chamber", spy)
         doc = {**SMALL_CONFIG, "chamber": {**SMALL_CONFIG["chamber"], "seeds": list(range(7))}}
         setup = cli.build_setup(fileio.parse_config(doc))
-        refs = reference_dipole_set(setup.orientations, 0.5, 1.0)
-        at_launch = [spec for spec, shape in calls if shape == (10, 10)]
-        assert len(at_launch) == 7  # every candidate once; the winner is not rebuilt
-        assert all(spec == refs for spec in at_launch)
+        # Every candidate is built once; the winner is not rebuilt.
+        assert passes == list(range(7))
         # The calibration holds the matrix the winner was ranked by, bit for bit.
-        (winner, v_ranked), = ranked
-        assert setup.chamber is winner
+        selection, = ranked
+        assert setup.chamber is selection.chamber
         v_cal = setup.calibration.voltage_matrix
+        v_ranked = selection.voltage_matrix
         assert v_cal.shape == v_ranked.shape and v_cal.tobytes() == v_ranked.tobytes()
+
+
+class TestChamberSelectionRanking:
+    """select_chamber's ranking, every candidate's cond(V_R) in seed order,
+    reaches the set-up and the reports under chamber_selection."""
+
+    def test_ranking_is_the_cond_of_each_candidate(self):
+        cfg = fileio.parse_config(SMALL_CONFIG)
+        setup = cli.build_setup(cfg)
+        refs = reference_dipole_set(setup.orientations, cfg.ref_length, cfg.ref_current)
+        expected = [
+            float(np.linalg.cond(per_reference_columns(
+                sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), refs, cfg.k)))
+            for seed in cfg.seeds
+        ]
+        selection = setup.selection
+        assert selection.cond_v == expected
+        assert selection.index == expected.index(min(expected))
+        assert cfg.seeds[selection.index] == setup.chamber.seed
+        assert expected[selection.index] == setup.cond_v_selected
+
+    def test_reports_carry_the_same_deterministic_key(self, tmp_path):
+        config = write_config(tmp_path)
+        keys = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main(["reconstruct", "--config", str(config), "--out", str(out)]) == 0
+            assert cli.main(["sweep", "--config", str(config), "--out", str(out),
+                             "--step", "90", "--degrees"]) == 0
+            report = fileio.read_json(out / "report.json")["chamber_selection"]
+            assert fileio.read_json(out / "sweep_meta.json")["chamber_selection"] == report
+            keys.append(report)
+        assert keys[0] == keys[1]
+        assert keys[0]["seeds"] == SMALL_CONFIG["chamber"]["seeds"]
+        assert len(keys[0]["cond_v"]) == len(keys[0]["seeds"])
+        assert keys[0]["cond_v"][keys[0]["selected_index"]] == min(keys[0]["cond_v"])
 
 
 class TestClosedFormReferences:
@@ -1004,6 +1057,21 @@ class TestClosedFormReferences:
         )
         assert paper_setup.orientations == result.orientations
         assert paper_setup.calibration.cond_a == result.objective_value
+
+    def test_optimizer_scores_the_config_grid(self, tmp_path):
+        # On this coarse grid the upright decomposition differs from the
+        # default grid's, and cond(A_R) with it by about 1e-6 relative.
+        config = write_config(tmp_path, overrides={
+            "grid": {"n_theta": 6, "n_phi": 8},
+            "references": {**SMALL_CONFIG["references"],
+                           "optimize": {"objective": "cond-A", "budget": 40}},
+        })
+        argv = ["--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(["optimize", *argv]) == 0
+        assert cli.main(["reconstruct", *argv]) == 0
+        objective = fileio.read_json(tmp_path / "orientations.json")["objective_value"]
+        cond_a = fileio.read_json(tmp_path / "report.json")["condition_numbers"]["a_matrix"]
+        assert objective == pytest.approx(cond_a, rel=1e-12, abs=0.0)
 
 
 def source_env() -> dict:

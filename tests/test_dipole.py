@@ -137,6 +137,22 @@ class TestBatchedField:
             assert np.array_equal(batched.e_theta[i], single.e_theta)
             assert np.array_equal(batched.e_phi[i], single.e_phi)
 
+    @pytest.mark.parametrize("current", [0.7, -0.7])
+    def test_workspace_gives_the_same_bytes_in_reused_buffers(self, current):
+        specs = reference_dipole_set(self.ORIENTATIONS, length=1.0, current=current)
+        grid = default_grid(3)
+        # the grid plus one point on the axis of specs[1], which takes the limit branch
+        theta, phi = np.append(grid.theta_mesh.ravel(), 0.7), np.append(grid.phi_mesh.ravel(), 1.9)
+        workspace = {}
+        for rotation in (0.0, 0.4):  # the second call refills the first call's buffers
+            buffers = dict(workspace)
+            reused = dipole_field(specs, theta, phi + rotation, K, workspace)
+            plain = dipole_field(specs, theta, phi + rotation, K)
+            assert reused.e_theta.tobytes() == plain.e_theta.tobytes()
+            assert reused.e_phi.tobytes() == plain.e_phi.tobytes()
+            assert np.shares_memory(reused.e_theta, workspace["e_theta"])
+            assert all(workspace[name] is buffer for name, buffer in buffers.items())
+
     def test_scalar_point_gives_one_value_per_spec(self):
         specs = reference_dipole_set(self.ORIENTATIONS)
         batched = dipole_field(specs, 1.1, 0.4, K)

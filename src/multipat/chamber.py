@@ -36,6 +36,7 @@ class ChamberModel:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+        self.cos_alpha, self.sin_alpha = np.cos(self.alpha), np.sin(self.alpha)  # read per antenna
 
 
 def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.001) -> ChamberModel:
@@ -92,8 +93,8 @@ def probe_voltages(chamber: ChamberModel, field, workspace: dict | None = None) 
                                     chamber.alpha.shape)
         return scratch(workspace, name, shape, complex)
 
-    mixed = np.add(np.multiply(sampled.e_theta, np.cos(chamber.alpha), out=buffer("e_theta")),
-                   np.multiply(sampled.e_phi, np.sin(chamber.alpha), out=buffer("e_phi")),
+    mixed = np.add(np.multiply(sampled.e_theta, chamber.cos_alpha, out=buffer("e_theta")),
+                   np.multiply(sampled.e_phi, chamber.sin_alpha, out=buffer("e_phi")),
                    out=buffer("e_theta"))
     return np.sum(np.multiply(chamber.rho, mixed, out=buffer("e_theta")), axis=-1)
 
@@ -130,7 +131,7 @@ def analytic_channel(chamber: ChamberModel, mode_set: ModeSet) -> ChannelMatrix:
     truncation residual.
     """
     bt, bp = mode_basis(mode_set, chamber.theta, chamber.phi)
-    mixed = bt * np.cos(chamber.alpha).ravel() + bp * np.sin(chamber.alpha).ravel()
+    mixed = bt * chamber.cos_alpha.ravel() + bp * chamber.sin_alpha.ravel()
     summed = np.einsum("qkn,kn->kq", mixed.reshape(mode_set.size, *chamber.rho.shape), chamber.rho)
     scale = VshCoefficients.from_amplitude_vector(mode_set, np.ones(mode_set.size)).values
     return ChannelMatrix(summed * scale, mode_set)

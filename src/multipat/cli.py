@@ -76,7 +76,8 @@ class MeasurementSetup:
     once from its upright twin: R_r and D of an identical dipole are the
     same at every orientation. channel is the calibrated T when A_R is
     square, else None. selection holds the selected chamber and how every
-    candidate ranked.
+    candidate ranked; optimization the reference orientation optimizer's
+    result, or None when the config runs no optimizer.
     """
 
     config: ExperimentConfig
@@ -86,6 +87,7 @@ class MeasurementSetup:
     channel: chamber_mod.ChannelMatrix | None
     selection: chamber_mod.ChamberSelection
     theory: farfield.RadiationSummary
+    optimization: planner.OptimizationResult | None
 
     @property
     def chamber(self) -> chamber_mod.ChamberModel:
@@ -105,6 +107,7 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
     k = cfg.k
 
     orientations = cfg.ref_orientations or planner.fibonacci_orientations(cfg.ref_count)
+    result = None
     if cfg.optimize_objective is not None and cfg.optimize_budget > 0:
         result = planner.optimize_reference_orientations(
             orientations,
@@ -148,6 +151,7 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         channel=channel,
         selection=selection,
         theory=theory,
+        optimization=result,
     )
 
 
@@ -203,6 +207,16 @@ def _chamber_selection(setup: MeasurementSetup) -> dict:
     selection = setup.selection
     return {"seeds": setup.config.seeds, "cond_v": selection.cond_v,
             "selected_index": selection.index}
+
+
+def _reference_optimization(setup: MeasurementSetup) -> dict | None:
+    """The optimizer's objective, evaluations used, budget, first and last trace values."""
+    result, cfg = setup.optimization, setup.config
+    if result is None:
+        return None
+    values = [value for _, value in result.trace] or [None]
+    return {"objective": cfg.optimize_objective, "evaluations": result.evaluations,
+            "budget": cfg.optimize_budget, "start": values[0], "end": values[-1]}
 
 
 def _condition_numbers(setup: MeasurementSetup) -> dict:
@@ -305,6 +319,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "seeds": {"candidates": cfg.seeds, "chamber_selected": setup.chamber.seed},
         "chamber_selection": _chamber_selection(setup),
         "reference_orientations": [[t, p] for t, p in setup.orientations],
+        "reference_optimization": _reference_optimization(setup),
         "test_antenna": {
             "length": cfg.test_length,
             "theta0": cfg.test_theta0,
@@ -372,6 +387,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "step_rad": step,
         "grid_shape": [len(theta0s), len(phi0s)],
         "reference_orientations": [[t, p] for t, p in setup.orientations],
+        "reference_optimization": _reference_optimization(setup),
         "chamber_seed": setup.chamber.seed,
         "chamber_selection": _chamber_selection(setup),
         "condition_numbers": _condition_numbers(setup),
@@ -384,7 +400,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def cmd_plan(args) -> int:
-    budget = planner.plan_modes(args.kr, p_tr=args.p_tr, p_r=args.p_r)
+    for option, value in (("--kr", args.kr), ("--p-tr", args.p_tr), ("--p-r", args.p_r)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{option} must be finite, got {value}")
+    try:  # kR <= 0, or finite inputs that give no order >= 1 or overflow
+        budget = planner.plan_modes(args.kr, p_tr=args.p_tr, p_r=args.p_r)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"no truncation order for these inputs: {exc}") from None
     print(f"rule: {budget.rule}")
     print(f"truncation order: {budget.lambda_max}")
     print(f"mode count (both multipole families): {budget.n_modes}")

@@ -13,12 +13,15 @@ for electric modes. Electric entries of a coefficient vector hold the
 impedance-scaled (modified) amplitudes; the unscaled amplitudes that the
 probe-voltage channel acts on are obtained via to_amplitude_vector().
 
-directivity() finds the pattern's peak from the argmax of a 1-degree mesh,
-refined by a Newton ascent in Python floats. The mesh of a coefficient set
-is not synthesized node by node: every mode depends on phi only through
-exp(j m phi), so each theta row of |E|^2 is a trigonometric polynomial in
-phi, evaluated from per-order theta profiles on a cached 181-node column
-basis and a cached cos/sin table of the 360 phi nodes. mode_basis keeps
+Every mode depends on phi only through exp(j m phi), and on theta as a
+trigonometric polynomial of degree <= L, so synthesize() sums per-order
+theta profiles from a cached theta-Fourier table of the mode set and
+evaluates no basis at its points. directivity() finds the pattern's peak
+from the argmax of a 1-degree mesh, refined by a Newton ascent in Python
+floats whose 9-point stencils are synthesize() calls. Each theta row of
+the mesh's |E|^2 is a trigonometric polynomial in phi, evaluated from
+per-order theta profiles on a cached 181-node column basis and a cached
+cos/sin table of the 360 phi nodes. mode_basis keeps
 nothing; a quadrature grid owns the basis on its nodes (SphereGrid.basis),
 which every projection and synthesis on it reads.
 """
@@ -102,8 +105,8 @@ def mode_basis(mode_set: ModeSet, theta, phi):
 
     vsh.mode_components evaluates every mode in one pass, with the j^(l+1)
     synthesis phase as its row factor. theta/phi are arrays of equal size,
-    read in flattened order. Nothing is kept here: SphereGrid.basis and
-    _coarse_basis keep theirs.
+    read in flattened order. Nothing is kept here: SphereGrid.basis,
+    _coarse_basis and _theta_fourier keep theirs.
     """
     return mode_components(mode_set.entries, theta, phi, _synthesis_phase(mode_set))
 
@@ -144,21 +147,44 @@ class VshCoefficients:
         return VshCoefficients(self.mode_set, self.values * factor)
 
 
+@lru_cache(maxsize=32)
+def _theta_fourier(mode_set: ModeSet):
+    """(by_order, starts, table, jp, jm): synthesize's table of mode_set.
+
+    A mode of degree l <= L is exp(j m phi) times a trigonometric
+    polynomial of degree <= L in theta, which mode_components gives at any
+    theta, theta > pi included, so the FFT of mode_basis at theta_j =
+    2 pi j / (2L + 1), phi = 0, gives table[i, c, p + L], the coefficient of
+    exp(j p theta) in component c of mode by_order[i]. by_order sorts the
+    modes by order m, each order's rows start at starts, and the columns
+    jp = j p, p = -L..L, and jm = j m, one per order, are the exponents.
+    """
+    degree = max((e.l for e in mode_set.entries), default=0)
+    n = 2 * degree + 1
+    samples = np.stack(mode_basis(mode_set, 2.0 * np.pi * np.arange(n) / n, np.zeros(n)), axis=1)
+    orders = np.array([e.m for e in mode_set.entries], dtype=np.intp)
+    by_order = np.argsort(orders, kind="stable")
+    starts = np.flatnonzero(np.diff(orders[by_order], prepend=-n))  # every |m| < n
+    table = np.fft.fftshift(np.fft.fft(samples[by_order], axis=-1), axes=-1) / n
+    return (by_order, starts, table, 1j * np.arange(-degree, degree + 1.0)[:, None],
+            1j * orders[by_order][starts].astype(float)[:, None, None])
+
+
 def synthesize(coeffs: VshCoefficients, theta, phi) -> TangentVector:
     """Evaluate the modified far field of a coefficient set at (theta, phi).
 
-    Broadcasts over array inputs; returns scalar components for scalar input.
+    E = sum_m exp(j m phi) sum_p G_m,p exp(j p theta), G_m the coefficient-
+    weighted sum of the cached _theta_fourier rows of the modes of order m:
+    no basis recurrence, a handful of array operations whatever the number
+    of points. Broadcasts; returns scalar components for scalar input.
     """
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    th_b, ph_b = np.broadcast_arrays(th, ph)
-    shape = th_b.shape
-    bt, bp = mode_basis(coeffs.mode_set, th_b.ravel(), ph_b.ravel())
-    et = coeffs.values @ bt
-    ep = coeffs.values @ bp
-    if shape == ():
-        return TangentVector(complex(et[0]), complex(ep[0]))
-    return TangentVector(et.reshape(shape), ep.reshape(shape))
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    by_order, starts, table, jp, jm = _theta_fourier(coeffs.mode_set)
+    g = np.add.reduceat(coeffs.values[by_order, None, None] * table, starts, axis=0)
+    e_t, e_p = (g @ np.exp(jp * th.ravel()) * np.exp(jm * ph.ravel())).sum(axis=0)
+    if th.shape == ():
+        return TangentVector(complex(e_t[0]), complex(e_p[0]))
+    return TangentVector(e_t.reshape(th.shape), e_p.reshape(th.shape))
 
 
 def synthesize_on_grid(coeffs: VshCoefficients, grid: SphereGrid) -> TangentVector:
@@ -393,10 +419,11 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
 
     The peak is _max_magnitude_squared's float Newton ascent, one 9-point
     synthesize call per step, to _PEAK_REL_TOL relative, from the argmax of
-    _coarse_magnitude_squared's trig-table mesh; no full-mesh basis is
-    built. A zero or non-finite amplitude sum raises PatternError. The
-    spreading-free formulation makes the wavenumber cancel; it is kept in
-    the signature for interface symmetry with radiated_power.
+    _coarse_magnitude_squared's trig-table mesh; both read cached tables, so
+    a mode set's later patterns evaluate no basis. A zero or non-finite
+    amplitude sum raises PatternError. The spreading-free formulation makes
+    the wavenumber cancel; it is kept in the signature for interface
+    symmetry with radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:

@@ -726,6 +726,29 @@ class TestCommands:
         assert cli.main(["plan", "--kr", "30", "--p-tr", "-40"]) == 0
         assert "truncation order: 36" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kr", "-1"], "no truncation order for these inputs: kR must be positive"),
+        (["--kr", "0", "--p-tr", "-40"],
+         "no truncation order for these inputs: kR must be positive"),
+        (["--kr", "nan"], "--kr must be finite, got nan"),
+        (["--kr", "inf"], "--kr must be finite, got inf"),
+        (["--kr=-inf", "--p-tr", "-40"], "--kr must be finite, got -inf"),
+        (["--kr", "30", "--p-tr", "nan"], "--p-tr must be finite, got nan"),
+        (["--kr", "30", "--p-tr=-inf"], "--p-tr must be finite, got -inf"),
+        (["--kr", "30", "--p-tr", "-40", "--p-r", "inf"], "--p-r must be finite, got inf"),
+        (["--kr", "30", "--p-r", "nan"], "--p-r must be finite, got nan"),
+        (["--kr", "1", "--p-tr", "1e6"],
+         "no truncation order for these inputs: lambda_max must be >= 1"),
+        (["--kr", "1e308", "--p-tr=-1e308"],
+         "no truncation order for these inputs: cannot convert float infinity to integer"),
+    ])
+    def test_plan_refuses_bad_numbers(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the Jensen rule's validity-range warnings
+            assert cli.main(["plan", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+
     def test_optimize_outputs(self, tmp_path):
         cfg_path = write_config(
             tmp_path,
@@ -1019,6 +1042,51 @@ class TestChamberSelectionRanking:
         assert keys[0]["seeds"] == SMALL_CONFIG["chamber"]["seeds"]
         assert len(keys[0]["cond_v"]) == len(keys[0]["seeds"])
         assert keys[0]["cond_v"][keys[0]["selected_index"]] == min(keys[0]["cond_v"])
+
+
+class TestReferenceOptimization:
+    """The set-up keeps the orientation optimizer's result, and the reports
+    summarize it under reference_optimization."""
+
+    OPTIMIZED = {"count": 10, "optimize": {"objective": "cond-A", "budget": 30}}
+
+    def test_setup_keeps_the_optimizer_result(self):
+        cfg = fileio.parse_config({**SMALL_CONFIG, "references": {
+            **SMALL_CONFIG["references"], **self.OPTIMIZED}})
+        setup = cli.build_setup(cfg)
+        result = setup.optimization
+        assert isinstance(result, planner.OptimizationResult)
+        assert result.orientations == setup.orientations
+        assert result.evaluations == 30 and result.trace[-1][1] == result.objective_value
+        assert cli.build_setup(fileio.parse_config(SMALL_CONFIG)).optimization is None
+
+    def test_reports_carry_the_same_deterministic_key(self, tmp_path):
+        config = write_config(tmp_path, references=self.OPTIMIZED)
+        keys = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main(["reconstruct", "--config", str(config), "--out", str(out)]) == 0
+            assert cli.main(["sweep", "--config", str(config), "--out", str(out),
+                             "--step", "90", "--degrees"]) == 0
+            report = fileio.read_json(out / "report.json")["reference_optimization"]
+            assert fileio.read_json(out / "sweep_meta.json")["reference_optimization"] == report
+            keys.append(report)
+        assert keys[0] == keys[1]
+        assert set(keys[0]) == {"objective", "evaluations", "budget", "start", "end"}
+        assert keys[0]["objective"] == "cond-A" and keys[0]["budget"] == 30
+        assert keys[0]["evaluations"] == 30 and keys[0]["end"] <= keys[0]["start"]
+        # The end is the objective of the orientations the set-up uses.
+        report = fileio.read_json(tmp_path / "a" / "report.json")
+        assert keys[0]["end"] == report["condition_numbers"]["a_matrix"]
+
+    def test_no_optimizer_writes_null(self, tmp_path):
+        config = write_config(tmp_path)
+        assert cli.main(["reconstruct", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path),
+                         "--step", "90", "--degrees"]) == 0
+        for name in ("report.json", "sweep_meta.json"):
+            doc = fileio.read_json(tmp_path / name)
+            assert "reference_optimization" in doc and doc["reference_optimization"] is None
 
 
 class TestClosedFormReferences:

@@ -465,13 +465,15 @@ class TestCoarseMesh:
 
         monkeypatch.setattr(farfield, "mode_basis", spy)
         farfield._coarse_basis.cache_clear()
+        farfield._theta_fourier.cache_clear()
         c = random_coefficients(build_mode_set(15), np.random.default_rng(4))
         directivity(c, K)
-        assert points[0] == 181 and max(points) <= 181
-        # The column is kept: a second pattern of the set evaluates only stencils.
-        calls = len(points)
+        # The 181-node mesh column and the (2L + 1)-node theta-Fourier column, once each.
+        assert sorted(points) == [31, 181]
+        # Both are kept: a second pattern of the set evaluates no basis at all.
+        del points[:]
         directivity(c.scaled(1j), K)
-        assert 181 not in points[calls:] and max(points[calls:]) <= 9
+        assert points == []
 
 
 class TestPatternError:

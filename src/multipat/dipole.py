@@ -51,7 +51,8 @@ def dipole_field(
     spec is one DipoleSpec, or a sequence of them that share one length and
     one current (such as reference_dipole_set returns); a sequence gives
     components with a leading reference axis, from one pass that takes the
-    trig of the launch directions once.
+    trig of the launch directions once. One DipoleSpec is a batch of one
+    whose leading axis is dropped at the end.
 
     The axis projections onto theta_hat, phi_hat, r_hat set the polarization
     and the pattern argument; the 0/0 along the axis is resolved by the
@@ -80,17 +81,14 @@ def dipole_field(
     th = np.atleast_1d(th)
     ph = np.atleast_1d(ph)
 
-    # Orientation trig per dipole: floats for one dipole, else arrays shaped
-    # (n_dipoles, 1, ...) to broadcast over the launch directions.
-    trig = [(math.sin(s.theta0), math.cos(s.theta0), math.sin(s.phi0), math.cos(s.phi0))
-            for s in specs]
-    if single:
-        st0, ct0, sp0, cp0 = trig[0]
-    else:
-        st0, ct0, sp0, cp0 = np.array(trig).T.reshape((4, len(specs)) + (1,) * th.ndim)
+    # Each dipole's axis (a, b, ct0) = (st0 cp0, st0 sp0, ct0), st0 = sin(theta0)
+    # and so on, shaped (n_dipoles, 1, ...) to broadcast over the launch directions.
+    axes = [(math.sin(s.theta0) * math.cos(s.phi0), math.sin(s.theta0) * math.sin(s.phi0),
+             math.cos(s.theta0)) for s in specs]
+    a, b, ct0 = np.array(axes).T.reshape((3, len(specs)) + (1,) * th.ndim)
     st, ct = np.sin(th), np.cos(th)
     sp, cp = np.sin(ph), np.cos(ph)
-    shape = th.shape if single else (len(specs),) + th.shape
+    shape = (len(specs),) + th.shape
 
     def buffer(name, dtype=float):
         return scratch(workspace, name, shape, dtype)
@@ -101,7 +99,6 @@ def dipole_field(
     #   g = st0 cp0 st cp + st0 sp0 st sp + ct0 ct
     #   p = st0 cp0 ct cp + st0 sp0 ct sp - ct0 st
     #   q = st0 sp0 cp - st0 cp0 sp
-    a, b = st0 * cp0, st0 * sp0
     g = np.multiply(a, st, out=buffer("dipole.projection"))
     g *= cp
     term = np.multiply(b, st, out=buffer("dipole.term"))
@@ -140,10 +137,12 @@ def dipole_field(
     q -= np.multiply(a, sp, out=term)
     e_phi = np.multiply(amp, q, out=buffer("e_phi", complex))
     e_phi *= bracket
+    if single:
+        e_theta, e_phi = e_theta[0], e_phi[0]
     if scalar:
-        if single:
-            return TangentVector(complex(e_theta[0]), complex(e_phi[0]))
         e_theta, e_phi = e_theta[..., 0], e_phi[..., 0]
+        if single:
+            return TangentVector(complex(e_theta), complex(e_phi))
     return TangentVector(e_theta, e_phi)
 
 

@@ -21,9 +21,10 @@ from the argmax of a 1-degree mesh, refined by a Newton ascent in Python
 floats whose 9-point stencils are synthesize() calls. Each theta row of
 the mesh's |E|^2 is a trigonometric polynomial in phi, evaluated from
 per-order theta profiles on a cached 181-node column basis and a cached
-cos/sin table of the 360 phi nodes. mode_basis keeps
-nothing; a quadrature grid owns the basis on its nodes (SphereGrid.basis),
-which every projection and synthesis on it reads.
+cos/sin table of the 360 phi nodes. mode_basis is vsh.mode_components
+with each row times j^(l+1), and keeps nothing; a quadrature grid owns the
+basis on its nodes (SphereGrid.basis), which every projection and
+synthesis on it reads.
 """
 from __future__ import annotations
 
@@ -94,21 +95,19 @@ def default_grid(lambda_max: int) -> SphereGrid:
     return SphereGrid(n, n)
 
 
-@lru_cache(maxsize=32)
-def _synthesis_phase(mode_set: ModeSet) -> np.ndarray:
-    """j^(l+1) of every mode of the set, shape (size, 1)."""
-    return np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
-
-
 def mode_basis(mode_set: ModeSet, theta, phi):
     """Stacked basis component arrays (B_theta, B_phi), shape (size, npts).
 
-    vsh.mode_components evaluates every mode in one pass, with the j^(l+1)
-    synthesis phase as its row factor. theta/phi are arrays of equal size,
-    read in flattened order. Nothing is kept here: SphereGrid.basis,
-    _coarse_basis and _theta_fourier keep theirs.
+    vsh.mode_components evaluates every mode in one pass; each row is then
+    multiplied by its j^(l+1) synthesis phase. theta/phi are arrays of
+    equal size, read in flattened order. Nothing is kept here:
+    SphereGrid.basis, _coarse_basis and _theta_fourier keep theirs.
     """
-    return mode_components(mode_set.entries, theta, phi, _synthesis_phase(mode_set))
+    bt, bp = mode_components(mode_set.entries, theta, phi)
+    phase = np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
+    bt *= phase
+    bp *= phase
+    return bt, bp
 
 
 @dataclass

@@ -199,6 +199,12 @@ class ExperimentConfig:
 # 13 GB, and building the mode set of an unbounded order would hang here.
 MAX_LAMBDA = 100
 
+# The largest accepted grid.n_theta and grid.n_phi: MAX_LAMBDA's default
+# 416, doubled as decompose's convergence check doubles it. leggauss(n) in
+# SphereGrid builds an n x n matrix: 5.5 MB here, 22 MB for the doubled
+# check, 80 GB at n = 1e5. The 832 x 832 mesh's basis takes 22 MB a mode.
+MAX_GRID = 2 * (4 * MAX_LAMBDA + 16)
+
 # The largest accepted chamber gain scale. sigma_rho only scales every
 # voltage and T (rho = sigma_rho N(0, 1)), so no result depends on it beyond
 # rounding, but from about 1e154 on, V_R^H V_R of unit-current references
@@ -307,8 +313,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     grid_sec = _section(doc, "grid")
     n_default = 4 * mode_set.lambda_max + 16
-    n_theta = _integer(grid_sec.get("n_theta", n_default), "n_theta")
-    n_phi = _integer(grid_sec.get("n_phi", n_default), "n_phi")
+    n_theta = _integer(grid_sec.get("n_theta", n_default), "n_theta", 0, MAX_GRID)
+    n_phi = _integer(grid_sec.get("n_phi", n_default), "n_phi", 0, MAX_GRID)
     # Below this the quadrature no longer integrates products of the basis
     # exactly, and the decompositions silently alias.
     if n_theta < mode_set.lambda_max + 1 or n_phi < 2 * mode_set.lambda_max + 1:

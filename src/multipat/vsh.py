@@ -2,19 +2,16 @@
 
 X_{l,m} is the tangential harmonic built from the angular-momentum operator
 acting on Y_{l,m}; r_hat x X_{l,m} is its 90-degree tangent-plane rotation.
-Every evaluation follows a plan, built once per tuple of modes and cached:
-the degrees and orders the associated-Legendre recurrence must reach, where
-each output row reads its real part, and each row's phase order and
-constant. mode_components() runs the orthonormal recurrence once, all
-orders climbing in degree together and carried as P_l^m / sin(theta), so
-that no expression divides by sin(theta) and the poles need no special
-case. At each degree it writes whole runs of rows (one family, one degree,
-consecutive orders) in place, as slices of the phase table exp(j m phi)
-times slices of the real parts; there is no loop over the modes. vsh_x()
-and r_cross_x() are single-mode views of it, and spherical_harmonics()
-gives the scalar Y_{l,m} from the same recurrence. Mode bookkeeping (the
-flat q <-> (family, l, m) ordering used by every matrix in the toolkit)
-lives here as well.
+mode_components() runs the orthonormal associated-Legendre recurrence
+once, all orders climbing in degree together and carried as
+P_l^m / sin(theta), so that no expression divides by sin(theta) and the
+poles need no special case. At each degree its entries use it forms the
+real parts of the orders they read and writes each row as exp(j m phi)
+times a real part, times the row's constant. vsh_x() and r_cross_x() are
+single-mode views of it, and spherical_harmonics() gives the scalar
+Y_{l,m} from the same recurrence. Mode bookkeeping (the flat
+q <-> (family, l, m) ordering used by every matrix in the toolkit) lives
+here as well.
 """
 from __future__ import annotations
 
@@ -128,33 +125,33 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _raising(low: int, high: int, top: int) -> tuple:
-    """The steps of _legendre_rows for orders low..high and degrees
-    low..top: per degree l, (a, b, first, seed).
+def _raising(high: int, top: int) -> tuple:
+    """The steps of _legendre_rows for orders 0..high and degrees 0..top:
+    per degree l, (a, b, first, seed).
 
     a and b are the (orders, 1) columns of the three-term recurrence for
-    the orders low..min(l-2, high); first = sqrt(2l+1) raises order l-1
+    the orders 0..min(l-2, high); first = sqrt(2l+1) raises order l-1
     from its seed, and seed = -sqrt((2l+1)/(2l)) gives the order-l seed
     from the order-(l-1) one; None where the order is out of range.
     """
     steps = []
-    for l in range(low, top + 1):
-        ms = range(low, min(l - 2, high) + 1)
+    for l in range(top + 1):
+        ms = range(min(l - 2, high) + 1)
         steps.append((
             _column([math.sqrt((4 * l * l - 1) / (l * l - m * m)) for m in ms]),
             _column([math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1)) for m in ms]),
-            math.sqrt(2 * l + 1) if low <= l - 1 <= high else None,
+            math.sqrt(2 * l + 1) if 0 <= l - 1 <= high else None,
             -math.sqrt((2 * l + 1) / (2 * l)) if 0 < l <= high else None,
         ))
     return tuple(steps)
 
 
-def _legendre_rows(x: np.ndarray, s: np.ndarray, low: int, high: int, steps: tuple):
-    """Yield (l, v, v_prev) for the degrees l = low..top of
-    steps = _raising(low, high, top), each of shape (high - low + 1, npts).
+def _legendre_rows(x: np.ndarray, s: np.ndarray, high: int, steps: tuple):
+    """Yield (l, v, v_prev) for the degrees l = 0..top of
+    steps = _raising(high, top), each of shape (high + 1, npts).
 
-    Row m - low of v is v_l^m: Pbar_l^0 for m = 0, Pbar_l^m / sin(theta)
-    for m >= 1, and 0 for m > l; v_prev holds v_{l-1} alike.
+    Row m of v is v_l^m: Pbar_l^0 for m = 0, Pbar_l^m / sin(theta) for
+    m >= 1, and 0 for m > l; v_prev holds v_{l-1} alike.
 
     All orders climb in degree together, one degree per step. The order-l
     seed is a constant times s^(l-1), taken from the order-(l-1) seed, so
@@ -163,27 +160,27 @@ def _legendre_rows(x: np.ndarray, s: np.ndarray, low: int, high: int, steps: tup
     orthonormal three-term recurrence in l. The arrays are reused: each is
     valid until the generator resumes.
     """
-    v_prev2, v_prev, v = np.zeros((3, high - low + 1, x.size))
+    v_prev2, v_prev, v = np.zeros((3, high + 1, x.size))
     p_diag = np.full_like(s, 1.0 / math.sqrt(4.0 * math.pi))  # Pbar_{l-1}^{l-1}
-    for l, (a, b, first, seed) in enumerate(steps, low):
+    for l, (a, b, first, seed) in enumerate(steps):
         if len(a):
             t = x * v_prev[: len(a)]
             t -= b * v_prev2[: len(a)]
             np.multiply(a, t, out=v[: len(a)])
         if first is not None:
-            np.multiply(first * x, v_prev[l - 1 - low], out=v[l - 1 - low])
+            np.multiply(first * x, v_prev[l - 1], out=v[l - 1])
         if l == 0:
             v[0] = p_diag
         elif seed is not None:
-            np.multiply(seed, p_diag, out=v[l - low])
-            p_diag = s * v[l - low]
+            np.multiply(seed, p_diag, out=v[l])
+            p_diag = s * v[l]
         yield l, v, v_prev
         v_prev2, v_prev, v = v_prev, v, v_prev2
 
 
 class _ScalarPlan(NamedTuple):
     high: int  # highest order
-    steps: tuple  # _raising(0, high, highest degree)
+    steps: tuple  # _raising(high, highest degree)
     degrees: dict  # degree -> number of orders (0, 1, ...) the rows read
     source: np.ndarray  # per row: index into the stacked Pbar of those degrees
     sign: np.ndarray  # per row, (rows, 1): -1.0 for odd m < 0, else 1.0
@@ -199,7 +196,7 @@ def _scalar_plan(modes: tuple) -> _ScalarPlan:
         offset[l], start = start, start + k
     return _ScalarPlan(
         high,
-        _raising(0, high, max(degrees, default=-1)),
+        _raising(high, max(degrees, default=-1)),
         degrees,
         np.array([offset[l] + abs(m) for l, m in modes], dtype=np.intp),
         _column([-1.0 if m < 0 and m % 2 else 1.0 for _, m in modes]),
@@ -214,14 +211,14 @@ def spherical_harmonics(modes, theta, phi) -> np.ndarray:
     Orthonormal over the sphere, with the Condon-Shortley phase:
     Y_{l,m} = Pbar_l^m(cos theta) e^{j m phi} and
     Y_{l,-m} = (-1)^m conj(Y_{l,m}). Pbar comes from the same recurrence
-    pass as mode_components(), with order 0 included.
+    pass as mode_components().
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     plan = _scalar_plan(tuple(map(tuple, modes)))
     x, s = np.cos(theta), np.sin(theta)
     blocks = [np.empty((0, theta.size))]
-    for l, v, _ in _legendre_rows(x, s, 0, plan.high, plan.steps):
+    for l, v, _ in _legendre_rows(x, s, plan.high, plan.steps):
         if l in plan.degrees:
             block = v[: plan.degrees[l]].copy()
             block[1:] *= s  # Pbar_l^m = s v_l^m for m >= 1
@@ -230,99 +227,37 @@ def spherical_harmonics(modes, theta, phi) -> np.ndarray:
     return legendre * np.exp(1j * plan.order * phi)
 
 
-class _Degree(NamedTuple):
-    """What mode_components() does at one degree l of its plan."""
-
-    k: int  # orders 1..k
-    theta_scale: np.ndarray  # (k, 1): -m / n
-    c: np.ndarray  # (k, 1): sqrt((2l+1)(l^2-m^2)/(2l-1))
-    n: float  # sqrt(l(l+1))
-    zero: bool  # some row has m = 0
-    # Per run: (rows, columns m + high, component order, full component,
-    # its (rows, 1) constants, rows of the other component scaled by -1)
-    runs: tuple
-
-
 class _Plan(NamedTuple):
     high: int  # highest order, at least 1
-    steps: tuple  # _raising(1, high, highest degree)
-    phase_k: np.ndarray  # (high, 1): 1j * m for m = 1..high
-    n_rows: int
-    degrees: dict  # degree -> _Degree
+    steps: tuple  # _raising(high, highest degree)
+    degrees: dict  # degree -> ((row, magnetic, m), ...)
 
 
 @lru_cache(maxsize=32)
 def _plan(entries: tuple) -> _Plan:
-    """Evaluation plan of mode_components() for a tuple of entries.
-
-    A run is a stretch of rows with one family, one degree and consecutive
-    orders, such as a (family, l) block of a ModeSet. Its rows read column
-    m + high of the phase table and of the degree's real parts, which hold
-    X_theta and X_phi / -j of order |m| at every m != 0 and 0 and s u_l^1
-    at m = 0; so a run reads a slice of each.
-    """
+    """The rows of mode_components() grouped by degree, and the recurrence
+    steps that reach them."""
+    degrees: dict[int, list] = {}
+    for q, (family, l, m) in enumerate(entries):
+        degrees.setdefault(l, []).append((q, family == MAGNETIC, m))
     high = max([1] + [abs(m) for _, _, m in entries])
-    # Per row: (family, l, m, const_t, const_p); X_{l,-m} = (-1)^(m+1) conj(X_{l,m}).
-    rows = []
-    for family, l, m in entries:
-        if m >= 0:
-            const_t, const_p = 1, -1j
-        else:
-            sign = (-1) ** (-m + 1)
-            const_t, const_p = sign, sign * 1j
-        if family == MAGNETIC:
-            rows.append((family, l, m, const_t, const_p))
-        else:  # r_hat x X = (-X_phi, X_theta)
-            rows.append((family, l, m, -const_p, const_t))
-
-    runs: dict[int, list] = {}
-    q0 = 0
-    for q in range(1, len(rows) + 1):
-        if q < len(rows) and rows[q][:2] == rows[q - 1][:2] and rows[q][2] == rows[q - 1][2] + 1:
-            continue
-        family, l, m0 = rows[q0][:3]
-        # Every row of the full component has a constant (+-j); the other
-        # component's constants are 1, or -1 on every other row with m < 0.
-        full = 1 if family == MAGNETIC else 0
-        flips = [r for r in range(q0, q) if rows[r][4 - full] != 1]
-        runs.setdefault(l, []).append((
-            slice(q0, q),
-            slice(high + m0, high + m0 + q - q0),
-            slice(None) if family == MAGNETIC else slice(None, None, -1),
-            full,
-            np.array([[row[3 + full]] for row in rows[q0:q]], dtype=complex),
-            slice(flips[0], flips[-1] + 1, 2) if flips else None,
-        ))
-        q0 = q
-
-    zeros = {l for _, l, m in entries if m == 0}
-    degrees = {}
-    for l in sorted(runs):
-        n = math.sqrt(l * (l + 1))
-        ms = range(1, min(l, high) + 1)
-        degrees[l] = _Degree(
-            k=len(ms),
-            theta_scale=_column([-m / n for m in ms]),
-            c=_column([math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1)) for m in ms]),
-            n=n,
-            zero=l in zeros,
-            runs=tuple(runs[l]),
-        )
     return _Plan(
         high,
-        _raising(1, high, max(degrees, default=0)),
-        np.array([[1j * m] for m in range(1, high + 1)]),
-        len(rows),
-        degrees,
+        _raising(high, max(degrees, default=0)),
+        {l: tuple(degrees[l]) for l in sorted(degrees)},
     )
 
 
-def mode_components(entries, theta, phi, row_factor=None) -> tuple[np.ndarray, np.ndarray]:
+def _write(row: np.ndarray, real: np.ndarray, phase, const) -> None:
+    np.multiply(phase, real, out=row)
+    if const != 1:
+        row *= const
+
+
+def mode_components(entries, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """Theta and phi components of every mode at flat points, each of shape
     (len(entries), npts): X_{l,m} for magnetic entries, r_hat x X_{l,m} =
-    (-X_phi, X_theta) for electric ones, each row times row_factor[q] when
-    a (len(entries), 1) row_factor is given (the last product of the row,
-    taken while the row is still in cache).
+    (-X_phi, X_theta) for electric ones.
 
     With Pbar_l^m the orthonormal associated Legendre function (Condon-
     Shortley phase), x = cos(theta), s = sin(theta), n = sqrt(l(l+1)) and
@@ -335,53 +270,49 @@ def mode_components(entries, theta, phi, row_factor=None) -> tuple[np.ndarray, n
 
     and X_{l,-m} = (-1)^(m+1) conj(X_{l,m}).
 
-    The bookkeeping lives in the entries' plan (_plan, cached per entries
-    tuple). The recurrence makes one pass over the degrees, all orders at
-    once. At each degree the entries use, a few whole-array operations
-    give the real parts of every order, and each run of rows (one family,
-    one degree, consecutive orders) is written in place into the
-    preallocated output by one product, a slice of the phase table
-    exp(j m phi), m = -M..M, times a slice of the real parts, then scaled
-    by its per-row constants. The Python work per call grows with the
-    degrees and the runs, not with the modes, and the temporaries are
-    O(M npts).
+    The recurrence makes one pass over the degrees, all orders at once. At
+    each degree the entries use (_plan, cached per entries tuple), the
+    real parts of each order the rows read are formed once, and every row
+    is written as its phase exp(j m phi) times a real part, times its
+    constant.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     plan = _plan(tuple(entries))
-    out = np.empty((2, plan.n_rows, theta.size), dtype=complex)
-    if not plan.degrees:
-        return out[0], out[1]
+    out_t = np.empty((len(entries), theta.size), dtype=complex)
+    out_p = np.empty_like(out_t)
     x, s = np.cos(theta), np.sin(theta)
-    high = plan.high
-    phase = np.empty((2 * high + 1, theta.size), dtype=complex)
-    phase[high] = 1.0
-    np.exp(plan.phase_k * phi, out=phase[high + 1 :])
-    np.conjugate(phase[:high:-1], out=phase[:high])
-    parts = np.empty((2, 2 * high + 1, theta.size))  # column m + high
-    parts[0, high] = 0.0
-    for l, v, v_prev in _legendre_rows(x, s, 1, high, plan.steps):
-        degree = plan.degrees.get(l)
-        if degree is None:
+    phases = {0: 1.0}
+    for m in range(1, plan.high + 1):
+        phases[m] = np.exp(1j * m * phi)
+        phases[-m] = phases[m].conj()
+    for l, v, v_prev in _legendre_rows(x, s, plan.high, plan.steps):
+        rows = plan.degrees.get(l)
+        if rows is None:
             continue
-        k = degree.k
-        np.multiply(degree.theta_scale, v[:k], out=parts[0, high + 1 : high + k + 1])
-        x_phi = parts[1, high + 1 : high + k + 1]
-        np.multiply(l * x, v[:k], out=x_phi)
-        x_phi -= degree.c * v_prev[:k]
-        x_phi /= degree.n
-        if degree.zero:
-            np.multiply(s, v[0], out=parts[1, high])
-        parts[:, high - k : high] = parts[:, high + k : high : -1]
-        for rows, cols, order, full, const, flip in degree.runs:
-            block = out[:, rows]
-            np.multiply(phase[cols], parts[order, cols], out=block)
-            block[full] *= const
-            if flip is not None:
-                out[1 - full, flip] *= -1
-            if row_factor is not None:
-                block *= row_factor[rows]
-    return out[0], out[1]
+        n = math.sqrt(l * (l + 1))
+        parts = {}
+        for q, magnetic, m in rows:
+            k = abs(m)
+            if k not in parts:
+                if k == 0:
+                    parts[0] = np.zeros_like(s), s * v[1]
+                else:
+                    c = math.sqrt((2 * l + 1) * (l * l - k * k) / (2 * l - 1))
+                    parts[k] = (-k / n) * v[k], (l * x * v[k] - c * v_prev[k]) / n
+            real_t, real_p = parts[k]
+            if m >= 0:
+                const_t, const_p = 1, -1j
+            else:
+                sign = (-1) ** (k + 1)
+                const_t, const_p = sign, sign * 1j
+            if magnetic:
+                _write(out_t[q], real_t, phases[m], const_t)
+                _write(out_p[q], real_p, phases[m], const_p)
+            else:
+                _write(out_t[q], real_p, phases[m], -const_p)
+                _write(out_p[q], real_t, phases[m], const_t)
+    return out_t, out_p
 
 
 def _single_mode(family: str, mode, theta, phi) -> TangentVector:

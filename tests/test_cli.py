@@ -189,6 +189,22 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="under-resolves"):
                 fileio.parse_config(doc)
 
+    def test_grid_size_bound(self):
+        top = fileio.MAX_GRID
+        doc = {"mode_set": {"lambda_max": fileio.MAX_LAMBDA}}
+        assert fileio.parse_config(doc).n_theta == 416  # the default grid of MAX_LAMBDA
+        for n_theta, n_phi in [(top, top), (416, top), (top, 416)]:
+            doc["grid"] = {"n_theta": n_theta, "n_phi": n_phi}
+            cfg = fileio.parse_config(doc)
+            assert (cfg.n_theta, cfg.n_phi) == (n_theta, n_phi)
+        assert top == 832  # the doubled convergence check of the default grid
+        # Parsed only: SphereGrid(100000, ...) would ask leggauss for 80 GB.
+        for name, value in [("n_theta", top + 1), ("n_phi", top + 1),
+                            ("n_theta", 100000), ("n_phi", 10**30)]:
+            doc["grid"] = {"n_theta": 416, "n_phi": 416, name: value}
+            with pytest.raises(ConfigError, match=rf"^{name} = {value} is outside \[0, 832\]$"):
+                fileio.parse_config(doc)
+
     @pytest.mark.parametrize("normalization", BAD_RESISTANCE_NORMALIZATIONS)
     def test_resistance_normalization_needs_a_positive_numeric_target(self, normalization):
         doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -512,6 +528,8 @@ class TestCommands:
             {"chamber": {**SMALL_CONFIG["chamber"], "sigma_rho": "0.001"}},
             {"mode_set": {**SMALL_CONFIG["mode_set"], "lambda_max": 3.5}},
             {"grid": {"n_theta": 28.5, "n_phi": 28}},
+            {"grid": {"n_theta": fileio.MAX_GRID + 1, "n_phi": 28}},
+            {"grid": {"n_theta": 28, "n_phi": fileio.MAX_GRID + 1}},
             *IMPOSSIBLE_SHAPES.values(),
         ],
         ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
@@ -524,7 +542,7 @@ class TestCommands:
              "test-current-1e-300", "test-current--1e21", "ref-current-nan",
              "ref-current-1e160", "ref-current-text", "n-probes-10.9", "n-probes-bool",
              "seeds-2.7", "seed-2.7", "sigma-text", "lambda-max-3.5", "n-theta-28.5",
-             *IMPOSSIBLE_SHAPES],
+             "n-theta-833", "n-phi-833", *IMPOSSIBLE_SHAPES],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
         cfg_path = write_config(tmp_path, overrides)
@@ -886,6 +904,25 @@ class TestPerAntennaPath:
                               (i * golden) % (2.0 * math.pi), cfg.test_current)
             cli._reconstruct_test(paper_setup, spec)
         assert counts == {"cond": 0, "solve": 16, "channel": 0}
+
+    def test_basis_is_evaluated_for_the_grid_only(self, paper_config, monkeypatch):
+        # Set-up evaluates the basis once, on the grid's nodes; a warm
+        # reconstruction reads cached tables and evaluates none.
+        points = []
+        original = farfield.mode_components
+
+        def spy(entries, theta, phi):
+            points.append(np.size(theta))
+            return original(entries, theta, phi)
+
+        monkeypatch.setattr(farfield, "mode_components", spy)
+        setup = cli.build_setup(paper_config)
+        assert points == [setup.grid.theta_mesh.size] == [784]
+        cfg = setup.config
+        cli._reconstruct_test(setup, DipoleSpec(cfg.test_length, 0.3, 1.1, cfg.test_current))
+        points.clear()
+        cli._reconstruct_test(setup, DipoleSpec(cfg.test_length, 2.2, 4.0, cfg.test_current))
+        assert points == []
 
     def test_build_setup_solves_the_channel_once(self, monkeypatch):
         calls = []

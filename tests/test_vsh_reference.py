@@ -1,4 +1,4 @@
-"""The plan-based basis evaluators against the per-row implementation they
+"""The basis evaluators against the per-order implementation they
 replaced, compared byte for byte (signed zeros included).
 
 The reference below is the earlier mode_components() and
@@ -8,10 +8,11 @@ and mode_basis() as that mode_components() times j^(l+1) afterwards.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipat.farfield import mode_basis
+from multipat.farfield import SphereGrid, default_grid, mode_basis
 from multipat.vsh import (
     MAGNETIC,
     MULTIPOLE_FILTERS,
@@ -125,14 +126,35 @@ def _assert_same_bytes(ours, reference):
 
 
 angles = st.floats(0.0, math.pi)
-# 1-point sets (a pole or not) and 9-point sets, the size of a peak-search
-# stencil, that hold both poles.
+phis = st.floats(-2 * math.pi, 4 * math.pi)
+
+
+def _with_phis(thetas):
+    return st.tuples(st.just(thetas), st.lists(phis, min_size=len(thetas), max_size=len(thetas)))
+
+
+def _table_nodes(degree):
+    # The nodes theta_j = 2 pi j / (2L + 1) that farfield._theta_fourier samples.
+    n = 2 * degree + 1
+    return list(2.0 * np.pi * np.arange(n) / n)
+
+
+def _grid_mesh(n_theta, n_phi):
+    grid = SphereGrid(n_theta, n_phi)
+    return list(grid.theta_mesh.ravel()), list(grid.phi_mesh.ravel())
+
+
+# 1-point sets (a pole or not); 9-point sets, the size of a peak-search
+# stencil, that hold both poles; angles past pi, where the theta-Fourier
+# table samples, and its own nodes; and a quadrature grid's flattened mesh.
 points = st.one_of(
-    st.tuples(st.one_of(st.sampled_from([0.0, math.pi]), angles)).map(list),
-    st.lists(angles, min_size=7, max_size=7).map(lambda ts: [0.0, math.pi] + ts),
-).flatmap(lambda ts: st.tuples(
-    st.just(ts), st.lists(st.floats(-2 * math.pi, 4 * math.pi), min_size=len(ts), max_size=len(ts))
-))
+    st.tuples(st.one_of(st.sampled_from([0.0, math.pi]), angles)).map(list).flatmap(_with_phis),
+    st.lists(angles, min_size=7, max_size=7).map(lambda ts: [0.0, math.pi] + ts).flatmap(_with_phis),
+    st.lists(st.floats(math.pi, 2 * math.pi, exclude_min=True), min_size=1, max_size=9)
+    .flatmap(_with_phis),
+    st.integers(1, 12).map(_table_nodes).flatmap(_with_phis),
+    st.tuples(st.integers(2, 12), st.integers(2, 25)).map(lambda n: _grid_mesh(*n)),
+)
 mode_sets = st.builds(
     build_mode_set,
     st.integers(1, 12),
@@ -176,3 +198,16 @@ def test_any_ordered_subset_of_modes_matches_the_reference(entries, pts):
     modes = [(l, m) for _, l, m in entries]
     _assert_same_bytes(spherical_harmonics(modes, theta, phi),
                        reference_spherical_harmonics(modes, theta, phi))
+
+
+@pytest.mark.parametrize("parity", PARITY_FILTERS)
+@pytest.mark.parametrize("multipole", MULTIPOLE_FILTERS)
+@pytest.mark.parametrize("lambda_max", [1, 3, 5, 12])
+def test_table_nodes_and_default_grid_match_the_reference(lambda_max, parity, multipole):
+    ms = build_mode_set(lambda_max, parity, multipole)
+    nodes = np.array(_table_nodes(lambda_max))
+    grid = default_grid(lambda_max)
+    for theta, phi in [(nodes, np.zeros_like(nodes)), (nodes, nodes),
+                       (grid.theta_mesh.ravel(), grid.phi_mesh.ravel())]:
+        for ours, reference in zip(mode_basis(ms, theta, phi), reference_mode_basis(ms, theta, phi)):
+            _assert_same_bytes(ours, reference)

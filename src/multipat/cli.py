@@ -6,10 +6,10 @@ seeds, reference orientations, and the optimizer are all deterministic, so
 two runs produce identical outputs apart from the report timestamp.
 
 The set-up's reference amplitude matrix A_R is the closed form
-planner.dipole_coefficient_matrix, the builder the orientation optimizer
-scores on the same config grid: one decomposition of the upright reference
-dipole, rotated. Its reference voltage matrix V_R comes from one batched
-dipole.dipole_field call over the whole reference set, then one
+planner.dipole_coefficient_matrix, on the config grid the orientation
+optimizer reports its values from: one decomposition of the upright
+reference dipole, rotated. Its reference voltage matrix V_R comes from one
+batched dipole.dipole_field call over the whole reference set, then one
 chamber.probe_voltages call, per candidate chamber. Both write their
 intermediates into one workspace that select_chamber allocates for the
 selection and frees when it returns, so every candidate reuses the same

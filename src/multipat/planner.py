@@ -5,12 +5,14 @@ good is a particular calibration set or chamber at resolving them? The
 optimizer is a plain Nelder-Mead simplex over reference orientations with
 a budgeted evaluation count and a monotone best-so-far trace.
 
-dipole_coefficient_matrix builds the reference amplitude matrix in closed
-form from one quadrature decomposition of the upright dipole. It is what
-the optimizer scores, decomposing once per run, and the set-up's
-calibration matrix (cli.build_setup). Each optimizer evaluation is then
-one spherical-harmonic recurrence over all orientations at once and one
-SVD of the modes x references matrix; no per-orientation quadrature runs.
+dipole_coefficient_matrix builds the reference amplitude matrix A_R in
+closed form from one quadrature decomposition of the upright dipole; it is
+the set-up's calibration matrix (cli.build_setup). The optimizer ranks its
+candidates by the addition theorem instead: A_R^H A_R is the real
+references x references Gram matrix sum_l p_l P_l(a_i . a_j) of the
+reference axes, so each evaluation is one Legendre series and one
+symmetric eigenproblem. The values it reports are those of
+dipole_coefficient_matrix at the recorded points.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dipole, farfield
-from .vsh import ModeSet, spherical_harmonics
+from .vsh import ELECTRIC, ModeSet, spherical_harmonics
 
 
 def mode_count(lambda_max: int) -> int:
@@ -106,8 +108,8 @@ def wrap_orientation(theta: float, phi: float) -> tuple[float, float]:
     y = math.sin(theta) * math.sin(phi)
     z = math.cos(theta)
     t = math.acos(max(-1.0, min(1.0, z)))
-    p = math.atan2(y, x) % (2.0 * math.pi)
-    return t, p
+    p = math.atan2(y, x) % (2.0 * math.pi)  # a tiny negative angle rounds to 2 pi
+    return t, (0.0 if p == 2.0 * math.pi else p)
 
 
 def fibonacci_orientations(n: int) -> list[tuple[float, float]]:
@@ -216,20 +218,19 @@ def nelder_mead(fun, x0: np.ndarray, budget: int):
     if budget <= 0:
         return best_x, best_f, trace, evals
 
-    simplex = [x0.copy()]
-    fvals = [f0]
+    simplex = np.empty((n + 1, n))
+    fvals = np.empty(n + 1)
+    simplex[0], fvals[0] = x0, f0
     for i in range(n):
         if evals >= budget:
             return best_x, best_f, trace, evals
-        xi = x0.copy()
-        xi[i] += _SIMPLEX_STEP
-        simplex.append(xi)
-        fvals.append(call(xi))
+        simplex[i + 1] = x0
+        simplex[i + 1, i] += _SIMPLEX_STEP
+        fvals[i + 1] = call(simplex[i + 1])
 
     while evals < budget:
         order = np.argsort(fvals)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
+        simplex, fvals = simplex[order], fvals[order]
         spread = fvals[-1] - fvals[0]
         if spread <= _SIMPLEX_FTOL_REL * max(abs(fvals[0]), 1e-300):
             break
@@ -288,20 +289,31 @@ def optimize_reference_orientations(
 ) -> OptimizationResult:
     """Locally optimize reference-antenna orientations.
 
-    Every evaluation scores dipole_coefficient_matrix, looked up in this
-    module when called, over mode_set for dipoles of the given length, with
-    the upright dipole decomposed once per run on grid (default:
-    farfield.default_grid); the set-up passes its config grid, so the
-    optimizer scores the A_R the calibration uses.
-    The objective is scale-free, so the reference current and the
-    wavenumber do not enter. Objectives: "cond-A" (condition number) or
-    "capacity" (-det(M M^H)). Angles float freely during the search and are
-    wrapped to the canonical ranges for every evaluation, so no boundary
-    clipping distorts the simplex.
+    Objectives: "cond-A" or "capacity" (-det(A A^H)) of the modes x
+    references matrix A = dipole_coefficient_matrix over mode_set for
+    dipoles of the given length; both are scale-free, so the reference
+    current and the wavenumber do not enter. The upright dipole is
+    decomposed once per run on grid (default: farfield.default_grid); the
+    set-up passes its config grid, so the values are those of its A_R.
+
+    The search ranks its points by the addition theorem: with a_i the axis
+    of reference i and p_l the upright dipole's power in degree l,
+    A^H A = sum_l p_l P_l(a_i . a_j), whose top mode_set.size eigenvalues
+    are the squared singular values of A. An evaluation is that Legendre
+    series on the axes' Gram matrix and one eigvalsh; the angles float
+    freely. Each best-so-far point is then scored once through
+    dipole_coefficient_matrix, looked up in this module when called, at
+    its wrapped orientation: those are the trace and objective values.
+
+    A centre-fed dipole radiates only odd-degree electric modes, so a
+    mode set with a magnetic or even-degree mode leaves A_R singular at
+    every orientation: the search is skipped with a warning, and the start
+    is returned with its score after zero evaluations.
     """
     orientations = [(float(t), float(p)) for t, p in initial]
-    if len(orientations) < mode_set.size:
-        raise ValueError(f"{len(orientations)} orientations cannot span {mode_set.size} modes")
+    n = len(orientations)
+    if n < mode_set.size:
+        raise ValueError(f"{n} orientations cannot span {mode_set.size} modes")
     if objective == "cond-A":
         score = lambda m: float(np.linalg.cond(m))
     elif objective == "capacity":
@@ -312,11 +324,38 @@ def optimize_reference_orientations(
     upright = _upright_column(mode_set, length, grid=grid)
 
     def unpack(x):
-        return [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(orientations))]
+        return [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(n)]
 
-    def fun(x):
+    def exact(x):
         return score(dipole_coefficient_matrix(unpack(x), mode_set, length, upright=upright))
 
     x0 = np.array([a for pair in orientations for a in pair], dtype=float)
-    best_x, best_f, trace, evals = nelder_mead(fun, x0, budget=budget)
-    return OptimizationResult(unpack(best_x), best_f, trace, evals)
+    if any(family != ELECTRIC or l % 2 == 0 for family, l, _ in mode_set.entries):
+        warnings.warn("the mode set has magnetic or even-degree modes, which a centre-fed "
+                      "dipole does not radiate: A_R is singular at every orientation, so "
+                      "the orientation search is skipped")
+        return OptimizationResult(unpack(x0), *nelder_mead(exact, x0, budget=0)[1:])
+
+    # Each of the 2l + 1 rows of degree l carries |c_{l,0}|^2 4 pi / (2l + 1).
+    powers = np.bincount([l for _, l, _ in mode_set.entries], abs(upright) ** 2) / (4 * math.pi)
+    points, best = [], math.inf  # nelder_mead's trace rule, keeping the points
+
+    def gram(x):
+        nonlocal best
+        theta, phi = x[0::2], x[1::2]
+        sin_theta = np.sin(theta)
+        axes = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)])
+        top = np.linalg.eigvalsh(np.polynomial.legendre.legval(axes.T @ axes, powers))
+        top = top[n - mode_set.size:]
+        if objective == "capacity":
+            f = -float(np.prod(top))
+        else:
+            f = math.sqrt(top[-1] / top[0]) if top[0] > 0.0 else math.inf
+        if f < best:
+            best = f
+            points.append(x.copy())
+        return f
+
+    best_x, _, trace, evals = nelder_mead(gram, x0, budget=budget)
+    trace = [(used, exact(x)) for (used, _), x in zip(trace, points)]
+    return OptimizationResult(unpack(best_x), trace[-1][1] if trace else math.inf, trace, evals)

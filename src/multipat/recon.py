@@ -3,11 +3,11 @@
 The chamber is calibrated from reference antennas with known mode
 amplitudes: calibrate pairs their amplitude matrix A_R with their probe
 voltage matrix V_R. The pipeline builds A_R in closed form
-(planner.dipole_coefficient_matrix, the same builder the orientation
-optimizer scores). An unknown antenna's amplitudes are then recovered from
-its probe voltages by direct inversion, by reference-voltage weights, or by
-a real-weight least-square fit. All linear algebra acts on unscaled
-amplitude vectors (VshCoefficients.to_amplitude_vector); returned
+(planner.dipole_coefficient_matrix, the builder the orientation optimizer
+reports its values from). An unknown antenna's amplitudes are then
+recovered from its probe voltages by direct inversion, by reference-voltage
+weights, or by a real-weight least-square fit. All linear algebra acts on
+unscaled amplitude vectors (VshCoefficients.to_amplitude_vector); returned
 coefficient sets always satisfy the +-m conjugation constraint exactly.
 
 The condition numbers of A_R, V_R and the channel T are taken once, when

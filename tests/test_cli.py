@@ -791,19 +791,52 @@ class TestCommands:
             references={"count": 3},
             chamber={"n_probes": 3, "n_paths": 3},
         )
-        calls = []
-        original = planner.dipole_coefficient_matrix
+        calls, matrices = [], []
+        search, builder = planner.nelder_mead, planner.dipole_coefficient_matrix
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted_search(fun, x0, budget):
+            def counted(x):
+                calls.append(x)
+                return fun(x)
+            return search(counted, x0, budget)
 
-        monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted)
-        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+        def counted_builder(*args, **kwargs):
+            matrices.append(args)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "nelder_mead", counted_search)
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted_builder)
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out),
                          "--budget", "1000"]) == 0
         used = len(calls) - 1  # the baseline evaluation is not counted
         assert 0 < used < 1000
         assert f"after {used} of 1000 evaluations" in capsys.readouterr().out
+        # The builder scores each best-so-far point of the trace once.
+        trace = (out / "optimize_trace.csv").read_text().splitlines()[1:]
+        assert len(matrices) == len(trace) > 1
+
+    def test_optimize_skips_a_singular_mode_set(self, tmp_path):
+        # A centre-fed dipole radiates no magnetic or even-degree mode, so
+        # no orientation makes this A_R invertible: one warning, no search.
+        cfg_path = write_config(
+            tmp_path,
+            mode_set={"lambda_max": 2, "parity": "all", "multipole": "both"},
+            references={"count": 16},
+            chamber={"n_probes": 16, "n_paths": 16},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "multipat.cli", "optimize", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--budget", "40"],
+            capture_output=True, text=True, env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: the mode set has magnetic")
+        assert "after 0 of 40 evaluations" in proc.stdout
+        doc = fileio.read_json(tmp_path / "out" / "orientations.json")
+        assert doc["orientations"] == [list(planner.wrap_orientation(t, p))
+                                       for t, p in planner.fibonacci_orientations(16)]
 
     @pytest.mark.parametrize("command", ["simulate", "reconstruct", "decompose"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -1151,6 +1184,24 @@ class TestClosedFormReferences:
         monkeypatch.setattr(farfield, "decompose", counted)
         cli.build_setup(fileio.parse_config(SMALL_CONFIG))
         assert len(calls) == 1
+
+    def test_paper_setup_scores_only_the_trace(self, paper_config, monkeypatch):
+        # The optimizer builds A_R once per best-so-far point and the set-up
+        # once more; each decomposes the upright dipole once.
+        calls = {"matrix": 0, "decompose": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
+                            counted("matrix", planner.dipole_coefficient_matrix))
+        monkeypatch.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
+        setup = cli.build_setup(paper_config)
+        assert calls == {"matrix": len(setup.optimization.trace) + 1, "decompose": 2}
+        assert calls["matrix"] == 174
 
     def test_cond_a_is_the_optimizer_objective(self, paper_config, paper_setup):
         result = planner.optimize_reference_orientations(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multipat import farfield, planner
 from multipat.dipole import DipoleSpec
@@ -137,6 +139,24 @@ class TestWrapAndSeeds:
         t, p = wrap_orientation(np.pi + 0.2, 1.0)
         assert t == pytest.approx(np.pi - 0.2)
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    @example(1.0, 2.0 * math.pi)
+    @example(1.0, -1e-17)
+    @example(1e-9, 1.0)
+    def test_wrap_keeps_the_axis_in_the_canonical_ranges(self, theta, phi):
+        t, p = wrap_orientation(theta, phi)
+        assert 0.0 <= t <= math.pi and 0.0 <= p < 2.0 * math.pi
+
+        def axis(t, p):
+            return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
+
+        error = np.max(np.abs(axis(t, p) - axis(theta, phi)))
+        # acos magnifies the rounding of cos(theta) by 1 / sin(theta) near the poles.
+        assert error * abs(math.sin(theta)) <= 1e-15
+        if abs(math.sin(theta)) >= 0.1:
+            assert error <= 1e-15
+
     def test_fibonacci_upper_hemisphere(self):
         pts = fibonacci_orientations(10)
         assert len(pts) == 10
@@ -251,27 +271,33 @@ class TestOptimizeOrientations:
         )
         assert orthogonal <= best + 1e-9
 
-    def test_closed_form_follows_the_quadrature_optimizer(self, monkeypatch):
+    def test_closed_form_follows_the_quadrature_optimizer(self):
+        # The same simplex scored by a per-orientation quadrature of every
+        # reference makes the same moves.
         ms = build_mode_set(3, "odd", "electric")
         init = fibonacci_orientations(10)
         closed = optimize_reference_orientations(init, mode_set=ms, budget=200)
-        # The optimizer scores planner.dipole_coefficient_matrix; put the
-        # per-orientation quadrature in its place.
-        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
-                            lambda pairs, mode_set, length, upright: quadrature_matrix(
-                                pairs, mode_set, length))
-        quad = optimize_reference_orientations(init, mode_set=ms, budget=200)
-        assert closed.orientations == quad.orientations
-        assert [n for n, _ in closed.trace] == [n for n, _ in quad.trace]
+
+        def unpack(x):
+            return [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(init))]
+
+        x0 = np.array([a for pair in init for a in pair])
+        best_x, _, trace, evals = nelder_mead(
+            lambda x: float(np.linalg.cond(quadrature_matrix(unpack(x), ms))), x0, 200)
+        assert closed.orientations == unpack(best_x)
+        assert [n for n, _ in closed.trace] == [n for n, _ in trace]
+        assert closed.evaluations == evals
 
     def test_upright_dipole_decomposed_once_per_run(self, monkeypatch):
+        # The builder scores each best-so-far point once, and the upright
+        # dipole is decomposed once per run.
         ms = build_mode_set(3, "odd", "electric")
         init = fibonacci_orientations(10)
         original = planner.dipole_coefficient_matrix
         evaluations = []
 
         def per_evaluation(pairs, mode_set, length, upright):
-            # Decomposes the upright dipole again on every evaluation.
+            # Decomposes the upright dipole again on every call.
             evaluations.append(pairs)
             return original(pairs, mode_set, length)
 
@@ -289,9 +315,29 @@ class TestOptimizeOrientations:
         monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted("matrix", original))
         monkeypatch.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
         hoisted = optimize_reference_orientations(init, mode_set=ms, budget=60)
-        assert calls == {"matrix": len(evaluations), "decompose": 1}
+        assert calls == {"matrix": len(hoisted.trace), "decompose": 1}
+        assert len(evaluations) == len(reference.trace) > 1
         assert hoisted.orientations == reference.orientations
         assert hoisted.trace == reference.trace
+
+    @pytest.mark.parametrize("mode_set", [
+        build_mode_set(2), build_mode_set(4, "all", "electric"), build_mode_set(3, "odd", "magnetic"),
+    ], ids=["L2-all-both", "L4-all-electric", "L3-odd-magnetic"])
+    def test_singular_mode_set_skips_the_search(self, mode_set, monkeypatch):
+        # A centre-fed dipole radiates none of these sets' magnetic or
+        # even-degree modes: the start comes back, scored, after no evaluation.
+        init = fibonacci_orientations(mode_set.size + 1)
+        wrapped = [wrap_orientation(t, p) for t, p in init]
+        start = float(np.linalg.cond(dipole_coefficient_matrix(wrapped, mode_set)))
+        monkeypatch.setattr(planner, "nelder_mead", lambda fun, x0, budget: pytest.fail("searched")
+                            if budget else nelder_mead(fun, x0, budget))
+        with pytest.warns(UserWarning) as record:
+            result = optimize_reference_orientations(init, mode_set=mode_set, budget=100)
+        assert len(record) == 1
+        assert "search is skipped" in str(record[0].message) and "\n" not in str(record[0].message)
+        assert result.orientations == wrapped
+        assert result.objective_value == start and result.evaluations == 0
+        assert result.trace == ([(0, start)] if start < math.inf else [])
 
     def test_capacity_objective_route(self):
         ms = build_mode_set(1, multipole="electric")

@@ -10,8 +10,8 @@ closed form from one quadrature decomposition of the upright dipole; it is
 the set-up's calibration matrix (cli.build_setup). The optimizer ranks its
 candidates by the addition theorem instead: A_R^H A_R is the real
 references x references Gram matrix sum_l p_l P_l(a_i . a_j) of the
-reference axes, so each evaluation is one Legendre series and one
-symmetric eigenproblem. The values it reports are those of
+reference axes, so a well-conditioned evaluation is one Legendre series
+and one symmetric eigenproblem. The values it reports are those of
 dipole_coefficient_matrix at the recorded points.
 """
 from __future__ import annotations
@@ -182,6 +182,7 @@ def dipole_coefficient_matrix(
 
 _SIMPLEX_STEP = 0.25  # initial simplex edge along each axis (rad for angles)
 _SIMPLEX_FTOL_REL = 1e-6  # relative objective spread that ends the search
+_GRAM_RATIO_MIN = 1e-4  # Gram lambda_min / lambda_max under which (cond > 100) A_R is built
 
 
 def nelder_mead(fun, x0: np.ndarray, budget: int):
@@ -301,9 +302,11 @@ def optimize_reference_orientations(
     A^H A = sum_l p_l P_l(a_i . a_j), whose top mode_set.size eigenvalues
     are the squared singular values of A. An evaluation is that Legendre
     series on the axes' Gram matrix and one eigvalsh; the angles float
-    freely. Each best-so-far point is then scored once through
-    dipole_coefficient_matrix, looked up in this module when called, at
-    its wrapped orientation: those are the trace and objective values.
+    freely. The eigenvalues' rounding grows as eps cond(A)^2, about 1e-12
+    relative at cond(A) = 100; a worse point, and each best-so-far point
+    once at the end, is scored through dipole_coefficient_matrix, looked up
+    in this module when called, at its wrapped orientation. The trace keeps
+    the points whose score beats all before, so it falls strictly from the start.
 
     A centre-fed dipole radiates only odd-degree electric modes, so a
     mode set with a magnetic or even-degree mode leaves A_R singular at
@@ -338,24 +341,22 @@ def optimize_reference_orientations(
 
     # Each of the 2l + 1 rows of degree l carries |c_{l,0}|^2 4 pi / (2l + 1).
     powers = np.bincount([l for _, l, _ in mode_set.entries], abs(upright) ** 2) / (4 * math.pi)
-    points, best = [], math.inf  # nelder_mead's trace rule, keeping the points
+    xs = []  # every evaluated point
 
     def gram(x):
-        nonlocal best
+        xs.append(x.copy())
         theta, phi = x[0::2], x[1::2]
         sin_theta = np.sin(theta)
         axes = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)])
-        top = np.linalg.eigvalsh(np.polynomial.legendre.legval(axes.T @ axes, powers))
-        top = top[n - mode_set.size:]
-        if objective == "capacity":
-            f = -float(np.prod(top))
-        else:
-            f = math.sqrt(top[-1] / top[0]) if top[0] > 0.0 else math.inf
-        if f < best:
-            best = f
-            points.append(x.copy())
-        return f
+        gram_matrix = np.polynomial.legendre.legval(axes.T @ axes, powers)
+        top = np.linalg.eigvalsh(gram_matrix)[n - mode_set.size:]
+        if not top[0] > _GRAM_RATIO_MIN * top[-1]:  # also a singular or NaN spectrum
+            return exact(x)
+        return -float(np.prod(top)) if objective == "capacity" else math.sqrt(top[-1] / top[0])
 
-    best_x, _, trace, evals = nelder_mead(gram, x0, budget=budget)
-    trace = [(used, exact(x)) for (used, _), x in zip(trace, points)]
-    return OptimizationResult(unpack(best_x), trace[-1][1] if trace else math.inf, trace, evals)
+    _, _, trace, evals = nelder_mead(gram, x0, budget=budget)
+    kept = [(0, math.inf)]  # the exact trace; xs[0] is the start
+    for used, _ in trace:
+        if (f := exact(xs[used])) < kept[-1][1]:
+            kept.append((used, f))
+    return OptimizationResult(unpack(xs[kept[-1][0]]), kept[-1][1], kept[1:], evals)

@@ -1186,9 +1186,11 @@ class TestClosedFormReferences:
         assert len(calls) == 1
 
     def test_paper_setup_scores_only_the_trace(self, paper_config, monkeypatch):
-        # The optimizer builds A_R once per best-so-far point and the set-up
-        # once more; each decomposes the upright dipole once.
-        calls = {"matrix": 0, "decompose": 0}
+        # The optimizer builds A_R at each search point of cond(A_R) > 100
+        # and once per best-so-far point, the set-up once more; each run
+        # decomposes the upright dipole once.
+        calls, points = {"matrix": 0, "decompose": 0}, []
+        search, builder = planner.nelder_mead, planner.dipole_coefficient_matrix
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1196,12 +1198,23 @@ class TestClosedFormReferences:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(planner, "dipole_coefficient_matrix",
-                            counted("matrix", planner.dipole_coefficient_matrix))
+        def spied_search(fun, x0, budget):
+            def spied(x):
+                points.append(x.copy())
+                return fun(x)
+            return search(spied, x0, budget)
+
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted("matrix", builder))
         monkeypatch.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
+        monkeypatch.setattr(planner, "nelder_mead", spied_search)
         setup = cli.build_setup(paper_config)
-        assert calls == {"matrix": len(setup.optimization.trace) + 1, "decompose": 2}
-        assert calls["matrix"] == 174
+        counted_calls = dict(calls)
+        ill = sum(np.linalg.cond(builder(
+            [planner.wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(x) // 2)],
+            paper_config.mode_set(), paper_config.ref_length)) > 100 for x in points)
+        assert len(points) == 1501 and ill == 1  # one point of the start's simplex
+        assert counted_calls == {"matrix": len(setup.optimization.trace) + 1 + ill, "decompose": 2}
+        assert counted_calls["matrix"] == 175
 
     def test_cond_a_is_the_optimizer_objective(self, paper_config, paper_setup):
         result = planner.optimize_reference_orientations(

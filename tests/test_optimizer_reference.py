@@ -4,17 +4,18 @@ The reference below is the earlier optimize_reference_orientations: a
 Nelder-Mead simplex kept in Python lists, every evaluation scored by
 np.linalg.cond (or capacity_objective) of dipole_coefficient_matrix at the
 wrapped orientations. The optimizer now ranks its points by the Gram
-matrix of the addition theorem and scores only its best-so-far points
-through dipole_coefficient_matrix. The Gram score is the exact one to
-rounding that grows as eps cond(A_R)^2, so from a well-conditioned start of
-an odd-electric mode set both searches make the same comparisons and
-return the same result: orientations, trace, objective and evaluations.
+matrix of the addition theorem where cond(A_R) <= 100, and through
+dipole_coefficient_matrix elsewhere and at its best-so-far points. The Gram
+score is the exact one to rounding that grows as eps cond(A_R)^2, about
+1e-12 relative at 100, so from any start of an odd-electric mode set both
+searches make the same comparisons and return the same result:
+orientations, trace, objective and evaluations.
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multipat import farfield, planner
@@ -29,7 +30,6 @@ from multipat.vsh import build_mode_set
 
 STEP, FTOL_REL = 0.25, 1e-6  # the simplex edge and the relative spread that ends it
 GRAM_REL_TOL = 1e-10
-START_COND_MAX = 1e3  # the well-conditioned starts: eps cond^2 stays far below GRAM_REL_TOL
 
 
 def reference_nelder_mead(fun, x0, budget):
@@ -132,40 +132,28 @@ def reference_optimize(initial, mode_set, objective, budget, length, grid=None):
     return OptimizationResult(unpack(best_x), best_f, trace, evals)
 
 
-def well_conditioned_start(mode_set, n, length, seed):
-    """The first of 50 random upper-hemisphere starts of n references with
-    cond(A_R) < START_COND_MAX, or None."""
-    upright = planner._upright_column(mode_set, length)
+def random_start(n, seed):
+    """n random upper-hemisphere reference axes."""
     rng = np.random.default_rng(seed)
-    for _ in range(50):
-        initial = [(float(np.arccos(rng.uniform(0.0, 1.0))), float(rng.uniform(0.0, 2 * np.pi)))
-                   for _ in range(n)]
-        matrix = dipole_coefficient_matrix(initial, mode_set, length, upright=upright)
-        if np.linalg.cond(matrix) < START_COND_MAX:
-            return initial
-    return None
+    return [(float(np.arccos(rng.uniform(0.0, 1.0))), float(rng.uniform(0.0, 2 * np.pi)))
+            for _ in range(n)]
 
 
 @st.composite
 def optimizer_cases(draw):
     """An odd-electric mode set of degree 1, 3 or 5, k to k + 3 references of
-    one length in [0.25, 1.5] from a random start of cond(A_R) <
-    START_COND_MAX, either objective and a budget of 0 to 1500 evaluations.
-    Short dipoles put so little power in the top degree that some sets
-    have no such start among 50 draws; those cases are rejected."""
+    one length in [0.1, 1.5] from a random start, either objective and a
+    budget of 0 to 1500 evaluations. Short dipoles put so little power in
+    the top degree that many starts have cond(A_R) far above 100."""
     mode_set = build_mode_set(draw(st.sampled_from([5, 3, 1])), "odd", "electric")
     n = mode_set.size + draw(st.integers(0, 3))
-    length = draw(st.floats(0.25, 1.5))
-    initial = well_conditioned_start(mode_set, n, length, draw(st.integers(0, 2**32 - 1)))
-    assume(initial is not None)
+    length = draw(st.floats(0.1, 1.5))
+    initial = random_start(n, draw(st.integers(0, 2**32 - 1)))
     budget = draw(st.sampled_from([1500, 0, 1]) | st.integers(0, 1500))
     return initial, mode_set, draw(st.sampled_from(["cond-A", "capacity"])), budget, length
 
 
 def assert_same_result(initial, mode_set, objective, budget, length):
-    upright = planner._upright_column(mode_set, length)
-    start = dipole_coefficient_matrix(initial, mode_set, length, upright=upright)
-    assert np.linalg.cond(start) < START_COND_MAX
     reference = reference_optimize(initial, mode_set, objective, budget, length)
     assert optimize_reference_orientations(initial, mode_set, objective, budget, length) == reference
 
@@ -176,13 +164,34 @@ def test_same_result_as_the_exact_search(case):
     assert_same_result(*case)
 
 
-# Full budgets at the largest degree, which the drawn cases reach rarely.
+# Full budgets at the largest degree, which the drawn cases reach rarely:
+# the first two start at cond 410 and 516 and end below 100; the others
+# start above 1e8 and end above 1e6.
 @pytest.mark.parametrize("objective", ["cond-A", "capacity"])
-@pytest.mark.parametrize("n, length, seed", [(21, 1.5, 1), (24, 1.0, 2)])
+@pytest.mark.parametrize("n, length, seed", [(21, 1.5, 1), (24, 1.0, 2), (21, 0.1, 3), (35, 0.01, 4)])
 def test_same_result_at_degree_5(n, length, seed, objective):
     mode_set = build_mode_set(5, "odd", "electric")
-    assert_same_result(well_conditioned_start(mode_set, n, length, seed), mode_set, objective,
-                       1500, length)
+    assert_same_result(random_start(n, seed), mode_set, objective, 1500, length)
+
+
+@pytest.mark.parametrize("lambda_max, n, length", [(5, 21, 0.1), (5, 35, 0.01), (3, 10, 0.001)])
+def test_ill_conditioned_start_improves_strictly(lambda_max, n, length):
+    # Far above cond 100 the Gram eigenvalues are rounding noise; the search
+    # still moves, its exact trace falls strictly from the start, and the
+    # objective is the exact score of the orientations returned.
+    mode_set = build_mode_set(lambda_max, "odd", "electric")
+    initial = planner.fibonacci_orientations(n)
+    upright = planner._upright_column(mode_set, length)
+    wrapped = [wrap_orientation(t, p) for t, p in initial]
+    start = np.linalg.cond(dipole_coefficient_matrix(wrapped, mode_set, length, upright=upright))
+    assert start > 1e5
+    result = optimize_reference_orientations(initial, mode_set, "cond-A", 300, length)
+    values = [f for _, f in result.trace]
+    assert result.evaluations == 300 and len(values) > 1
+    assert values[0] == start and all(a > b for a, b in zip(values, values[1:]))
+    assert result.objective_value == values[-1] < start
+    assert result.objective_value == np.linalg.cond(
+        dipole_coefficient_matrix(result.orientations, mode_set, length, upright=upright))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -207,16 +216,11 @@ def test_gram_score_matches_the_exact_score(case):
         planner.nelder_mead = search
     upright = planner._upright_column(mode_set, length)
     score = exact_score(objective)
-    checked = 0
     for x, gram in seen[:: max(1, len(seen) // 40)]:
-        matrix = dipole_coefficient_matrix(
+        exact = score(dipole_coefficient_matrix(
             [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(initial))], mode_set, length,
-            upright=upright)
-        if np.linalg.cond(matrix) < START_COND_MAX:
-            exact = score(matrix)
-            assert abs(gram - exact) <= GRAM_REL_TOL * abs(exact), (gram, exact)
-            checked += 1
-    assert checked >= 1  # the start is always among them
+            upright=upright))
+        assert gram == exact or abs(gram - exact) <= GRAM_REL_TOL * abs(exact), (gram, exact)
 
 
 def test_paper_run_is_pinned(paper_config, paper_setup):

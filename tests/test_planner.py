@@ -289,12 +289,13 @@ class TestOptimizeOrientations:
         assert closed.evaluations == evals
 
     def test_upright_dipole_decomposed_once_per_run(self, monkeypatch):
-        # The builder scores each best-so-far point once, and the upright
-        # dipole is decomposed once per run.
+        # The builder scores each search point of cond(A_R) > 100 when the
+        # search meets it and each best-so-far point once at the end, and
+        # the upright dipole is decomposed once per run.
         ms = build_mode_set(3, "odd", "electric")
         init = fibonacci_orientations(10)
-        original = planner.dipole_coefficient_matrix
-        evaluations = []
+        original, search = planner.dipole_coefficient_matrix, planner.nelder_mead
+        evaluations, points = [], []
 
         def per_evaluation(pairs, mode_set, length, upright):
             # Decomposes the upright dipole again on every call.
@@ -312,11 +313,23 @@ class TestOptimizeOrientations:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(planner, "dipole_coefficient_matrix", counted("matrix", original))
-        monkeypatch.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
-        hoisted = optimize_reference_orientations(init, mode_set=ms, budget=60)
-        assert calls == {"matrix": len(hoisted.trace), "decompose": 1}
-        assert len(evaluations) == len(reference.trace) > 1
+        def spied_search(fun, x0, budget):
+            def spied(x):
+                points.append(x.copy())
+                return fun(x)
+            return search(spied, x0, budget)
+
+        with monkeypatch.context() as m:
+            m.setattr(planner, "dipole_coefficient_matrix", counted("matrix", original))
+            m.setattr(farfield, "decompose", counted("decompose", farfield.decompose))
+            m.setattr(planner, "nelder_mead", spied_search)
+            hoisted = optimize_reference_orientations(init, mode_set=ms, budget=60)
+        ill = sum(np.linalg.cond(original(
+            [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(init))], ms)) > 100
+            for x in points)
+        assert ill > 0  # the start's simplex reaches one
+        assert calls == {"matrix": len(hoisted.trace) + ill, "decompose": 1}
+        assert len(evaluations) == len(reference.trace) + ill and len(reference.trace) > 1
         assert hoisted.orientations == reference.orientations
         assert hoisted.trace == reference.trace
 

@@ -201,29 +201,33 @@ def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
     return result, rms, setup.theory, reconstructed, exact, synth
 
 
-def _chamber_selection(setup: MeasurementSetup) -> dict:
-    """Every candidate's seed and cond(V_R), in candidate order, and the
-    index of the selected one."""
-    selection = setup.selection
-    return {"seeds": setup.config.seeds, "cond_v": selection.cond_v,
-            "selected_index": selection.index}
-
-
-def _reference_optimization(setup: MeasurementSetup) -> dict | None:
-    """The optimizer's objective, evaluations used, budget, first and last trace values."""
-    result, cfg = setup.optimization, setup.config
-    if result is None:
-        return None
-    values = [value for _, value in result.trace] or [None]
-    return {"objective": cfg.optimize_objective, "evaluations": result.evaluations,
-            "budget": cfg.optimize_budget, "start": values[0], "end": values[-1]}
-
-
 def _condition_numbers(setup: MeasurementSetup) -> dict:
     out = {"a_matrix": setup.calibration.cond_a, "v_matrix": setup.calibration.cond_v}
     if setup.channel is not None:
         out["channel"] = setup.channel.cond
     return out
+
+
+def _setup_record(setup: MeasurementSetup) -> dict:
+    """The keys report.json and sweep_meta.json share: the reference
+    orientations, the optimizer's objective, evaluations used, budget and
+    first and last trace values (None without an optimizer), every chamber
+    candidate's seed and cond(V_R) with the selected index, the condition
+    numbers and the theory summary."""
+    result, cfg = setup.optimization, setup.config
+    optimization = None
+    if result is not None:
+        values = [value for _, value in result.trace] or [None]
+        optimization = {"objective": cfg.optimize_objective, "evaluations": result.evaluations,
+                        "budget": cfg.optimize_budget, "start": values[0], "end": values[-1]}
+    return {
+        "reference_orientations": [[t, p] for t, p in setup.orientations],
+        "reference_optimization": optimization,
+        "chamber_selection": {"seeds": cfg.seeds, "cond_v": setup.selection.cond_v,
+                              "selected_index": setup.selection.index},
+        "condition_numbers": _condition_numbers(setup),
+        "theory": _summary_dict(setup.theory),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +321,14 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "method": result.method,
         "normalization": cfg.normalization,
         "seeds": {"candidates": cfg.seeds, "chamber_selected": setup.chamber.seed},
-        "chamber_selection": _chamber_selection(setup),
-        "reference_orientations": [[t, p] for t, p in setup.orientations],
-        "reference_optimization": _reference_optimization(setup),
+        **_setup_record(setup),
         "test_antenna": {
             "length": cfg.test_length,
             "theta0": cfg.test_theta0,
             "phi0": cfg.test_phi0,
             "current": cfg.test_current,
         },
-        "condition_numbers": _condition_numbers(setup),
         "diagnostics": result.diagnostics,
-        "theory": _summary_dict(theory),
         "reconstruction": _summary_dict(reconstructed),
         "rms_field_error": rms,
     }
@@ -386,12 +386,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         "format": "sweep-meta/1",
         "step_rad": step,
         "grid_shape": [len(theta0s), len(phi0s)],
-        "reference_orientations": [[t, p] for t, p in setup.orientations],
-        "reference_optimization": _reference_optimization(setup),
         "chamber_seed": setup.chamber.seed,
-        "chamber_selection": _chamber_selection(setup),
-        "condition_numbers": _condition_numbers(setup),
-        "theory": _summary_dict(setup.theory),
+        **_setup_record(setup),
     }
     fileio.write_json(out_dir / "sweep_meta.json", meta)
     failed = sum(1 for r in rows if r[5] != "ok")
@@ -444,8 +440,12 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         writer.writerow(["evaluations", "objective"])
         for evals, value in result.trace:
             writer.writerow([evals, repr(float(value))])
-    print(f"{objective} improved to {result.objective_value:.4g} "
-          f"after {result.evaluations} of {budget} evaluations")
+    # The trace falls strictly from the start's exact score, its first entry
+    # unless that score is inf.
+    trace, end = result.trace, result.objective_value
+    start = trace[0][1] if trace and trace[0][0] == 0 else math.inf
+    change = f"improved from {start:.4g} to {end:.4g}" if end < start else f"stayed at {end:.4g}"
+    print(f"{objective} {change} after {result.evaluations} of {budget} evaluations")
     return 0
 
 

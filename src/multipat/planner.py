@@ -165,18 +165,19 @@ def dipole_coefficient_matrix(
 
     (Hansen (ed.), Spherical Near-Field Antenna Measurements, IEE 1988,
     app. A2). Y_{l,m} is orthonormal with the Condon-Shortley phase
-    (vsh.spherical_harmonics), and c^upright is the amplitude vector of one
-    quadrature decomposition on grid (default: farfield.default_grid) of
-    the upright twin with the same length, current and k. Every column is
-    then one vectorized product. A caller that builds many matrices for
-    the same dipole passes upright, the scaled column
-    _upright_column(mode_set, length, current, grid, k), and skips the
-    decomposition.
+    (vsh.spherical_harmonics of mode_set.entries, on the plan that
+    mode_components caches for them), and c^upright is the amplitude
+    vector of one quadrature decomposition on grid (default:
+    farfield.default_grid) of the upright twin with the same length,
+    current and k. Every column is then one vectorized product. A caller
+    that builds many matrices for the same dipole passes upright, the
+    scaled column _upright_column(mode_set, length, current, grid, k), and
+    skips the decomposition.
     """
     if upright is None:
         upright = _upright_column(mode_set, length, current, grid, k)
     theta0, phi0 = np.asarray(orientations, dtype=float).T
-    y = spherical_harmonics([(l, m) for _, l, m in mode_set.entries], theta0, phi0)
+    y = spherical_harmonics(mode_set.entries, theta0, phi0)
     return upright[:, None] * y.conj()
 
 

@@ -8,10 +8,10 @@ P_l^m / sin(theta), so that no expression divides by sin(theta) and the
 poles need no special case. At each degree its entries use it forms the
 real parts of the orders they read and writes each row as exp(j m phi)
 times a real part, times the row's constant. vsh_x() and r_cross_x() are
-single-mode views of it, and spherical_harmonics() gives the scalar
-Y_{l,m} from the same recurrence. Mode bookkeeping (the flat
-q <-> (family, l, m) ordering used by every matrix in the toolkit) lives
-here as well.
+single-mode views of it, and spherical_harmonics() writes the scalar
+Y_{l,m} of the same entries from the same pass and cached plan. Mode
+bookkeeping (the flat q <-> (family, l, m) ordering used by every matrix
+in the toolkit) lives here as well.
 """
 from __future__ import annotations
 
@@ -178,55 +178,6 @@ def _legendre_rows(x: np.ndarray, s: np.ndarray, high: int, steps: tuple):
         v_prev2, v_prev, v = v_prev, v, v_prev2
 
 
-class _ScalarPlan(NamedTuple):
-    high: int  # highest order
-    steps: tuple  # _raising(high, highest degree)
-    degrees: dict  # degree -> number of orders (0, 1, ...) the rows read
-    source: np.ndarray  # per row: index into the stacked Pbar of those degrees
-    sign: np.ndarray  # per row, (rows, 1): -1.0 for odd m < 0, else 1.0
-    order: np.ndarray  # per row, (rows, 1): m as a float
-
-
-@lru_cache(maxsize=32)
-def _scalar_plan(modes: tuple) -> _ScalarPlan:
-    high = max((abs(m) for _, m in modes), default=0)
-    degrees = {l: min(l, high) + 1 for l in sorted({l for l, _ in modes})}
-    offset, start = {}, 0
-    for l, k in degrees.items():
-        offset[l], start = start, start + k
-    return _ScalarPlan(
-        high,
-        _raising(high, max(degrees, default=-1)),
-        degrees,
-        np.array([offset[l] + abs(m) for l, m in modes], dtype=np.intp),
-        _column([-1.0 if m < 0 and m % 2 else 1.0 for _, m in modes]),
-        _column([m for _, m in modes]),
-    )
-
-
-def spherical_harmonics(modes, theta, phi) -> np.ndarray:
-    """Y_{l,m}(theta, phi) of every (l, m) pair in modes at flat points,
-    shape (len(modes), npts).
-
-    Orthonormal over the sphere, with the Condon-Shortley phase:
-    Y_{l,m} = Pbar_l^m(cos theta) e^{j m phi} and
-    Y_{l,-m} = (-1)^m conj(Y_{l,m}). Pbar comes from the same recurrence
-    pass as mode_components().
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
-    plan = _scalar_plan(tuple(map(tuple, modes)))
-    x, s = np.cos(theta), np.sin(theta)
-    blocks = [np.empty((0, theta.size))]
-    for l, v, _ in _legendre_rows(x, s, plan.high, plan.steps):
-        if l in plan.degrees:
-            block = v[: plan.degrees[l]].copy()
-            block[1:] *= s  # Pbar_l^m = s v_l^m for m >= 1
-            blocks.append(block)
-    legendre = np.concatenate(blocks)[plan.source] * plan.sign  # Pbar_l^|m| (-1)^m for m < 0
-    return legendre * np.exp(1j * plan.order * phi)
-
-
 class _Plan(NamedTuple):
     high: int  # highest order, at least 1
     steps: tuple  # _raising(high, highest degree)
@@ -235,8 +186,8 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _plan(entries: tuple) -> _Plan:
-    """The rows of mode_components() grouped by degree, and the recurrence
-    steps that reach them."""
+    """The rows of mode_components() and spherical_harmonics() grouped by
+    degree, and the recurrence steps that reach them."""
     degrees: dict[int, list] = {}
     for q, (family, l, m) in enumerate(entries):
         degrees.setdefault(l, []).append((q, family == MAGNETIC, m))
@@ -246,6 +197,31 @@ def _plan(entries: tuple) -> _Plan:
         _raising(high, max(degrees, default=0)),
         {l: tuple(degrees[l]) for l in sorted(degrees)},
     )
+
+
+def spherical_harmonics(entries, theta, phi) -> np.ndarray:
+    """Y_{l,m}(theta, phi) of every (family, l, m) entry at flat points,
+    shape (len(entries), npts); the family is not read.
+
+    Orthonormal over the sphere, with the Condon-Shortley phase:
+    Y_{l,m} = Pbar_l^m(cos theta) e^{j m phi} and
+    Y_{l,-m} = (-1)^m conj(Y_{l,m}). Each row's Pbar_l^|m| is written
+    during the recurrence pass of mode_components(), from its plan.
+    """
+    theta = np.asarray(theta, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    plan = _plan(tuple(entries))
+    legendre = np.empty((len(entries), theta.size))
+    x, s = np.cos(theta), np.sin(theta)
+    for l, v, _ in _legendre_rows(x, s, plan.high, plan.steps):
+        for q, _, m in plan.degrees.get(l, ()):
+            if m:
+                np.multiply(s, v[abs(m)], out=legendre[q])  # Pbar_l^|m| = s v_l^|m|
+            else:
+                legendre[q] = v[0]
+            if m < 0 and m % 2:
+                np.negative(legendre[q], out=legendre[q])
+    return legendre * np.exp(1j * _column([m for _, _, m in entries]) * phi)
 
 
 def _write(row: np.ndarray, real: np.ndarray, phase, const) -> None:

@@ -811,10 +811,12 @@ class TestCommands:
                          "--budget", "1000"]) == 0
         used = len(calls) - 1  # the baseline evaluation is not counted
         assert 0 < used < 1000
-        assert f"after {used} of 1000 evaluations" in capsys.readouterr().out
         # The builder scores each best-so-far point of the trace once.
         trace = (out / "optimize_trace.csv").read_text().splitlines()[1:]
         assert len(matrices) == len(trace) > 1
+        start, end = (float(row.split(",")[1]) for row in (trace[0], trace[-1]))
+        assert capsys.readouterr().out == (f"cond-A improved from {start:.4g} to {end:.4g} "
+                                           f"after {used} of 1000 evaluations\n")
 
     def test_optimize_skips_a_singular_mode_set(self, tmp_path):
         # A centre-fed dipole radiates no magnetic or even-degree mode, so
@@ -833,7 +835,8 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: the mode set has magnetic")
-        assert "after 0 of 40 evaluations" in proc.stdout
+        # Nothing moved, so nothing is said to have improved.
+        assert proc.stdout == "cond-A stayed at inf after 0 of 40 evaluations\n"
         doc = fileio.read_json(tmp_path / "out" / "orientations.json")
         assert doc["orientations"] == [list(planner.wrap_orientation(t, p))
                                        for t, p in planner.fibonacci_orientations(16)]

@@ -26,8 +26,8 @@ once per set-up too, and each calibration matrix's condition number is
 taken when it is built, so an inverse or direct-weights reconstruction is
 one solve and no condition number.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/conditioning
-error.
+Exit codes: 0 success, 2 configuration error (a set-up too large for
+memory counts as one), 3 numerical/conditioning error.
 """
 from __future__ import annotations
 
@@ -518,6 +518,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the set-up does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

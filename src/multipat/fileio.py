@@ -205,6 +205,14 @@ MAX_LAMBDA = 100
 # check, 80 GB at n = 1e5. The 832 x 832 mesh's basis takes 22 MB a mode.
 MAX_GRID = 2 * (4 * MAX_LAMBDA + 16)
 
+# The largest accepted references.count, chamber.n_probes and chamber.n_paths:
+# two per mode of MAX_LAMBDA's all-modes set, so every accepted mode set can
+# still be served. Each is a side of a complex matrix the set-up builds (the
+# path gains, V_R, the LSE normal matrix): 27 GB at 40 800 x 40 800. Unbounded,
+# a count of 1e12 loops in planner.fibonacci_orientations, and a probe or path
+# count of 1e12 asks for TiB.
+MAX_COUNT = 2 * 2 * MAX_LAMBDA * (MAX_LAMBDA + 2)
+
 # The largest accepted chamber gain scale. sigma_rho only scales every
 # voltage and T (rho = sigma_rho N(0, 1)), so no result depends on it beyond
 # rounding, but from about 1e154 on, V_R^H V_R of unit-current references
@@ -336,7 +344,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         ]
     count = _integer(
         ref_sec.get("count", len(orientations) if orientations else mode_set.size),
-        "references.count",
+        "references.count", 0, MAX_COUNT,
     )
     if orientations is not None and len(orientations) != count:
         raise ConfigError(
@@ -354,8 +362,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         optimize_budget = _integer(opt_sec.get("budget", 1000), "optimize.budget")
 
     ch_sec = _section(doc, "chamber")
-    n_probes = _integer(ch_sec.get("n_probes", mode_set.size), "chamber.n_probes")
-    n_paths = _integer(ch_sec.get("n_paths", mode_set.size), "chamber.n_paths")
+    n_probes = _integer(ch_sec.get("n_probes", mode_set.size), "chamber.n_probes", 0, MAX_COUNT)
+    n_paths = _integer(ch_sec.get("n_paths", mode_set.size), "chamber.n_paths", 1, MAX_COUNT)
     sigma_rho = _number(ch_sec.get("sigma_rho", 0.001), "sigma_rho", _GAIN_SCALE)
     if "seeds" in ch_sec:
         if not isinstance(ch_sec["seeds"], list):
@@ -365,11 +373,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seeds = [_integer(ch_sec.get("seed", 0), "chamber seed")]
     if not seeds:
         raise ConfigError("chamber.seeds must not be empty")
-    if n_probes < mode_set.size or n_paths < mode_set.size:
-        raise ConfigError(
-            f"chamber needs at least {mode_set.size} probes and paths for this "
-            f"mode set, got n_probes={n_probes}, n_paths={n_paths}"
-        )
+    if n_probes < mode_set.size:
+        raise ConfigError(f"{n_probes} probes cannot resolve {mode_set.size} modes")
     if count < mode_set.size:
         raise ConfigError(
             f"{count} reference antennas cannot span {mode_set.size} modes"
@@ -380,17 +385,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     method = rec_sec.get("method", "inverse")
     if method not in ("inverse", "direct-weights", "lse"):
         raise ConfigError(f"unknown reconstruction method {method!r}")
-    # inverse solves the square A_R and T; direct-weights the square V_R.
+    # inverse solves the square A_R and T; direct-weights fits V_R w = v by
+    # least squares, which needs at least as many probes as weights.
     if method == "inverse" and not count == n_probes == mode_set.size:
         raise ConfigError(
             f"inverse reconstruction needs references.count = chamber.n_probes = "
             f"{mode_set.size} modes, got count={count}, n_probes={n_probes}"
         )
-    if method == "direct-weights" and n_probes != count:
-        raise ConfigError(
-            f"direct-weights reconstruction needs chamber.n_probes = references.count, "
-            f"got n_probes={n_probes}, count={count}"
-        )
+    if method == "direct-weights" and n_probes < count:
+        raise ConfigError(f"direct-weights: {n_probes} probes cannot fit {count} reference weights")
     normalization = rec_sec.get("normalization")
     if normalization is not None:
         if not isinstance(normalization, dict) or normalization.get("mode") not in (

@@ -5,8 +5,9 @@ amplitudes: calibrate pairs their amplitude matrix A_R with their probe
 voltage matrix V_R. The pipeline builds A_R in closed form
 (planner.dipole_coefficient_matrix, the builder the orientation optimizer
 reports its values from). An unknown antenna's amplitudes are then
-recovered from its probe voltages by direct inversion, by reference-voltage
-weights, or by a real-weight least-square fit. All linear algebra acts on
+recovered from its probe voltages by direct inversion, by complex
+reference-voltage weights fitted by least squares over any N_s >= N_R probes,
+or by a real-weight least-square fit. All linear algebra acts on
 unscaled amplitude vectors (VshCoefficients.to_amplitude_vector); returned
 coefficient sets always satisfy the +-m conjugation constraint exactly.
 
@@ -156,19 +157,20 @@ def reconstruct_inverse(channel: ChannelMatrix, voltages) -> ReconstructionResul
 
 
 def reconstruct_weights_direct(cal: CalibrationSet, voltages) -> ReconstructionResult:
-    """Amplitudes via reference weights w = inv(V_R) v, a = A_R w.
+    """Amplitudes via complex reference weights w = argmin ||V_R w - v||, the
+    least-squares fit over any N_s >= N_R probes, then a = A_R w.
 
     For co-phase-centered antennas the weights should come out real; the
     largest imaginary part is reported as a diagnostic.
     """
     v_r = cal.voltage_matrix
-    if v_r.shape[0] != v_r.shape[1]:
-        raise ValueError("direct weights need a square voltage matrix; use the LSE method")
+    if v_r.shape[0] < v_r.shape[1]:
+        raise ValueError(f"{v_r.shape[0]} probes cannot fix {v_r.shape[1]} complex weights")
     v = np.asarray(voltages, dtype=complex)
     if v.shape != (v_r.shape[0],):
         raise ValueError(f"expected {v_r.shape[0]} probe voltages, got shape {v.shape}")
     cond = _checked(cal.cond_v, "V_R")
-    w = np.linalg.solve(v_r, v)
+    w = np.linalg.lstsq(v_r, v, rcond=None)[0]
     diagnostics = {"cond_V": cond, "max_imag_weight": float(np.max(np.abs(w.imag)))}
     return _finish(cal.coefficient_matrix @ w, cal.mode_set, "direct-weights", w, diagnostics,
                    lambda a: v - v_r @ w)
@@ -188,9 +190,10 @@ def reconstruct_lse(cal: CalibrationSet, voltages) -> ReconstructionResult:
     rhs = (v_r.conj().T @ v).real
     cond = _checked(cal.cond_normal, "Re(V_R^H V_R)")
     w = np.linalg.solve(cal.normal, rhs)
-    diagnostics = {"cond_normal": cond, "lse_cost": float(np.linalg.norm(v - v_r @ w) ** 2)}
-    return _finish(cal.coefficient_matrix @ w, cal.mode_set, "lse", w, diagnostics,
-                   lambda a: v - v_r @ w)
+    result = _finish(cal.coefficient_matrix @ w, cal.mode_set, "lse", w, {"cond_normal": cond},
+                     lambda a: v - v_r @ w)
+    result.diagnostics["lse_cost"] = result.diagnostics["residual"] ** 2
+    return result
 
 
 def apply_normalization(

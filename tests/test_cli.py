@@ -24,6 +24,8 @@ from multipat.dipole import DipoleSpec, reference_dipole_set
 from multipat.farfield import SphereGrid, decompose
 from multipat.fileio import ConfigError
 from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, build_mode_set
+import test_acceptance
+from conftest import PAPER_CONFIG
 from test_planner import quadrature_matrix
 
 K = 2 * np.pi
@@ -50,13 +52,13 @@ HIGHORDER_LSE_CONFIG = {
 
 
 # Method and shape combinations that no solve can serve: inverse needs
-# references.count = n_probes = the mode count (10), direct-weights needs
-# n_probes = references.count.
+# references.count = n_probes = the mode count (10); direct-weights fits its
+# complex weights by least squares, so it needs n_probes >= references.count.
 IMPOSSIBLE_SHAPES = {
     "inverse-count-12": {"references": {**SMALL_CONFIG["references"], "count": 12}},
     "inverse-probes-12": {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": 12}},
-    "direct-weights-probes-12": {
-        "chamber": {**SMALL_CONFIG["chamber"], "n_probes": 12},
+    "direct-weights-count-12": {
+        "references": {**SMALL_CONFIG["references"], "count": 12},
         "reconstruction": {"method": "direct-weights", "normalization": None},
     },
 }
@@ -106,9 +108,12 @@ class TestConfigParsing:
             fileio.parse_config(doc)
 
     def test_path_guard(self):
+        # Fewer paths than modes is a usable chamber; no path at all is not.
         doc = json.loads(json.dumps(SMALL_CONFIG))
         doc["chamber"]["n_paths"] = 6
-        with pytest.raises(ConfigError):
+        assert fileio.parse_config(doc).n_paths == 6
+        doc["chamber"]["n_paths"] = 0
+        with pytest.raises(ConfigError, match="n_paths"):
             fileio.parse_config(doc)
 
     def test_unknown_method(self):
@@ -275,7 +280,7 @@ def buildable_configs(draw):
     """Configs near SMALL_CONFIG that parse_config accepts: every parity and
     multipole filter up to lambda_max 3, each method at a shape it can
     serve, reference lengths in [0.25, 1.5], listed orientations that may
-    sit on the poles, up to 30 probes and paths and up to 5 seeds."""
+    sit on the poles, up to 30 probes, 1 to 30 paths and up to 5 seeds."""
     lambda_max, parity, multipole = draw(
         st.tuples(st.integers(1, 3), st.sampled_from(PARITY_FILTERS),
                   st.sampled_from(MULTIPOLE_FILTERS))
@@ -286,7 +291,8 @@ def buildable_configs(draw):
     if method == "inverse":
         count = n_probes = n_modes
     elif method == "direct-weights":
-        count = n_probes = draw(sizes)
+        count = draw(sizes)
+        n_probes = draw(st.integers(count, 30))
     else:
         count, n_probes = draw(sizes), draw(sizes)
     references = {"length": draw(st.floats(0.25, 1.5)), "current": 1.0, "count": count}
@@ -297,7 +303,7 @@ def buildable_configs(draw):
     doc = json.loads(json.dumps(SMALL_CONFIG))
     doc["mode_set"] = {"lambda_max": lambda_max, "parity": parity, "multipole": multipole}
     doc["references"] = references
-    doc["chamber"].update(n_probes=n_probes, n_paths=draw(sizes),
+    doc["chamber"].update(n_probes=n_probes, n_paths=draw(st.integers(1, 30)),
                           seeds=draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5)))
     doc["reconstruction"]["method"] = method
     return doc
@@ -315,6 +321,33 @@ class TestSetupProperties:
             code = cli.main(["calibrate", "--config", str(path), "--out", tmp])
         assert code == 0 or (code == 3 and stderr.getvalue().count("\n") == 1), (
             code, stderr.getvalue())
+
+
+def paper_setup_with(method, **chamber):
+    """The paper set-up with another method and chamber shape."""
+    doc = json.loads(json.dumps(PAPER_CONFIG))
+    doc["chamber"].update(chamber)
+    doc["reconstruction"]["method"] = method
+    return cli.build_setup(fileio.parse_config(doc))
+
+
+class TestChamberShapes:
+    """Set-ups that are not square, or have fewer paths than modes, still
+    reconstruct the paper antenna."""
+
+    def test_direct_weights_with_more_probes_than_references(self):
+        setup = paper_setup_with("direct-weights", n_probes=12)
+        assert setup.calibration.voltage_matrix.shape == (12, 10)
+        cfg = setup.config
+        for theta0, phi0 in planner.fibonacci_orientations(16):
+            spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
+            result, rms, theory, rec, _, _ = cli._reconstruct_test(setup, spec)
+            assert result.method == "direct-weights" and rms < 0.05
+            assert abs(rec.radiation_resistance - theory.radiation_resistance) <= 0.5
+            assert abs(rec.directivity - theory.directivity) <= 0.01
+
+    def test_one_path_per_probe_meets_criterion_3(self):
+        test_acceptance.test_criterion_3_orientation_sweep(paper_setup_with("inverse", n_paths=1))
 
 
 class TestRoundTrips:
@@ -530,6 +563,12 @@ class TestCommands:
             {"grid": {"n_theta": 28.5, "n_phi": 28}},
             {"grid": {"n_theta": fileio.MAX_GRID + 1, "n_phi": 28}},
             {"grid": {"n_theta": 28, "n_phi": fileio.MAX_GRID + 1}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "n_paths": 0}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "n_paths": 10**12}},
+            {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": 10**12},
+             "reconstruction": {"method": "lse", "normalization": None}},
+            {"references": {**SMALL_CONFIG["references"], "count": 10**12},
+             "reconstruction": {"method": "lse", "normalization": None}},
             *IMPOSSIBLE_SHAPES.values(),
         ],
         ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
@@ -542,7 +581,8 @@ class TestCommands:
              "test-current-1e-300", "test-current--1e21", "ref-current-nan",
              "ref-current-1e160", "ref-current-text", "n-probes-10.9", "n-probes-bool",
              "seeds-2.7", "seed-2.7", "sigma-text", "lambda-max-3.5", "n-theta-28.5",
-             "n-theta-833", "n-phi-833", *IMPOSSIBLE_SHAPES],
+             "n-theta-833", "n-phi-833", "n-paths-0", "n-paths-1e12", "lse-n-probes-1e12",
+             "lse-count-1e12", *IMPOSSIBLE_SHAPES],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
         cfg_path = write_config(tmp_path, overrides)
@@ -570,6 +610,22 @@ class TestCommands:
         assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "no modes" in err and err.count("\n") == 1
+
+    def test_set_up_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # An accepted set-up can still be too large to allocate, e.g.
+        # lambda_max = 100 all-both on the 832 x 832 grid; the failure is
+        # raised here instead of allocated.
+        message = "Unable to allocate 210. GiB for an array with shape (20400, 692224)"
+
+        def out_of_memory(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_setup", out_of_memory)
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["reconstruct", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the set-up does not fit in memory: {message}\n")
 
     @pytest.mark.parametrize("method", ["inverse", "lse"])
     def test_overflowing_sigma_rho_exits_2(self, tmp_path, capsys, method):

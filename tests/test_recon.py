@@ -217,6 +217,28 @@ class TestReconstructWeightsDirect:
         scale = np.max(np.abs(a.coefficients.values))
         assert np.max(np.abs(a.coefficients.values - b.coefficients.values)) < 1e-8 * scale
 
+    def test_overdetermined_weights_are_the_least_squares_fit(self):
+        rng = np.random.default_rng(5)
+        refs = [symmetric_random_coefficients(rng) for _ in range(10)]
+        cal = band_limited_calibration(refs, sample_chamber(9, 12, 15, 0.001))
+        v_r = cal.voltage_matrix
+        v = np.linalg.norm(v_r) * (rng.normal(size=12) + 1j * rng.normal(size=12))
+        result = reconstruct_weights_direct(cal, v)
+        r = v - v_r @ result.weights
+        assert result.diagnostics["residual"] == np.linalg.norm(r) > 0.1 * np.linalg.norm(v)
+        # The residual is orthogonal to V_R's range, and no real-weight fit beats it.
+        assert np.linalg.norm(v_r.conj().T @ r) < 1e-12 * np.linalg.norm(v_r) * np.linalg.norm(v)
+        lse = reconstruct_lse(cal, v)
+        assert lse.diagnostics["lse_cost"] == lse.diagnostics["residual"] ** 2
+        assert result.diagnostics["residual"] ** 2 <= lse.diagnostics["lse_cost"]
+
+    def test_fewer_probes_than_references_refused(self):
+        rng = np.random.default_rng(6)
+        refs = [symmetric_random_coefficients(rng) for _ in range(12)]
+        cal = band_limited_calibration(refs, sample_chamber(9, 10, 15, 0.001))
+        with pytest.raises(ValueError, match="10 probes cannot fix 12 complex weights"):
+            reconstruct_weights_direct(cal, np.ones(10, dtype=complex))
+
     def test_near_real_weights_for_dipole(self, dipole_setup):
         chamber, cal = dipole_setup[3], dipole_setup[4]
         v = probe_voltages(chamber, DipoleSpec(theta0=np.pi / 4, phi0=np.pi / 3).field(K))
@@ -254,11 +276,10 @@ class TestReconstructLse:
         cal = band_limited_calibration(refs, chamber)
         truth = symmetric_random_coefficients(rng)
         v = probe_voltages(chamber, lambda t, p: synthesize(truth, t, p))
-        result = reconstruct_lse(cal, v)
         scale = np.max(np.abs(truth.values))
-        assert np.max(np.abs(result.coefficients.values - truth.values)) < 1e-6 * scale
-        with pytest.raises(ValueError):
-            reconstruct_weights_direct(cal, v)  # square-only route unavailable
+        # 12 probes, 10 references: real weights by LSE, complex by least squares
+        for result in (reconstruct_lse(cal, v), reconstruct_weights_direct(cal, v)):
+            assert np.max(np.abs(result.coefficients.values - truth.values)) < 1e-6 * scale
 
     def test_noise_residual_beats_realified_direct_weights(self, band_limited_setup):
         cal, chamber, truth, v = band_limited_setup

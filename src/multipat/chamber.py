@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .farfield import VshCoefficients, mode_basis
-from .vsh import ModeSet, scratch
+from .vsh import ModeSet
 
 
 @dataclass
@@ -70,33 +70,19 @@ def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.
     )
 
 
-def probe_voltages(chamber: ChamberModel, field, workspace: dict | None = None) -> np.ndarray:
+def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
     """Voltages at every probe for a radiating field.
 
     v_k = sum_n rho_kn [E_theta(launch_kn) cos(alpha_kn)
                         + E_phi(launch_kn) sin(alpha_kn)]
 
     The sum runs over the last (path) axis, so a field with leading antenna
-    axes, such as dipole_field of a whole reference set, gives one row of
-    probe voltages per antenna from one call. With a workspace (see
-    vsh.scratch) the polarization mix and the path gains are written into
-    its "e_theta" and "e_phi" buffers, where dipole_field given the same
-    workspace leaves the field, so the mix runs in place; the voltages
-    returned are a fresh array either way.
+    axes gives one row of probe voltages per antenna from one call.
     """
     sampled = field(chamber.theta, chamber.phi)
-
-    def buffer(name):
-        if workspace is None:
-            return None
-        shape = np.broadcast_shapes(np.shape(sampled.e_theta), np.shape(sampled.e_phi),
-                                    chamber.alpha.shape)
-        return scratch(workspace, name, shape, complex)
-
-    mixed = np.add(np.multiply(sampled.e_theta, chamber.cos_alpha, out=buffer("e_theta")),
-                   np.multiply(sampled.e_phi, chamber.sin_alpha, out=buffer("e_phi")),
-                   out=buffer("e_theta"))
-    return np.sum(np.multiply(chamber.rho, mixed, out=buffer("e_theta")), axis=-1)
+    mixed = np.add(np.multiply(sampled.e_theta, chamber.cos_alpha),
+                   np.multiply(sampled.e_phi, chamber.sin_alpha))
+    return np.sum(np.multiply(chamber.rho, mixed), axis=-1)
 
 
 @dataclass
@@ -164,9 +150,9 @@ def select_chamber(
     this call only: every candidate is built in the same buffers, so a
     set-up allocates its large intermediates once instead of once per
     candidate, and frees them when the selection returns. The set-up's
-    builder takes V_R from one batched dipole-field pass over the
-    references. Candidates are built one at a time. Ties keep the earliest
-    seed, so selection is deterministic.
+    builder is the closed form dipole.reference_voltages. Candidates are
+    built one at a time. Ties keep the earliest seed, so selection is
+    deterministic.
     """
     seeds = list(seeds)
     if not seeds:

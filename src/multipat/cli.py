@@ -8,15 +8,16 @@ two runs produce identical outputs apart from the report timestamp.
 The set-up's reference amplitude matrix A_R is the closed form
 planner.dipole_coefficient_matrix, on the config grid the orientation
 optimizer reports its values from: one decomposition of the upright
-reference dipole, rotated. Its reference voltage matrix V_R comes from one
-batched dipole.dipole_field call over the whole reference set, then one
-chamber.probe_voltages call, per candidate chamber. Both write their
-intermediates into one workspace that select_chamber allocates for the
-selection and frees when it returns, so every candidate reuses the same
-buffers and only its N_s x N_R V_R is a fresh array. select_chamber ranks
-the candidates by cond(V_R), one at a time, and hands back the selected
-chamber's V_R, which the calibration uses as it is, with every
-candidate's cond(V_R); reports list that ranking under chamber_selection.
+reference dipole, rotated. Its reference voltage matrix V_R is the closed
+form dipole.reference_voltages, per candidate chamber: one real projection
+of the reference axes onto every path's direction and polarization, with
+no field formed. It writes its intermediates into one workspace that
+select_chamber allocates for the selection and frees when it returns, so
+every candidate reuses the same buffers and only its N_s x N_R V_R is a
+fresh array. select_chamber ranks the candidates by cond(V_R), one at a
+time, and hands back the selected chamber's V_R, which the calibration
+uses as it is, with every candidate's cond(V_R); reports list that ranking
+under chamber_selection.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
@@ -125,15 +126,7 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
     references = dipole.reference_dipole_set(orientations, cfg.ref_length, cfg.ref_current)
 
     def voltage_matrix(ch, workspace):
-        # One batched field pass: rows are references, so V_R is the transpose,
-        # made C-contiguous like the column_stack of per-reference voltages.
-        # probe_voltages returns a fresh sum, so V_R never aliases workspace.
-        def reference_fields(theta, phi):
-            return dipole.dipole_field(references, theta, phi, k, workspace)
-
-        return np.ascontiguousarray(
-            chamber_mod.probe_voltages(ch, reference_fields, workspace).T
-        )
+        return dipole.reference_voltages(references, ch, k, workspace)
 
     selection = chamber_mod.select_chamber(
         cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho

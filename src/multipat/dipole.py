@@ -4,6 +4,11 @@ Lengths are in wavelengths, so the pattern shape is frequency-free; the
 wavenumber only scales the overall field strength. Orientation is the axis
 direction (theta0, phi0). The returned fields are modified far fields
 (spreading factor removed), consistent with the rest of the toolkit.
+
+A dipole with axis a radiates E = amp B(a . r_hat) (a - (a . r_hat) r_hat),
+B the pattern bracket. A chamber path sees E . e, its polarization e being
+orthogonal to r_hat, so E . e = amp B(a . r_hat) (a . e): reference_voltages
+takes a reference set's probe voltages from these projections, with no field.
 """
 from __future__ import annotations
 
@@ -43,71 +48,19 @@ class DipoleSpec:
         return lambda theta, phi: dipole_field(self, theta, phi, k)
 
 
-def dipole_field(
-    spec, theta, phi, k: float = 2.0 * math.pi, workspace: dict | None = None
-) -> TangentVector:
-    """Modified far field of an arbitrarily oriented center-fed dipole.
+def pattern_bracket(g, kl: float, workspace: dict | None = None) -> np.ndarray:
+    """(cos(kl g / 2) - cos(kl / 2)) / (1 - g^2) at g = axis . r_hat, for a
+    dipole of electrical length kl, in the buffers of workspace if given
+    (see vsh.scratch).
 
-    spec is one DipoleSpec, or a sequence of them that share one length and
-    one current (such as reference_dipole_set returns); a sequence gives
-    components with a leading reference axis, from one pass that takes the
-    trig of the launch directions once. One DipoleSpec is a batch of one
-    whose leading axis is dropped at the end.
-
-    The axis projections onto theta_hat, phi_hat, r_hat set the polarization
-    and the pattern argument; the 0/0 along the axis is resolved by the
-    analytic limit of the pattern bracket (the field there is zero because
-    both polarization projections vanish).
-
-    The pass keeps its intermediates over the launch directions in three
-    real arrays and a mask, updated in place. With a workspace (see
-    vsh.scratch) these are its buffers, reused by every call of the same
-    shape, and the returned components live in its "e_theta" and "e_phi"
-    buffers, which the next such call overwrites; without one every array
-    is allocated per call. Either way each value comes from the same
-    operations in the same order.
+    Where |1 - g^2| < _BRACKET_TOL it is the L'Hopital limit instead: the
+    field is zero along the axis, as both polarization projections vanish,
+    but the bracket stays finite.
     """
-    single = isinstance(spec, DipoleSpec)
-    specs = [spec] if single else list(spec)
-    if not specs:
-        raise ValueError("need at least one dipole")
-    length, current = specs[0].length, specs[0].current
-    if any(s.length != length or s.current != current for s in specs):
-        raise ValueError("batched dipoles must share one length and one current")
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    th, ph = np.broadcast_arrays(th, ph)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    ph = np.atleast_1d(ph)
-
-    # Each dipole's axis (a, b, ct0) = (st0 cp0, st0 sp0, ct0), st0 = sin(theta0)
-    # and so on, shaped (n_dipoles, 1, ...) to broadcast over the launch directions.
-    axes = [(math.sin(s.theta0) * math.cos(s.phi0), math.sin(s.theta0) * math.sin(s.phi0),
-             math.cos(s.theta0)) for s in specs]
-    a, b, ct0 = np.array(axes).T.reshape((3, len(specs)) + (1,) * th.ndim)
-    st, ct = np.sin(th), np.cos(th)
-    sp, cp = np.sin(ph), np.cos(ph)
-    shape = (len(specs),) + th.shape
-
     def buffer(name, dtype=float):
-        return scratch(workspace, name, shape, dtype)
+        return scratch(workspace, name, g.shape, dtype)
 
-    # The axis projections, each summed left to right. g = axis . r_hat sets
-    # the pattern bracket first; p = axis . theta_hat and q = axis . phi_hat
-    # then take turns in g's array, so three real arrays serve the whole pass:
-    #   g = st0 cp0 st cp + st0 sp0 st sp + ct0 ct
-    #   p = st0 cp0 ct cp + st0 sp0 ct sp - ct0 st
-    #   q = st0 sp0 cp - st0 cp0 sp
-    g = np.multiply(a, st, out=buffer("dipole.projection"))
-    g *= cp
-    term = np.multiply(b, st, out=buffer("dipole.term"))
-    term *= sp
-    g += term
-    g += np.multiply(ct0, ct, out=term)
-
-    kl = 2.0 * math.pi * length  # k L depends only on length/wavelength
-    denom = np.multiply(g, g, out=term)
+    denom = np.multiply(g, g, out=buffer("dipole.denominator"))
     np.subtract(1.0, denom, out=denom)
     numerator = np.abs(denom, out=buffer("dipole.bracket"))
     on_axis = np.less(numerator, _BRACKET_TOL, out=buffer("dipole.on_axis", bool))
@@ -115,35 +68,87 @@ def dipole_field(
     np.cos(numerator, out=numerator)
     numerator -= math.cos(0.5 * kl)
     if not on_axis.any():
-        bracket = np.divide(numerator, denom, out=numerator)
-    else:
-        # L'Hopital limit at g -> +-1; p and q vanish there so the field is
-        # zero, but keep the bracket finite for well-defined intermediate
-        # values. The placeholders 1.0 keep the discarded branches free of 1/0.
-        g_safe = np.where(on_axis, g, 1.0)
-        limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
-        bracket = np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
+        return np.divide(numerator, denom, out=numerator)
+    # The placeholders 1.0 keep the discarded branches free of 1/0.
+    g_safe = np.where(on_axis, g, 1.0)
+    limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
+    return np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
 
-    amp = -1j * ETA0 * current * k / (2.0 * math.pi)
-    p = np.multiply(a, ct, out=g)
-    p *= cp
-    np.multiply(b, ct, out=term)
-    term *= sp
-    p += term
-    p -= np.multiply(ct0, st, out=term)
-    e_theta = np.multiply(amp, p, out=buffer("e_theta", complex))
-    e_theta *= bracket
-    q = np.multiply(b, cp, out=p)
-    q -= np.multiply(a, sp, out=term)
-    e_phi = np.multiply(amp, q, out=buffer("e_phi", complex))
-    e_phi *= bracket
-    if single:
-        e_theta, e_phi = e_theta[0], e_phi[0]
+
+def _axis(spec: DipoleSpec) -> tuple[float, float, float]:
+    st0 = math.sin(spec.theta0)
+    return st0 * math.cos(spec.phi0), st0 * math.sin(spec.phi0), math.cos(spec.theta0)
+
+
+def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
+    """Modified far field of an arbitrarily oriented center-fed dipole;
+    scalar directions give complex components.
+
+    The axis projections g = a . r_hat, p = a . theta_hat and q = a . phi_hat,
+    each summed left to right, set the pattern argument and the polarization.
+    """
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    scalar = th.ndim == 0
+    th, ph = np.atleast_1d(th), np.atleast_1d(ph)
+    a, b, ct0 = _axis(spec)
+    st, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(ph), np.cos(ph)
+    bracket = pattern_bracket(a * st * cp + b * st * sp + ct0 * ct, 2.0 * math.pi * spec.length)
+    amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
+    e_theta = amp * (a * ct * cp + b * ct * sp - ct0 * st) * bracket
+    e_phi = amp * (b * cp - a * sp) * bracket
     if scalar:
-        e_theta, e_phi = e_theta[..., 0], e_phi[..., 0]
-        if single:
-            return TangentVector(complex(e_theta), complex(e_phi))
+        return TangentVector(complex(e_theta[0]), complex(e_phi[0]))
     return TangentVector(e_theta, e_phi)
+
+
+def reference_voltages(references, chamber, k: float = 2.0 * math.pi,
+                       workspace: dict | None = None) -> np.ndarray:
+    """The N_s x N_R probe voltages of references that share one length and
+    one current, one column each: chamber.probe_voltages of each one's
+    dipole_field, to rounding.
+
+    One real product of the N_R x 3 axes with every path's [r_hat e] gives
+    g = a . r_hat and a . e, then one pattern_bracket pass and one real
+    contraction with (Re rho, Im rho) sum over the paths. Intermediates live
+    in workspace (see vsh.scratch), or in buffers of this call; the voltages
+    are a fresh array.
+    """
+    specs = list(references)
+    if not specs:
+        raise ValueError("need at least one dipole")
+    length, current = specs[0].length, specs[0].current
+    if any(s.length != length or s.current != current for s in specs):
+        raise ValueError("reference dipoles must share one length and one current")
+    n_probes, n_paths = chamber.rho.shape
+    workspace = {} if workspace is None else workspace
+
+    # Per probe, r_hat at its launch directions in the first n_paths columns
+    # and e in the last n_paths, with theta_hat = (ct cp, ct sp, -st) and
+    # phi_hat = (-sp, cp, 0).
+    directions = scratch(workspace, "dipole.directions", (n_probes, 3, 2 * n_paths))
+    r_hat, e_hat = directions[..., :n_paths], directions[..., n_paths:]
+    st, ct = np.sin(chamber.theta), np.cos(chamber.theta)
+    sp, cp = np.sin(chamber.phi), np.cos(chamber.phi)
+    ca, sa = chamber.cos_alpha, chamber.sin_alpha
+    np.multiply(st, cp, out=r_hat[:, 0])
+    np.multiply(st, sp, out=r_hat[:, 1])
+    r_hat[:, 2] = ct
+    ca_ct = ca * ct
+    np.subtract(ca_ct * cp, sa * sp, out=e_hat[:, 0])
+    np.add(ca_ct * sp, sa * cp, out=e_hat[:, 1])
+    np.multiply(-ca, st, out=e_hat[:, 2])
+
+    axes = np.array([_axis(s) for s in specs])
+    projections = np.matmul(axes, directions, out=scratch(
+        workspace, "dipole.projection", (n_probes, len(specs), 2 * n_paths)))
+    g, along_e = projections[..., :n_paths], projections[..., n_paths:]
+    along_e *= pattern_bracket(g, 2.0 * math.pi * length, workspace)
+    rho = np.ascontiguousarray(chamber.rho, dtype=complex).view(float)
+    voltages = np.matmul(along_e, rho.reshape(n_probes, n_paths, 2))
+    voltages = voltages.view(complex).reshape(n_probes, len(specs))
+    voltages *= -1j * ETA0 * current * k / (2.0 * math.pi)
+    return voltages
 
 
 def reference_dipole_set(orientations, length: float = 0.5, current: float = 1.0):

@@ -386,7 +386,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if method not in ("inverse", "direct-weights", "lse"):
         raise ConfigError(f"unknown reconstruction method {method!r}")
     # inverse solves the square A_R and T; direct-weights fits V_R w = v by
-    # least squares, which needs at least as many probes as weights.
+    # least squares, which needs at least as many probes as weights; lse's
+    # real weights need Re(V_R^H V_R) of full rank, and its rank is at most
+    # 2 n_probes.
     if method == "inverse" and not count == n_probes == mode_set.size:
         raise ConfigError(
             f"inverse reconstruction needs references.count = chamber.n_probes = "
@@ -394,6 +396,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     if method == "direct-weights" and n_probes < count:
         raise ConfigError(f"direct-weights: {n_probes} probes cannot fit {count} reference weights")
+    if method == "lse" and count > 2 * n_probes:
+        raise ConfigError(f"lse: {n_probes} probes cannot fit {count} real reference weights")
     normalization = rec_sec.get("normalization")
     if normalization is not None:
         if not isinstance(normalization, dict) or normalization.get("mode") not in (

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from multipat.chamber import ChamberModel, analytic_channel, probe_voltages, sample_chamber, select_chamber
-from multipat.dipole import DipoleSpec, dipole_field, reference_dipole_set
+from multipat.dipole import DipoleSpec, reference_dipole_set
 from multipat.farfield import VshCoefficients, decompose, default_grid, synthesize
 from multipat.vsh import TangentVector, build_mode_set
 
@@ -97,30 +97,16 @@ class TestProbeVoltages:
     def test_leading_antenna_axis_equals_stacked_calls(self):
         ch = sample_chamber(9, 7, 11)
         specs = reference_dipole_set([(0.2, 0.1), (1.3, 2.0), (2.9, 5.5)], length=0.8)
-        batched = probe_voltages(ch, lambda t, p: dipole_field(specs, t, p, K))
+
+        def stacked_fields(t, p):
+            fields = [spec.field(K)(t, p) for spec in specs]
+            return TangentVector(np.stack([f.e_theta for f in fields]),
+                                 np.stack([f.e_phi for f in fields]))
+
+        batched = probe_voltages(ch, stacked_fields)
         stacked = np.stack([probe_voltages(ch, spec.field(K)) for spec in specs])
         assert batched.shape == (3, 7)
         assert np.array_equal(batched, stacked)
-
-    def test_workspace_gives_the_same_bytes_and_a_fresh_result(self):
-        specs = reference_dipole_set([(0.2, 0.1), (1.3, 2.0), (2.9, 5.5)], length=0.8,
-                                     current=-1.0)
-        workspace = {}
-
-        def in_workspace(t, p):
-            return dipole_field(specs, t, p, K, workspace)
-
-        kept = []
-        for seed in (9, 10):
-            ch = sample_chamber(seed, 7, 11)
-            plain = probe_voltages(ch, lambda t, p: dipole_field(specs, t, p, K))
-            kept.append((probe_voltages(ch, in_workspace, workspace), plain.tobytes()))
-            # A field that leaves the workspace alone is mixed into it all the same.
-            other = probe_voltages(ch, DipoleSpec(theta0=0.4).field(K), workspace)
-            assert other.tobytes() == probe_voltages(ch, DipoleSpec(theta0=0.4).field(K)).tobytes()
-        for voltages, expected in kept:  # the second seed left the first's voltages alone
-            assert voltages.tobytes() == expected
-            assert not any(np.shares_memory(voltages, b) for b in workspace.values())
 
 
 class TestAnalyticChannel:

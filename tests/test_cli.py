@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multipat
-from multipat import chamber, cli, farfield, fileio, planner, recon
+from multipat import chamber, cli, dipole, farfield, fileio, planner, recon
 from multipat.chamber import ChamberModel, probe_voltages, sample_chamber
 from multipat.dipole import DipoleSpec, reference_dipole_set
 from multipat.farfield import SphereGrid, decompose
@@ -53,13 +53,18 @@ HIGHORDER_LSE_CONFIG = {
 
 # Method and shape combinations that no solve can serve: inverse needs
 # references.count = n_probes = the mode count (10); direct-weights fits its
-# complex weights by least squares, so it needs n_probes >= references.count.
+# complex weights by least squares, so it needs n_probes >= references.count;
+# lse's real weights need references.count <= 2 n_probes.
 IMPOSSIBLE_SHAPES = {
     "inverse-count-12": {"references": {**SMALL_CONFIG["references"], "count": 12}},
     "inverse-probes-12": {"chamber": {**SMALL_CONFIG["chamber"], "n_probes": 12}},
     "direct-weights-count-12": {
         "references": {**SMALL_CONFIG["references"], "count": 12},
         "reconstruction": {"method": "direct-weights", "normalization": None},
+    },
+    "lse-count-25": {
+        "references": {**SMALL_CONFIG["references"], "count": 25},
+        "reconstruction": {"method": "lse", "normalization": None},
     },
 }
 
@@ -348,6 +353,23 @@ class TestChamberShapes:
 
     def test_one_path_per_probe_meets_criterion_3(self):
         test_acceptance.test_criterion_3_orientation_sweep(paper_setup_with("inverse", n_paths=1))
+
+    def test_lse_with_more_weights_than_real_equations_exits_2_before_set_up(
+            self, tmp_path, capsys, monkeypatch):
+        # Re(V_R^H V_R) has rank <= 2 n_probes = 20, so 25 real weights are not unique.
+        doc = {**PAPER_CONFIG, "references": {**PAPER_CONFIG["references"], "count": 25},
+               "reconstruction": {"method": "lse", "normalization": None}}
+        path = tmp_path / "config.json"
+        fileio.write_json(path, doc)
+        monkeypatch.setattr(cli, "build_setup", lambda cfg: pytest.fail("the set-up ran"))
+        assert cli.main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lse") and err.count("\n") == 1
+
+    def test_lse_with_as_many_weights_as_real_equations_parses(self):
+        doc = {**PAPER_CONFIG, "references": {**PAPER_CONFIG["references"], "count": 20},
+               "reconstruction": {"method": "lse", "normalization": None}}
+        assert fileio.parse_config(doc).ref_count == 20 == 2 * PAPER_CONFIG["chamber"]["n_probes"]
 
 
 class TestRoundTrips:
@@ -1068,15 +1090,24 @@ def per_reference_columns(ch, refs, k):
     return np.column_stack([probe_voltages(ch, spec.field(k)) for spec in refs])
 
 
+def assert_columns_close(v_r, expected, rtol=1e-13):
+    """Every entry within rtol of the largest magnitude in its column."""
+    assert v_r.shape == expected.shape
+    assert np.all(np.abs(v_r - expected) <= rtol * np.abs(expected).max(axis=0))
+
+
 NEGATIVE_CURRENT_CONFIG = {**SMALL_CONFIG,
                            "references": {**SMALL_CONFIG["references"], "current": -1.0}}
 
+# A reference axis: on either pole, or anywhere.
+AXES = st.tuples(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+                 st.floats(0.0, 2.0 * math.pi))
+
 
 class TestReferenceVoltages:
-    """build_setup takes each candidate's V_R from one batched dipole-field
-    pass, built in the workspace select_chamber shares between candidates;
-    it equals the per-reference voltages bit for bit, signed zeros
-    included (tobytes, since np.array_equal takes -0.0 == 0.0)."""
+    """build_setup takes each candidate's V_R from the closed form
+    dipole.reference_voltages, built in the workspace select_chamber shares
+    between candidates; it equals the per-reference voltages to rounding."""
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG, NEGATIVE_CURRENT_CONFIG],
                              ids=["small", "highorder-lse", "negative-current"])
@@ -1087,7 +1118,7 @@ class TestReferenceVoltages:
             ch = sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho)
             v_r = build(ch, workspace)
             assert v_r.flags.c_contiguous
-            assert v_r.tobytes() == per_reference_columns(ch, refs, cfg.k).tobytes()
+            assert_columns_close(v_r, per_reference_columns(ch, refs, cfg.k))
 
     def test_launch_direction_on_a_reference_axis(self, monkeypatch):
         build, refs, cfg = setup_voltage_builder(monkeypatch, SMALL_CONFIG)
@@ -1098,7 +1129,42 @@ class TestReferenceVoltages:
                           base.alpha)
         on_axis = refs[4].field(cfg.k)(theta[2, 5], phi[2, 5])
         assert abs(on_axis.e_theta) < 1e-9 and abs(on_axis.e_phi) < 1e-9
-        assert build(ch, {}).tobytes() == per_reference_columns(ch, refs, cfg.k).tobytes()
+        v_r = build(ch, {})
+        assert np.all(np.isfinite(v_r))
+        assert_columns_close(v_r, per_reference_columns(ch, refs, cfg.k))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(axes=st.lists(AXES, min_size=1, max_size=4), length=st.floats(0.1, 1.5),
+           current=st.sampled_from([1.0, -1.0]), n_probes=st.integers(1, 5),
+           n_paths=st.integers(1, 5), seed=st.integers(0, 2**16))
+    @example(axes=[(0.0, 0.0), (math.pi, 1.0)], length=1.5, current=-1.0, n_probes=1, n_paths=1,
+             seed=0)
+    def test_closed_form_equals_per_reference_columns(self, axes, length, current, n_probes,
+                                                      n_paths, seed):
+        refs = reference_dipole_set(axes, length, current)
+        ch = sample_chamber(seed, n_probes, n_paths)
+        v_r = dipole.reference_voltages(refs, ch, K, {})
+        expected = per_reference_columns(ch, refs, K)
+        # One path can land in a pattern null of a dipole longer than a
+        # wavelength, so the scale is the largest voltage each probe could
+        # see from these dipoles, not the column's own largest.
+        bracket = dipole.pattern_bracket(np.linspace(-1.0, 1.0, 4001), 2.0 * math.pi * length)
+        scale = farfield.ETA0 * np.abs(bracket).max() * np.abs(ch.rho).sum(axis=1, keepdims=True)
+        assert v_r.shape == expected.shape == (n_probes, len(refs))
+        assert np.all(np.abs(v_r - expected) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("doc", [None, HIGHORDER_LSE_CONFIG], ids=["paper", "highorder-lse"])
+    def test_selection_matches_the_per_reference_route(self, paper_setup, doc):
+        setup = paper_setup if doc is None else cli.build_setup(fileio.parse_config(doc))
+        cfg = setup.config
+        refs = reference_dipole_set(setup.orientations, cfg.ref_length, cfg.ref_current)
+        generic = [
+            float(np.linalg.cond(per_reference_columns(
+                sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), refs, cfg.k)))
+            for seed in cfg.seeds
+        ]
+        assert setup.chamber.seed == cfg.seeds[int(np.argmin(generic))]
+        np.testing.assert_allclose(setup.selection.cond_v, generic, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG],
                              ids=["small", "highorder-lse"])
@@ -1146,8 +1212,8 @@ class TestChamberSelectionRanking:
         setup = cli.build_setup(cfg)
         refs = reference_dipole_set(setup.orientations, cfg.ref_length, cfg.ref_current)
         expected = [
-            float(np.linalg.cond(per_reference_columns(
-                sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), refs, cfg.k)))
+            float(np.linalg.cond(dipole.reference_voltages(
+                refs, sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), cfg.k)))
             for seed in cfg.seeds
         ]
         selection = setup.selection

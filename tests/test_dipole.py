@@ -1,8 +1,11 @@
-"""Closed-form dipole fields and reference sets."""
+"""Closed-form dipole fields, reference sets and their probe voltages."""
+import math
+
 import numpy as np
 import pytest
 
-from multipat.dipole import DipoleSpec, dipole_field, reference_dipole_set
+from multipat.chamber import sample_chamber
+from multipat.dipole import DipoleSpec, dipole_field, reference_dipole_set, reference_voltages
 from multipat.farfield import ETA0, decompose, default_grid, rms_field_error, synthesize_on_grid
 from multipat.vsh import build_mode_set
 
@@ -119,57 +122,88 @@ class TestReferenceSet:
 
 
 class TestBatchedField:
-    """A sequence of specs gives the per-spec fields, bit for bit, along a
-    leading axis."""
+    """reference_voltages: a whole reference set's probe voltages from one
+    closed-form pass, one column per reference."""
 
     ORIENTATIONS = [(0.0, 0.0), (0.7, 1.9), (np.pi / 2, 4.0), (np.pi, 0.3)]
-
-    def test_equals_per_spec_calls_bitwise(self):
-        specs = reference_dipole_set(self.ORIENTATIONS, length=1.0, current=0.7)
-        grid = default_grid(3)
-        # the grid plus one point on the axis of specs[1], which takes the limit branch
-        theta = np.append(grid.theta_mesh.ravel(), 0.7)[None, :]
-        phi = np.append(grid.phi_mesh.ravel(), 1.9)[None, :]
-        batched = dipole_field(specs, theta, phi, K)
-        assert batched.e_theta.shape == (len(specs),) + theta.shape
-        for i, spec in enumerate(specs):
-            single = dipole_field(spec, theta, phi, K)
-            assert np.array_equal(batched.e_theta[i], single.e_theta)
-            assert np.array_equal(batched.e_phi[i], single.e_phi)
 
     @pytest.mark.parametrize("current", [0.7, -0.7])
     def test_workspace_gives_the_same_bytes_in_reused_buffers(self, current):
         specs = reference_dipole_set(self.ORIENTATIONS, length=1.0, current=current)
-        grid = default_grid(3)
-        # the grid plus one point on the axis of specs[1], which takes the limit branch
-        theta, phi = np.append(grid.theta_mesh.ravel(), 0.7), np.append(grid.phi_mesh.ravel(), 1.9)
         workspace = {}
-        for rotation in (0.0, 0.4):  # the second call refills the first call's buffers
+        for seed in (9, 10):  # the second call refills the first call's buffers
+            ch = sample_chamber(seed, 7, 11)
+            ch.theta[2, 5], ch.phi[2, 5] = 0.7, 1.9  # on the axis of specs[1]: the limit branch
             buffers = dict(workspace)
-            reused = dipole_field(specs, theta, phi + rotation, K, workspace)
-            plain = dipole_field(specs, theta, phi + rotation, K)
-            assert reused.e_theta.tobytes() == plain.e_theta.tobytes()
-            assert reused.e_phi.tobytes() == plain.e_phi.tobytes()
-            assert np.shares_memory(reused.e_theta, workspace["e_theta"])
+            reused = reference_voltages(specs, ch, K, workspace)
+            plain = reference_voltages(specs, ch, K)
+            assert reused.shape == (7, len(specs)) and reused.flags.c_contiguous
+            assert reused.tobytes() == plain.tobytes()
             assert all(workspace[name] is buffer for name, buffer in buffers.items())
-
-    def test_scalar_point_gives_one_value_per_spec(self):
-        specs = reference_dipole_set(self.ORIENTATIONS)
-        batched = dipole_field(specs, 1.1, 0.4, K)
-        assert batched.e_theta.shape == batched.e_phi.shape == (len(specs),)
-        for i, spec in enumerate(specs):
-            single = dipole_field(spec, 1.1, 0.4, K)
-            assert batched.e_theta[i] == single.e_theta and batched.e_phi[i] == single.e_phi
+            assert not any(np.shares_memory(reused, b) for b in workspace.values())
 
     def test_one_element_sequence_keeps_its_axis(self):
-        field = dipole_field([DipoleSpec()], np.array([0.3, 1.2]), 0.0, K)
-        assert field.e_theta.shape == (1, 2)
+        assert reference_voltages([DipoleSpec()], sample_chamber(0, 3, 2), K).shape == (3, 1)
 
     @pytest.mark.parametrize("other", [DipoleSpec(length=0.6), DipoleSpec(current=2.0)])
     def test_mixed_length_or_current_refused(self, other):
         with pytest.raises(ValueError, match="share"):
-            dipole_field([DipoleSpec(), other], 0.5, 0.5, K)
+            reference_voltages([DipoleSpec(), other], sample_chamber(0, 3, 2), K)
 
     def test_empty_sequence_refused(self):
         with pytest.raises(ValueError, match="at least one"):
-            dipole_field([], 0.5, 0.5, K)
+            reference_voltages([], sample_chamber(0, 3, 2), K)
+
+
+def batch_of_one_field(spec, theta, phi, k):
+    """dipole_field as it was computed when one spec ran as a batch of one:
+    the axis a (1, 1, ...) array, every product in the order kept today."""
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    axis = [(math.sin(spec.theta0) * math.cos(spec.phi0),
+             math.sin(spec.theta0) * math.sin(spec.phi0), math.cos(spec.theta0))]
+    a, b, ct0 = np.array(axis).T.reshape((3, 1) + (1,) * th.ndim)
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    g = a * st * cp + b * st * sp + ct0 * ct
+    kl = 2.0 * math.pi * spec.length
+    denom = 1.0 - g * g
+    on_axis = np.abs(denom) < 1e-8
+    numerator = np.cos(0.5 * kl * g) - math.cos(0.5 * kl)
+    if on_axis.any():
+        g_safe = np.where(on_axis, g, 1.0)
+        limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
+        bracket = np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
+    else:
+        bracket = numerator / denom
+    amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
+    p = a * ct * cp + b * ct * sp - ct0 * st
+    q = b * cp - a * sp
+    return (amp * p * bracket)[0], (amp * q * bracket)[0]
+
+
+class TestPerAntennaBytes:
+    """One antenna's field, the per-antenna measurement path, keeps the
+    bytes of the batch-of-one formula it replaced."""
+
+    SPECS = [DipoleSpec(), DipoleSpec(1.0, 0.7, 1.9, -1.0), DipoleSpec(1.5, np.pi, 0.3, 0.7),
+             DipoleSpec(0.8, 2.2, 5.9, 2.5)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["upright", "tilted", "pole", "long"])
+    def test_grid_and_launch_directions(self, spec):
+        grid = default_grid(5)
+        paper, highorder = sample_chamber(77, 10, 10), sample_chamber(16, 42, 42)
+        # the grid, each chamber's launch directions, and one point on the axis
+        points = [(grid.theta_mesh, grid.phi_mesh), (paper.theta, paper.phi),
+                  (highorder.theta, highorder.phi),
+                  (np.append(paper.theta, spec.theta0), np.append(paper.phi, spec.phi0))]
+        for theta, phi in points:
+            field = dipole_field(spec, theta, phi, K)
+            e_theta, e_phi = batch_of_one_field(spec, theta, phi, K)
+            assert field.e_theta.tobytes() == e_theta.tobytes()
+            assert field.e_phi.tobytes() == e_phi.tobytes()
+
+    def test_scalar_point_gives_complex_components(self):
+        spec = self.SPECS[1]
+        field = dipole_field(spec, 1.1, 0.4, K)
+        e_theta, e_phi = batch_of_one_field(spec, np.array([1.1]), np.array([0.4]), K)
+        assert type(field.e_theta) is complex and type(field.e_phi) is complex
+        assert field.e_theta == e_theta[0] and field.e_phi == e_phi[0]

@@ -144,25 +144,20 @@ def select_chamber(
     """The candidate chamber with the best-conditioned reference voltages,
     the voltage matrix it was ranked by, and every candidate's cond(V_R).
 
-    voltage_builder(chamber, workspace) returns the chamber's N_s x N_R
-    reference voltage matrix as a fresh array, never a view of workspace.
-    workspace is one dict of scratch buffers (vsh.scratch) that lives for
-    this call only: every candidate is built in the same buffers, so a
-    set-up allocates its large intermediates once instead of once per
-    candidate, and frees them when the selection returns. The set-up's
-    builder is the closed form dipole.reference_voltages. Candidates are
-    built one at a time. Ties keep the earliest seed, so selection is
-    deterministic.
+    voltage_builder(chamber) returns the chamber's N_s x N_R reference
+    voltage matrix as a fresh array; the set-up's builder is the closed form
+    dipole.reference_voltages, bound to the reference axes and to scratch
+    buffers that every candidate reuses. Candidates are built one at a time.
+    Ties keep the earliest seed, so selection is deterministic.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one candidate seed")
-    workspace: dict = {}
     cond_v: list[float] = []
     best: tuple[int, ChamberModel, np.ndarray] | None = None
     for index, seed in enumerate(seeds):
         chamber = sample_chamber(seed, n_probes, n_paths, sigma_rho)
-        v_matrix = voltage_builder(chamber, workspace)
+        v_matrix = voltage_builder(chamber)
         cond_v.append(float(np.linalg.cond(v_matrix)))
         if best is None or cond_v[-1] < cond_v[best[0]]:
             best = (index, chamber, v_matrix)

@@ -11,13 +11,13 @@ optimizer reports its values from: one decomposition of the upright
 reference dipole, rotated. Its reference voltage matrix V_R is the closed
 form dipole.reference_voltages, per candidate chamber: one real projection
 of the reference axes onto every path's direction and polarization, with
-no field formed. It writes its intermediates into one workspace that
-select_chamber allocates for the selection and frees when it returns, so
-every candidate reuses the same buffers and only its N_s x N_R V_R is a
-fresh array. select_chamber ranks the candidates by cond(V_R), one at a
-time, and hands back the selected chamber's V_R, which the calibration
-uses as it is, with every candidate's cond(V_R); reports list that ranking
-under chamber_selection.
+no field formed. build_setup takes the reference axes once and hands
+select_chamber a builder bound to them and to one dict of scratch buffers:
+every candidate reuses the same buffers, only its N_s x N_R V_R is a fresh
+array, and the buffers are freed when the selection returns. select_chamber
+ranks the candidates by cond(V_R), one at a time, and hands back the
+selected chamber's V_R, which the calibration uses as it is, with every
+candidate's cond(V_R); reports list that ranking under chamber_selection.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
 theory summary it compares against is computed once per set-up from the
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import warnings
@@ -124,12 +125,11 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
         orientations, mode_set, cfg.ref_length, cfg.ref_current, grid, k
     )
     references = dipole.reference_dipole_set(orientations, cfg.ref_length, cfg.ref_current)
-
-    def voltage_matrix(ch, workspace):
-        return dipole.reference_voltages(references, ch, k, workspace)
-
+    axes = np.array([dipole.axis(spec) for spec in references])
     selection = chamber_mod.select_chamber(
-        cfg.seeds, voltage_matrix, cfg.n_probes, cfg.n_paths, cfg.sigma_rho
+        cfg.seeds, functools.partial(dipole.reference_voltages, axes, cfg.ref_length,
+                                     cfg.ref_current, k=k, workspace={}),
+        cfg.n_probes, cfg.n_paths, cfg.sigma_rho,
     )
     calibration = recon.calibrate(a_matrix, selection.voltage_matrix, mode_set)
     square = calibration.n_references == mode_set.size
@@ -232,6 +232,12 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     k = cfg.k
     test = dipole.DipoleSpec(cfg.test_length, cfg.test_theta0, cfg.test_phi0, cfg.test_current)
     coeffs = farfield.decompose(test.field(k), mode_set, grid, check_convergence=True)
+    # Modes the dipole cannot excite capture rounding noise: R_r and D of it mean nothing.
+    power = grid.integrate(test.field(k)(grid.theta_mesh, grid.phi_mesh).magnitude() ** 2)
+    captured = np.sum(np.abs(coeffs.values) ** 2) / power
+    if not captured >= np.finfo(float).eps:
+        raise farfield.PatternError(f"the mode set captures {captured:.3g} of the test "
+                                    "dipole's power: it cannot excite these modes")
     fileio.write_json(out_dir / "coefficients.json", fileio.coefficients_to_dict(coeffs))
 
     # Spectrum normalized to the axis-aligned twin of the same antenna.

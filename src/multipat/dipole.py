@@ -48,10 +48,10 @@ class DipoleSpec:
         return lambda theta, phi: dipole_field(self, theta, phi, k)
 
 
-def pattern_bracket(g, kl: float, workspace: dict | None = None) -> np.ndarray:
+def pattern_bracket(g, kl: float, workspace: dict) -> np.ndarray:
     """(cos(kl g / 2) - cos(kl / 2)) / (1 - g^2) at g = axis . r_hat, for a
-    dipole of electrical length kl, in the buffers of workspace if given
-    (see vsh.scratch).
+    dipole of electrical length kl, in the buffers of workspace (see
+    vsh.scratch).
 
     Where |1 - g^2| < _BRACKET_TOL it is the L'Hopital limit instead: the
     field is zero along the axis, as both polarization projections vanish,
@@ -75,7 +75,8 @@ def pattern_bracket(g, kl: float, workspace: dict | None = None) -> np.ndarray:
     return np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
 
 
-def _axis(spec: DipoleSpec) -> tuple[float, float, float]:
+def axis(spec: DipoleSpec) -> tuple[float, float, float]:
+    """The unit axis (x, y, z) of spec, from Python-float trig."""
     st0 = math.sin(spec.theta0)
     return st0 * math.cos(spec.phi0), st0 * math.sin(spec.phi0), math.cos(spec.theta0)
 
@@ -90,10 +91,10 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     scalar = th.ndim == 0
     th, ph = np.atleast_1d(th), np.atleast_1d(ph)
-    a, b, ct0 = _axis(spec)
+    a, b, ct0 = axis(spec)
     st, ct = np.sin(th), np.cos(th)
     sp, cp = np.sin(ph), np.cos(ph)
-    bracket = pattern_bracket(a * st * cp + b * st * sp + ct0 * ct, 2.0 * math.pi * spec.length)
+    bracket = pattern_bracket(a * st * cp + b * st * sp + ct0 * ct, 2.0 * math.pi * spec.length, {})
     amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
     e_theta = amp * (a * ct * cp + b * ct * sp - ct0 * st) * bracket
     e_phi = amp * (b * cp - a * sp) * bracket
@@ -102,26 +103,19 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     return TangentVector(e_theta, e_phi)
 
 
-def reference_voltages(references, chamber, k: float = 2.0 * math.pi,
-                       workspace: dict | None = None) -> np.ndarray:
-    """The N_s x N_R probe voltages of references that share one length and
-    one current, one column each: chamber.probe_voltages of each one's
-    dipole_field, to rounding.
+def reference_voltages(axes: np.ndarray, length: float, current: float, chamber, k: float,
+                       workspace: dict) -> np.ndarray:
+    """The N_s x N_R probe voltages of N_R references with the given N_R x 3
+    unit axes (see axis) and one shared length and current, one column
+    each: chamber.probe_voltages of each one's dipole_field, to rounding.
 
-    One real product of the N_R x 3 axes with every path's [r_hat e] gives
+    One real product of the axes with every path's [r_hat e] gives
     g = a . r_hat and a . e, then one pattern_bracket pass and one real
     contraction with (Re rho, Im rho) sum over the paths. Intermediates live
-    in workspace (see vsh.scratch), or in buffers of this call; the voltages
-    are a fresh array.
+    in workspace (see vsh.scratch), so a caller that builds many chambers'
+    voltages allocates them once; the voltages are a fresh array.
     """
-    specs = list(references)
-    if not specs:
-        raise ValueError("need at least one dipole")
-    length, current = specs[0].length, specs[0].current
-    if any(s.length != length or s.current != current for s in specs):
-        raise ValueError("reference dipoles must share one length and one current")
     n_probes, n_paths = chamber.rho.shape
-    workspace = {} if workspace is None else workspace
 
     # Per probe, r_hat at its launch directions in the first n_paths columns
     # and e in the last n_paths, with theta_hat = (ct cp, ct sp, -st) and
@@ -139,14 +133,13 @@ def reference_voltages(references, chamber, k: float = 2.0 * math.pi,
     np.add(ca_ct * sp, sa * cp, out=e_hat[:, 1])
     np.multiply(-ca, st, out=e_hat[:, 2])
 
-    axes = np.array([_axis(s) for s in specs])
     projections = np.matmul(axes, directions, out=scratch(
-        workspace, "dipole.projection", (n_probes, len(specs), 2 * n_paths)))
+        workspace, "dipole.projection", (n_probes, len(axes), 2 * n_paths)))
     g, along_e = projections[..., :n_paths], projections[..., n_paths:]
     along_e *= pattern_bracket(g, 2.0 * math.pi * length, workspace)
     rho = np.ascontiguousarray(chamber.rho, dtype=complex).view(float)
     voltages = np.matmul(along_e, rho.reshape(n_probes, n_paths, 2))
-    voltages = voltages.view(complex).reshape(n_probes, len(specs))
+    voltages = voltages.view(complex).reshape(n_probes, len(axes))
     voltages *= -1j * ETA0 * current * k / (2.0 * math.pi)
     return voltages
 

@@ -147,6 +147,20 @@ class VshCoefficients:
 
 
 @lru_cache(maxsize=32)
+def _mode_rows(mode_set: ModeSet):
+    """(orders, up, down, parity, unpaired) of mode_set: each row's m; the
+    rows with m > 0, the rows of their (family, l, -m) partners and (-1)^m,
+    in the order of up; and the modes whose partner is missing."""
+    entries = mode_set.entries
+    index = {entry: q for q, entry in enumerate(entries)}
+    orders = np.array([e.m for e in entries], dtype=np.intp)
+    up = np.flatnonzero(orders > 0)
+    down = np.array([index.get((e.family, e.l, -e.m), -1) for e in entries], dtype=np.intp)[up]
+    unpaired = tuple(e for e in entries if (e.family, e.l, -e.m) not in index)
+    return orders, up, down, np.where(orders[up] % 2 == 0, 1.0, -1.0), unpaired
+
+
+@lru_cache(maxsize=32)
 def _theta_fourier(mode_set: ModeSet):
     """(by_order, starts, table, jp, jm): synthesize's table of mode_set.
 
@@ -161,7 +175,7 @@ def _theta_fourier(mode_set: ModeSet):
     degree = max((e.l for e in mode_set.entries), default=0)
     n = 2 * degree + 1
     samples = np.stack(mode_basis(mode_set, 2.0 * np.pi * np.arange(n) / n, np.zeros(n)), axis=1)
-    orders = np.array([e.m for e in mode_set.entries], dtype=np.intp)
+    orders = _mode_rows(mode_set)[0]
     by_order = np.argsort(orders, kind="stable")
     starts = np.flatnonzero(np.diff(orders[by_order], prepend=-n))  # every |m| < n
     table = np.fft.fftshift(np.fft.fft(samples[by_order], axis=-1), axes=-1) / n
@@ -337,7 +351,7 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     themselves, so no harmonic aliases, whatever the orders.
     """
     ms = coeffs.mode_set
-    orders = np.array([e.m for e in ms.entries])
+    orders = _mode_rows(ms)[0]
     m_max = int(np.abs(orders).max())
     bt, bp = _coarse_basis(ms)
     weights = np.zeros((2 * m_max + 1, ms.size), dtype=complex)
@@ -494,28 +508,20 @@ def enforce_symmetry(coeffs: VshCoefficients) -> VshCoefficients:
     """Impose the +-m conjugation constraint exactly on both families.
 
     hat a_{l,m} = (a_{l,m} + (-1)^m conj(a_{l,-m})) / 2 for m > 0, the -m
-    entry is rebuilt from it, and m = 0 entries are forced real. Requires
-    every |m| > 0 mode to appear with both signs.
+    entry is (-1)^m conj(hat a_{l,m}), and m = 0 entries are forced real:
+    three array steps over the mode set's cached row map, _mode_rows.
+    Requires every |m| > 0 mode to appear with both signs.
     """
     ms = coeffs.mode_set
-    index = {entry: q for q, entry in enumerate(ms.entries)}
-    new = coeffs.values.copy()
-    for entry, q in index.items():
-        family, l, m = entry
-        if m == 0:
-            new[q] = complex(coeffs.values[q].real, 0.0)
-            continue
-        if m < 0:
-            continue  # filled from the +m partner below
-        partner = index.get((family, l, -m))
-        if partner is None:
-            raise ValueError(f"mode set lacks the -m partner of ({family}, {l}, {m})")
-        sym = 0.5 * (coeffs.values[q] + (-1) ** m * np.conj(coeffs.values[partner]))
-        new[q] = sym
-        new[partner] = (-1) ** m * np.conj(sym)
-    for entry, q in index.items():
-        if entry.m < 0 and (entry.family, entry.l, -entry.m) not in index:
-            raise ValueError(f"mode set lacks the +m partner of {tuple(entry)}")
+    _, up, down, parity, unpaired = _mode_rows(ms)
+    if unpaired:
+        family, l, m = unpaired[0]
+        raise ValueError(f"mode set lacks the {'-' if m > 0 else '+'}m partner of "
+                         f"({family}, {l}, {m})")
+    values = coeffs.values
+    new = values.real.astype(complex)  # the m = 0 entries; the others are overwritten
+    new[up] = symmetric = 0.5 * (values[up] + parity * np.conj(values[down]))
+    new[down] = parity * np.conj(symmetric)
     return VshCoefficients(ms, new)
 
 

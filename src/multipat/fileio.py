@@ -236,10 +236,19 @@ PHYSICAL_SCALE_MAX = 1e20
 DIPOLE_LENGTH_MIN = 1e-4
 
 
-def _section(doc: dict, key: str) -> dict:
+def _known_keys(section: dict, name: str, known: tuple) -> None:
+    """ConfigError naming the first key of section that is not in known: a
+    misspelt key would otherwise leave its default in silence."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+
+
+def _section(doc: dict, key: str, known: tuple) -> dict:
     section = doc.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+    _known_keys(section, key, known)
     return section
 
 
@@ -304,9 +313,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; every unusable value raises ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _known_keys(doc, "the config", ("wavelength", "mode_set", "grid", "references", "chamber",
+                                    "test_antenna", "reconstruction"))
     wavelength = _number(doc.get("wavelength", 1.0), "wavelength", _SCALE)
 
-    ms_sec = _section(doc, "mode_set")
+    ms_sec = _section(doc, "mode_set", ("lambda_max", "parity", "multipole"))
     lambda_max = _integer(ms_sec.get("lambda_max", 3), "lambda_max", 1, MAX_LAMBDA)
     try:
         mode_set = build_mode_set(
@@ -319,7 +330,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             f"lambda_max = {mode_set.lambda_max} with parity {mode_set.parity!r} leaves no modes"
         )
 
-    grid_sec = _section(doc, "grid")
+    grid_sec = _section(doc, "grid", ("n_theta", "n_phi"))
     n_default = 4 * mode_set.lambda_max + 16
     n_theta = _integer(grid_sec.get("n_theta", n_default), "n_theta", 0, MAX_GRID)
     n_phi = _integer(grid_sec.get("n_phi", n_default), "n_phi", 0, MAX_GRID)
@@ -331,7 +342,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             f"need n_theta >= {mode_set.lambda_max + 1} and n_phi >= {2 * mode_set.lambda_max + 1}"
         )
 
-    ref_sec = _section(doc, "references")
+    ref_sec = _section(
+        doc, "references", ("orientations", "count", "optimize", "length", "current"))
     orientations = ref_sec.get("orientations")
     if orientations is not None:
         try:
@@ -353,6 +365,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     opt_sec = ref_sec.get("optimize") or {}
     if not isinstance(opt_sec, dict):
         raise ConfigError(f"optimize must be a JSON object, got {opt_sec!r}")
+    _known_keys(opt_sec, "references.optimize", ("objective", "budget"))
     optimize_objective = None
     optimize_budget = 0
     if opt_sec:
@@ -361,10 +374,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown optimize objective {optimize_objective!r}")
         optimize_budget = _integer(opt_sec.get("budget", 1000), "optimize.budget")
 
-    ch_sec = _section(doc, "chamber")
+    ch_sec = _section(doc, "chamber", ("n_probes", "n_paths", "sigma_rho", "seeds", "seed"))
     n_probes = _integer(ch_sec.get("n_probes", mode_set.size), "chamber.n_probes", 0, MAX_COUNT)
     n_paths = _integer(ch_sec.get("n_paths", mode_set.size), "chamber.n_paths", 1, MAX_COUNT)
     sigma_rho = _number(ch_sec.get("sigma_rho", 0.001), "sigma_rho", _GAIN_SCALE)
+    if "seed" in ch_sec and "seeds" in ch_sec:
+        raise ConfigError("chamber takes seed or seeds, not both")
     if "seeds" in ch_sec:
         if not isinstance(ch_sec["seeds"], list):
             raise ConfigError(f"chamber.seeds must be a list, got {ch_sec['seeds']!r}")
@@ -380,8 +395,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             f"{count} reference antennas cannot span {mode_set.size} modes"
         )
 
-    test_sec = _section(doc, "test_antenna")
-    rec_sec = _section(doc, "reconstruction")
+    test_sec = _section(doc, "test_antenna", ("length", "theta0", "phi0", "current"))
+    rec_sec = _section(doc, "reconstruction", ("method", "normalization"))
     method = rec_sec.get("method", "inverse")
     if method not in ("inverse", "direct-weights", "lse"):
         raise ConfigError(f"unknown reconstruction method {method!r}")
@@ -405,6 +420,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "radiation-resistance",
         ):
             raise ConfigError(f"unknown normalization {normalization!r}")
+        _known_keys(normalization, "reconstruction.normalization", ("mode", "r_meas", "r_loss"))
         if method == "inverse" and normalization["mode"] == "unit-weight":
             raise ConfigError("unit-weight normalization needs a weight-based method")
         if normalization["mode"] == "radiation-resistance":

@@ -44,16 +44,13 @@ class TangentVector:
         return np.sqrt(np.abs(self.e_theta) ** 2 + np.abs(self.e_phi) ** 2)
 
 
-def scratch(workspace: dict | None, name: str, shape: tuple, dtype=float):
+def scratch(workspace: dict, name: str, shape: tuple, dtype=float):
     """workspace[name] as an uninitialized array of this shape and dtype,
     allocated only when the entry is missing or its shape or dtype differs.
 
-    Without a workspace it returns None, so a ufunc given it as out=
-    allocates a fresh result: one formula serves both the reusing and the
-    allocating caller.
+    A caller that runs one formula many times keeps its workspace across the
+    calls and allocates its buffers once; a fresh {} gives fresh buffers.
     """
-    if workspace is None:
-        return None
     buffer = workspace.get(name)
     if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
         buffer = workspace[name] = np.empty(shape, dtype)

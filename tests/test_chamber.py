@@ -152,7 +152,7 @@ class TestSelectChamber:
     @staticmethod
     def _builder(fields, built=None):
         """V_R of the fields; each matrix built is recorded in built by seed."""
-        def build(ch, workspace):
+        def build(ch):
             v = np.column_stack([probe_voltages(ch, f) for f in fields])
             if built is not None:
                 built[ch.seed] = v
@@ -174,7 +174,7 @@ class TestSelectChamber:
         built = {}
         build = self._builder(fields, built)
         seeds = list(range(30))
-        conds = [np.linalg.cond(build(sample_chamber(s, 4, 6), {})) for s in seeds]
+        conds = [np.linalg.cond(build(sample_chamber(s, 4, 6))) for s in seeds]
         built.clear()
         selection = select_chamber(seeds, build, 4, 6)
         ch, v = selection.chamber, selection.voltage_matrix
@@ -191,10 +191,10 @@ class TestSelectChamber:
     def test_ties_keep_the_earliest_seed(self, monkeypatch):
         # Every candidate ranks the same, so the first seed must win.
         monkeypatch.setattr(np.linalg, "cond", lambda m: 2.0)
-        selection = select_chamber([5, 3, 9], lambda ch, ws: np.full((2, 2), ch.seed), 2, 2)
+        selection = select_chamber([5, 3, 9], lambda ch: np.full((2, 2), ch.seed), 2, 2)
         assert selection.chamber.seed == 5 and np.all(selection.voltage_matrix == 5)
         assert selection.index == 0 and selection.cond_v == [2.0, 2.0, 2.0]
 
     def test_empty_seed_list(self):
         with pytest.raises(ValueError):
-            select_chamber([], lambda ch, ws: np.eye(2), 2, 2)
+            select_chamber([], lambda ch: np.eye(2), 2, 2)

@@ -98,6 +98,63 @@ def read_modes(path):
             for m in fileio.read_json(path)["modes"]}
 
 
+# A misspelt key in every section parse_config reads: (section, key, value).
+MISSPELT_KEYS = [
+    ((), "wavelenght", 1.0),
+    (("mode_set",), "multipol", "electric"),
+    (("grid",), "ntheta", 28),
+    (("references",), "cout", 10),
+    (("references", "optimize"), "budjet", 10),
+    (("chamber",), "n_probe", 30),
+    (("test_antenna",), "theta", 0.3),
+    (("reconstruction",), "methd", "lse"),
+    (("reconstruction", "normalization"), "r_mes", 73.1),
+]
+
+
+def every_section_config():
+    """SMALL_CONFIG with every section parse_config reads."""
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["grid"] = {"n_theta": 28, "n_phi": 28}
+    doc["references"]["optimize"] = {"objective": "cond-A", "budget": 10}
+    doc["reconstruction"] = {
+        "method": "lse", "normalization": {"mode": "radiation-resistance", "r_meas": 73.1}}
+    return doc
+
+
+class TestUnknownKeys:
+    """A key parse_config does not read is refused, not dropped: exit 2 with
+    one line naming the section and the key, before the set-up runs."""
+
+    def run(self, doc, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "config.json"
+        fileio.write_json(path, doc)
+        monkeypatch.setattr(cli, "build_setup", lambda cfg: pytest.fail("the set-up ran"))
+        assert cli.main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        return capsys.readouterr().err
+
+    def test_every_section_config_parses(self):
+        assert fileio.parse_config(every_section_config()).normalization["r_meas"] == 73.1
+
+    @pytest.mark.parametrize("section, key, value", MISSPELT_KEYS,
+                             ids=[".".join(s) or "top" for s, _, _ in MISSPELT_KEYS])
+    def test_misspelt_key_exits_2(self, tmp_path, capsys, monkeypatch, section, key, value):
+        doc = every_section_config()
+        target = doc
+        for name in section:
+            target = target[name]
+        target[key] = value
+        err = self.run(doc, tmp_path, capsys, monkeypatch)
+        where = ".".join(section) or "the config"
+        assert err == f"config error: unknown key {key!r} in {where}\n"
+
+    def test_seed_with_seeds_exits_2(self, tmp_path, capsys, monkeypatch):
+        doc = every_section_config()
+        doc["chamber"]["seed"] = 4
+        err = self.run(doc, tmp_path, capsys, monkeypatch)
+        assert err == "config error: chamber takes seed or seeds, not both\n"
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = fileio.parse_config(SMALL_CONFIG)
@@ -448,6 +505,43 @@ class TestCommands:
         assert {l for _, l, _ in modes} == {1}
         assert max(abs(value) for value in modes.values()) > 0
 
+    @pytest.mark.parametrize("mode_set", [
+        {"lambda_max": 2, "parity": "even", "multipole": "electric"},
+        {"lambda_max": 3, "parity": "all", "multipole": "magnetic"},
+    ], ids=["even-electric-2", "magnetic-3"])
+    def test_decompose_on_modes_the_dipole_cannot_excite_exits_3(self, tmp_path, capsys,
+                                                                 mode_set):
+        # A centre-fed dipole radiates only odd electric modes; these sets
+        # capture rounding noise, about 1e-30 of its power.
+        doc = {**PAPER_CONFIG, "mode_set": mode_set, "references": {}, "chamber": {}}
+        path = tmp_path / "config.json"
+        fileio.write_json(path, doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", farfield.ConvergenceWarning)
+            assert cli.main(["decompose", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: the mode set captures ") and err.count("\n") == 1
+        assert float(err.split()[6]) < np.finfo(float).eps
+        assert list(out.iterdir()) == []
+
+    def test_decompose_paper_outputs_are_the_quadrature_coefficients(self, tmp_path):
+        path = tmp_path / "config.json"
+        fileio.write_json(path, PAPER_CONFIG)
+        out = tmp_path / "out"
+        assert cli.main(["decompose", "--config", str(path), "--out", str(out)]) == 0
+        cfg = fileio.parse_config(PAPER_CONFIG)
+        grid, ms = SphereGrid(cfg.n_theta, cfg.n_phi), cfg.mode_set()
+        test = DipoleSpec(cfg.test_length, cfg.test_theta0, cfg.test_phi0, cfg.test_current)
+        coeffs = decompose(test.field(cfg.k), ms, grid)
+        assert (out / "coefficients.json").read_text() == fileio.dumps(
+            fileio.coefficients_to_dict(coeffs))
+        peak = float(np.abs(decompose(DipoleSpec(cfg.test_length).field(cfg.k), ms,
+                                      grid).values).max())
+        rows = [f"{e.family},{e.l},{e.m},{float(abs(v))!r},{float(abs(v)) / peak!r}"
+                for e, v in zip(ms.entries, coeffs.values)]
+        assert (out / "spectrum.csv").read_text().splitlines()[1:] == rows
+
     def test_reconstruct_with_resistance_normalization(self, tmp_path):
         cfg_path = write_config(
             tmp_path,
@@ -591,6 +685,8 @@ class TestCommands:
              "reconstruction": {"method": "lse", "normalization": None}},
             {"references": {**SMALL_CONFIG["references"], "count": 10**12},
              "reconstruction": {"method": "lse", "normalization": None}},
+            {"references": {**SMALL_CONFIG["references"], "count": 0},
+             "reconstruction": {"method": "lse", "normalization": None}},
             *IMPOSSIBLE_SHAPES.values(),
         ],
         ids=["grid-3x3", "grid-4x6", "grid-3x28", "wavelength-nan", "wavelength-inf",
@@ -604,7 +700,7 @@ class TestCommands:
              "ref-current-1e160", "ref-current-text", "n-probes-10.9", "n-probes-bool",
              "seeds-2.7", "seed-2.7", "sigma-text", "lambda-max-3.5", "n-theta-28.5",
              "n-theta-833", "n-phi-833", "n-paths-0", "n-paths-1e12", "lse-n-probes-1e12",
-             "lse-count-1e12", *IMPOSSIBLE_SHAPES],
+             "lse-count-1e12", "lse-count-0", *IMPOSSIBLE_SHAPES],
     )
     def test_unusable_config_exits_2(self, tmp_path, capsys, overrides):
         cfg_path = write_config(tmp_path, overrides)
@@ -1104,19 +1200,23 @@ AXES = st.tuples(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.
                  st.floats(0.0, 2.0 * math.pi))
 
 
+def axes_of(refs):
+    return np.array([dipole.axis(spec) for spec in refs])
+
+
 class TestReferenceVoltages:
     """build_setup takes each candidate's V_R from the closed form
-    dipole.reference_voltages, built in the workspace select_chamber shares
-    between candidates; it equals the per-reference voltages to rounding."""
+    dipole.reference_voltages, bound to the reference axes and to scratch
+    buffers every candidate reuses; it equals the per-reference voltages to
+    rounding."""
 
     @pytest.mark.parametrize("doc", [SMALL_CONFIG, HIGHORDER_LSE_CONFIG, NEGATIVE_CURRENT_CONFIG],
                              ids=["small", "highorder-lse", "negative-current"])
     def test_batched_matrix_equals_per_reference_columns(self, monkeypatch, doc):
         build, refs, cfg = setup_voltage_builder(monkeypatch, doc)
-        workspace = {}
         for seed in range(100):
             ch = sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho)
-            v_r = build(ch, workspace)
+            v_r = build(ch)
             assert v_r.flags.c_contiguous
             assert_columns_close(v_r, per_reference_columns(ch, refs, cfg.k))
 
@@ -1129,7 +1229,7 @@ class TestReferenceVoltages:
                           base.alpha)
         on_axis = refs[4].field(cfg.k)(theta[2, 5], phi[2, 5])
         assert abs(on_axis.e_theta) < 1e-9 and abs(on_axis.e_phi) < 1e-9
-        v_r = build(ch, {})
+        v_r = build(ch)
         assert np.all(np.isfinite(v_r))
         assert_columns_close(v_r, per_reference_columns(ch, refs, cfg.k))
 
@@ -1143,12 +1243,12 @@ class TestReferenceVoltages:
                                                       n_paths, seed):
         refs = reference_dipole_set(axes, length, current)
         ch = sample_chamber(seed, n_probes, n_paths)
-        v_r = dipole.reference_voltages(refs, ch, K, {})
+        v_r = dipole.reference_voltages(axes_of(refs), length, current, ch, K, {})
         expected = per_reference_columns(ch, refs, K)
         # One path can land in a pattern null of a dipole longer than a
         # wavelength, so the scale is the largest voltage each probe could
         # see from these dipoles, not the column's own largest.
-        bracket = dipole.pattern_bracket(np.linspace(-1.0, 1.0, 4001), 2.0 * math.pi * length)
+        bracket = dipole.pattern_bracket(np.linspace(-1.0, 1.0, 4001), 2.0 * math.pi * length, {})
         scale = farfield.ETA0 * np.abs(bracket).max() * np.abs(ch.rho).sum(axis=1, keepdims=True)
         assert v_r.shape == expected.shape == (n_probes, len(refs))
         assert np.all(np.abs(v_r - expected) <= 1e-13 * scale)
@@ -1170,12 +1270,46 @@ class TestReferenceVoltages:
                              ids=["small", "highorder-lse"])
     def test_matrix_outlives_the_next_candidate(self, monkeypatch, doc):
         build, refs, cfg = setup_voltage_builder(monkeypatch, doc)
-        workspace = {}
-        first = build(sample_chamber(0, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), workspace)
+        first = build(sample_chamber(0, cfg.n_probes, cfg.n_paths, cfg.sigma_rho))
         kept = first.tobytes()
-        build(sample_chamber(1, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), workspace)
-        assert first.tobytes() == kept
-        assert workspace and not any(np.shares_memory(first, b) for b in workspace.values())
+        second = build(sample_chamber(1, cfg.n_probes, cfg.n_paths, cfg.sigma_rho))
+        assert first.tobytes() == kept and second.tobytes() != kept
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("doc", [PAPER_CONFIG, HIGHORDER_LSE_CONFIG],
+                             ids=["paper", "highorder-lse"])
+    def test_axes_taken_once_and_builder_given_the_chamber_alone(self, monkeypatch, doc):
+        made, axis_calls, builder_calls = [], [], []
+        reference_set, axis, select = (dipole.reference_dipole_set, dipole.axis,
+                                       chamber.select_chamber)
+
+        def spy_set(*args):
+            made.extend(reference_set(*args))
+            return made
+
+        def spy_axis(spec):
+            axis_calls.append(spec)
+            return axis(spec)
+
+        def spy_select(seeds, builder, *args):
+            def recorded(*call, **keywords):
+                builder_calls.append((call, keywords))
+                return builder(*call, **keywords)
+
+            return select(seeds, recorded, *args)
+
+        monkeypatch.setattr(dipole, "reference_dipole_set", spy_set)
+        monkeypatch.setattr(dipole, "axis", spy_axis)
+        monkeypatch.setattr(chamber, "select_chamber", spy_select)
+        cfg = fileio.parse_config(doc)
+        cli.build_setup(cfg)
+        # dipole_field takes the test dipole's axis through the same name;
+        # the references' axes are taken once each, not once per candidate.
+        assert len(made) == cfg.ref_count and len(cfg.seeds) == 100
+        assert sum(any(spec is ref for ref in made) for spec in axis_calls) == cfg.ref_count
+        assert len(builder_calls) == 100
+        assert all(len(call) == 1 and isinstance(call[0], ChamberModel) and not keywords
+                   for call, keywords in builder_calls)
 
     def test_one_builder_pass_per_candidate(self, monkeypatch):
         passes = []
@@ -1183,9 +1317,9 @@ class TestReferenceVoltages:
         select = chamber.select_chamber
 
         def spy(seeds, builder, *args):
-            def counted(ch, workspace):
+            def counted(ch):
                 passes.append(ch.seed)
-                return builder(ch, workspace)
+                return builder(ch)
 
             ranked.append(select(seeds, counted, *args))
             return ranked[-1]
@@ -1213,7 +1347,8 @@ class TestChamberSelectionRanking:
         refs = reference_dipole_set(setup.orientations, cfg.ref_length, cfg.ref_current)
         expected = [
             float(np.linalg.cond(dipole.reference_voltages(
-                refs, sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), cfg.k)))
+                axes_of(refs), cfg.ref_length, cfg.ref_current,
+                sample_chamber(seed, cfg.n_probes, cfg.n_paths, cfg.sigma_rho), cfg.k, {})))
             for seed in cfg.seeds
         ]
         selection = setup.selection

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from multipat.chamber import sample_chamber
-from multipat.dipole import DipoleSpec, dipole_field, reference_dipole_set, reference_voltages
+from multipat.dipole import (DipoleSpec, axis, dipole_field, reference_dipole_set,
+                             reference_voltages)
 from multipat.farfield import ETA0, decompose, default_grid, rms_field_error, synthesize_on_grid
 from multipat.vsh import build_mode_set
 
@@ -129,30 +130,22 @@ class TestBatchedField:
 
     @pytest.mark.parametrize("current", [0.7, -0.7])
     def test_workspace_gives_the_same_bytes_in_reused_buffers(self, current):
-        specs = reference_dipole_set(self.ORIENTATIONS, length=1.0, current=current)
+        axes = np.array([axis(spec) for spec in reference_dipole_set(self.ORIENTATIONS)])
         workspace = {}
         for seed in (9, 10):  # the second call refills the first call's buffers
             ch = sample_chamber(seed, 7, 11)
-            ch.theta[2, 5], ch.phi[2, 5] = 0.7, 1.9  # on the axis of specs[1]: the limit branch
+            ch.theta[2, 5], ch.phi[2, 5] = 0.7, 1.9  # on the second axis: the limit branch
             buffers = dict(workspace)
-            reused = reference_voltages(specs, ch, K, workspace)
-            plain = reference_voltages(specs, ch, K)
-            assert reused.shape == (7, len(specs)) and reused.flags.c_contiguous
-            assert reused.tobytes() == plain.tobytes()
+            reused = reference_voltages(axes, 1.0, current, ch, K, workspace)
+            fresh = reference_voltages(axes, 1.0, current, ch, K, {})
+            assert reused.shape == (7, len(axes)) and reused.flags.c_contiguous
+            assert reused.tobytes() == fresh.tobytes()
             assert all(workspace[name] is buffer for name, buffer in buffers.items())
             assert not any(np.shares_memory(reused, b) for b in workspace.values())
 
     def test_one_element_sequence_keeps_its_axis(self):
-        assert reference_voltages([DipoleSpec()], sample_chamber(0, 3, 2), K).shape == (3, 1)
-
-    @pytest.mark.parametrize("other", [DipoleSpec(length=0.6), DipoleSpec(current=2.0)])
-    def test_mixed_length_or_current_refused(self, other):
-        with pytest.raises(ValueError, match="share"):
-            reference_voltages([DipoleSpec(), other], sample_chamber(0, 3, 2), K)
-
-    def test_empty_sequence_refused(self):
-        with pytest.raises(ValueError, match="at least one"):
-            reference_voltages([], sample_chamber(0, 3, 2), K)
+        axes = np.array([axis(DipoleSpec())])
+        assert reference_voltages(axes, 0.5, 1.0, sample_chamber(0, 3, 2), K, {}).shape == (3, 1)
 
 
 def batch_of_one_field(spec, theta, phi, k):

@@ -501,6 +501,33 @@ class TestPatternError:
             rms_field_error(np.zeros(4), np.ones(4))
 
 
+def per_entry_symmetry(coeffs):
+    """enforce_symmetry's values as one Python pass over the entries computes
+    them, every operation in the order enforce_symmetry keeps."""
+    index = {entry: q for q, entry in enumerate(coeffs.mode_set.entries)}
+    new = coeffs.values.copy()
+    for (family, l, m), q in index.items():
+        if m == 0:
+            new[q] = complex(coeffs.values[q].real, 0.0)
+        elif m > 0:
+            partner = index[family, l, -m]
+            sym = 0.5 * (coeffs.values[q] + (-1) ** m * np.conj(coeffs.values[partner]))
+            new[q] = sym
+            new[partner] = (-1) ** m * np.conj(sym)
+    return new
+
+
+# Every filter up to L = 8 that leaves a mode; entries from exact signed
+# zeros, small integers and any finite float but a subnormal (see
+# test_half_of_the_smallest_subnormal_keeps_its_sign).
+SYMMETRY_MODE_SETS = st.builds(
+    build_mode_set, st.integers(1, 8), st.sampled_from(PARITY_FILTERS),
+    st.sampled_from(MULTIPOLE_FILTERS),
+).filter(lambda ms: ms.size > 0)
+SYMMETRY_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(
+    allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
 class TestEnforceSymmetry:
     def test_direct_arithmetic(self):
         ms = build_mode_set(1, multipole="electric")
@@ -556,6 +583,40 @@ class TestEnforceSymmetry:
         c = VshCoefficients(broken, np.array([1.0, 2.0], dtype=complex))
         with pytest.raises(ValueError):
             enforce_symmetry(c)
+
+    def test_requires_the_plus_m_partner_too(self):
+        from multipat.vsh import ModeSet
+
+        broken = ModeSet(2, "all", "magnetic", (ModeEntry("M", 2, -2), ModeEntry("M", 2, 0)))
+        c = VshCoefficients(broken, np.array([1.0, 2.0], dtype=complex))
+        with pytest.raises(ValueError, match=r"\+m partner of \(M, 2, -2\)"):
+            enforce_symmetry(c)
+
+    def test_half_of_the_smallest_subnormal_keeps_its_sign(self):
+        # The array step halves a sum of -5e-324j to -0j, as y / 2 rounds;
+        # the per-entry loop's scalar complex product adds 0.0 * Re to the
+        # half and gives +0j. So the property test below draws no subnormal.
+        ms = build_mode_set(1, multipole="electric")
+        q = ms.entries.index(ModeEntry("E", 1, 1))
+        values = np.zeros(ms.size, dtype=complex)
+        values[q] = complex(0.0, -5e-324)
+        coeffs = VshCoefficients(ms, values)
+        assert math.copysign(1.0, enforce_symmetry(coeffs).values[q].imag) == -1.0
+        assert math.copysign(1.0, per_entry_symmetry(coeffs)[q].imag) == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_the_per_entry_loop_bitwise(self, data):
+        ms = data.draw(SYMMETRY_MODE_SETS)
+        parts = st.lists(SYMMETRY_PARTS, min_size=ms.size, max_size=ms.size)
+        kind = data.draw(st.sampled_from(["complex", "real", "imaginary"]))
+        values = np.zeros(ms.size, dtype=complex)
+        if kind != "imaginary":
+            values.real = data.draw(parts)
+        if kind != "real":
+            values.imag = data.draw(parts)
+        coeffs = VshCoefficients(ms, values)
+        assert enforce_symmetry(coeffs).values.tobytes() == per_entry_symmetry(coeffs).tobytes()
 
 
 class TestRmsFieldError:

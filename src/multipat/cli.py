@@ -415,7 +415,8 @@ def cmd_optimize(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     mode_set = cfg.mode_set()
     orientations = cfg.ref_orientations or planner.fibonacci_orientations(cfg.ref_count)
     objective = cfg.optimize_objective or "cond-A"
-    budget = args.budget if args.budget is not None else (cfg.optimize_budget or 1000)
+    budget = args.budget if args.budget is not None else (
+        1000 if cfg.optimize_objective is None else cfg.optimize_budget)  # 1000 without a section
     budget = fileio._integer(budget, "optimize.budget")
     result = planner.optimize_reference_orientations(
         orientations,
@@ -468,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "optimize":
-            p.add_argument("--budget", type=int, default=None, help="objective evaluations")
+            p.add_argument("--budget", type=int, default=None,
+                           help="objective evaluations (default: the config's "
+                                "optimize.budget, or 1000 without an optimize section)")
 
     p = sub.add_parser("sweep")
     _add_common(p)

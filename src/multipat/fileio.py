@@ -362,7 +362,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"references.count = {count} but {len(orientations)} orientations listed"
         )
-    opt_sec = ref_sec.get("optimize") or {}
+    opt_sec = {} if ref_sec.get("optimize") is None else ref_sec["optimize"]  # null: absent
     if not isinstance(opt_sec, dict):
         raise ConfigError(f"optimize must be a JSON object, got {opt_sec!r}")
     _known_keys(opt_sec, "references.optimize", ("objective", "budget"))

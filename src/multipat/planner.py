@@ -184,6 +184,15 @@ def dipole_coefficient_matrix(
 _SIMPLEX_STEP = 0.25  # initial simplex edge along each axis (rad for angles)
 _SIMPLEX_FTOL_REL = 1e-6  # relative objective spread that ends the search
 _GRAM_RATIO_MIN = 1e-4  # Gram lambda_min / lambda_max under which (cond > 100) A_R is built
+_TRACE_BLOCK = 1 << 16  # orientation x mode entries of A_R built at once when scoring the trace
+
+
+def _horner(coefficients, x):  # highest degree first, at every entry of x
+    out = np.full_like(x, coefficients[0])
+    for c in coefficients[1:]:
+        out *= x
+        out += c
+    return out
 
 
 def nelder_mead(fun, x0: np.ndarray, budget: int):
@@ -236,7 +245,7 @@ def nelder_mead(fun, x0: np.ndarray, budget: int):
         spread = fvals[-1] - fvals[0]
         if spread <= _SIMPLEX_FTOL_REL * max(abs(fvals[0]), 1e-300):
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
         reflected = centroid + (centroid - simplex[-1])
         fr = call(reflected)
         if fr < fvals[0]:
@@ -303,11 +312,18 @@ def optimize_reference_orientations(
     A^H A = sum_l p_l P_l(a_i . a_j), whose top mode_set.size eigenvalues
     are the squared singular values of A. An evaluation is that Legendre
     series on the axes' Gram matrix and one eigvalsh; the angles float
-    freely. The eigenvalues' rounding grows as eps cond(A)^2, about 1e-12
-    relative at cond(A) = 100; a worse point, and each best-so-far point
-    once at the end, is scored through dipole_coefficient_matrix, looked up
-    in this module when called, at its wrapped orientation. The trace keeps
-    the points whose score beats all before, so it falls strictly from the start.
+    freely. The series is taken to monomial coefficients once per run and
+    evaluated by Horner's rule, two array steps per degree; for these
+    powers it agrees with the Legendre sum to about 1e-15 of its peak. The
+    eigenvalues' rounding grows as eps cond(A)^2, about 1e-12 relative at
+    cond(A) = 100, so a worse point is scored through
+    dipole_coefficient_matrix at its wrapped orientation. At the end the
+    best-so-far points are scored the same way, side by side: one
+    dipole_coefficient_matrix call builds the A_R of as many points as fit
+    in _TRACE_BLOCK orientation x mode entries, and each such stack is
+    scored at once. The builder is looked up in this module when called.
+    The trace keeps the points whose score beats all before, so it falls
+    strictly from the start.
 
     A centre-fed dipole radiates only odd-degree electric modes, so a
     mode set with a magnetic or even-degree mode leaves A_R singular at
@@ -342,22 +358,25 @@ def optimize_reference_orientations(
 
     # Each of the 2l + 1 rows of degree l carries |c_{l,0}|^2 4 pi / (2l + 1).
     powers = np.bincount([l for _, l, _ in mode_set.entries], abs(upright) ** 2) / (4 * math.pi)
+    monomials = np.polynomial.legendre.leg2poly(powers)[::-1]  # highest degree first
     xs = []  # every evaluated point
 
     def gram(x):
         xs.append(x.copy())
-        theta, phi = x[0::2], x[1::2]
-        sin_theta = np.sin(theta)
-        axes = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)])
-        gram_matrix = np.polynomial.legendre.legval(axes.T @ axes, powers)
-        top = np.linalg.eigvalsh(gram_matrix)[n - mode_set.size:]
+        sin, cos = np.sin(x), np.cos(x)
+        axes = np.array([sin[0::2] * cos[1::2], sin[0::2] * sin[1::2], cos[0::2]])
+        top = np.linalg.eigvalsh(_horner(monomials, axes.T @ axes))[n - mode_set.size:]
         if not top[0] > _GRAM_RATIO_MIN * top[-1]:  # also a singular or NaN spectrum
             return exact(x)
         return -float(np.prod(top)) if objective == "capacity" else math.sqrt(top[-1] / top[0])
 
     _, _, trace, evals = nelder_mead(gram, x0, budget=budget)
     kept = [(0, math.inf)]  # the exact trace; xs[0] is the start
-    for used, _ in trace:
-        if (f := exact(xs[used])) < kept[-1][1]:
-            kept.append((used, f))
+    for b in range(0, len(trace), step := max(1, _TRACE_BLOCK // (n * mode_set.size))):
+        used = [u for u, _ in trace[b:b + step]]
+        a = dipole_coefficient_matrix([o for u in used for o in unpack(xs[u])], mode_set, length,
+                                      upright=upright).reshape(-1, len(used), n).swapaxes(0, 1)
+        for u, f in zip(used, np.linalg.cond(a) if objective == "cond-A" else map(score, a)):
+            if f < kept[-1][1]:
+                kept.append((u, float(f)))
     return OptimizationResult(unpack(xs[kept[-1][0]]), kept[-1][1], kept[1:], evals)

@@ -154,6 +154,21 @@ class TestUnknownKeys:
         err = self.run(doc, tmp_path, capsys, monkeypatch)
         assert err == "config error: chamber takes seed or seeds, not both\n"
 
+    @pytest.mark.parametrize("value", [False, 0, "", [], True, 1],
+                             ids=["false", "0", "empty-string", "empty-list", "true", "1"])
+    def test_optimize_that_is_not_an_object_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        # A falsy value is not "no optimizer": only null or a missing key is.
+        doc = every_section_config()
+        doc["references"]["optimize"] = value
+        err = self.run(doc, tmp_path, capsys, monkeypatch)
+        assert err == f"config error: optimize must be a JSON object, got {value!r}\n"
+
+    def test_null_optimize_is_no_optimizer(self):
+        doc = every_section_config()
+        doc["references"]["optimize"] = None
+        cfg = fileio.parse_config(doc)
+        assert cfg.optimize_objective is None and cfg.optimize_budget == 0
+
 
 class TestConfigParsing:
     def test_defaults(self):
@@ -985,12 +1000,30 @@ class TestCommands:
                          "--budget", "1000"]) == 0
         used = len(calls) - 1  # the baseline evaluation is not counted
         assert 0 < used < 1000
-        # The builder scores each best-so-far point of the trace once.
+        # One builder call scores every best-so-far point of the trace, the
+        # three orientations of each side by side; no point reaches cond 100.
         trace = (out / "optimize_trace.csv").read_text().splitlines()[1:]
-        assert len(matrices) == len(trace) > 1
+        assert len(trace) > 1
+        assert [len(args[0]) for args in matrices] == [3 * len(trace)]
         start, end = (float(row.split(",")[1]) for row in (trace[0], trace[-1]))
         assert capsys.readouterr().out == (f"cond-A improved from {start:.4g} to {end:.4g} "
                                            f"after {used} of 1000 evaluations\n")
+
+    @pytest.mark.parametrize("optimize, argv", [
+        ({"objective": "cond-A", "budget": 0}, []),
+        ({"objective": "cond-A", "budget": 40}, ["--budget", "0"]),
+    ], ids=["config", "option"])
+    def test_optimize_budget_of_0_runs_no_evaluation(self, tmp_path, capsys, optimize, argv):
+        cfg_path = write_config(tmp_path, references={"optimize": optimize})
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                         *argv]) == 0
+        assert capsys.readouterr().out == "cond-A stayed at 62.75 after 0 of 0 evaluations\n"
+        assert (tmp_path / "out" / "optimize_trace.csv").read_text().count("\n") == 2
+
+    def test_optimize_without_a_section_takes_1000_evaluations(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.endswith(" of 1000 evaluations\n")
 
     def test_optimize_skips_a_singular_mode_set(self, tmp_path):
         # A centre-fed dipole radiates no magnetic or even-degree mode, so
@@ -1447,8 +1480,8 @@ class TestClosedFormReferences:
 
     def test_paper_setup_scores_only_the_trace(self, paper_config, monkeypatch):
         # The optimizer builds A_R at each search point of cond(A_R) > 100
-        # and once per best-so-far point, the set-up once more; each run
-        # decomposes the upright dipole once.
+        # and once for every best-so-far point together, the set-up once
+        # more; each run decomposes the upright dipole once.
         calls, points = {"matrix": 0, "decompose": 0}, []
         search, builder = planner.nelder_mead, planner.dipole_coefficient_matrix
 
@@ -1473,8 +1506,9 @@ class TestClosedFormReferences:
             [planner.wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(x) // 2)],
             paper_config.mode_set(), paper_config.ref_length)) > 100 for x in points)
         assert len(points) == 1501 and ill == 1  # one point of the start's simplex
-        assert counted_calls == {"matrix": len(setup.optimization.trace) + 1 + ill, "decompose": 2}
-        assert counted_calls["matrix"] == 175
+        assert len(setup.optimization.trace) == 173
+        assert counted_calls == {"matrix": 1 + 1 + ill, "decompose": 2}
+        assert counted_calls["matrix"] == 3
 
     def test_cond_a_is_the_optimizer_objective(self, paper_config, paper_setup):
         result = planner.optimize_reference_orientations(

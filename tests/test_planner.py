@@ -227,6 +227,30 @@ class TestDipoleCoefficientMatrix:
         assert np.max(np.abs(closed - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
+class TestGramSeries:
+    """The search evaluates the Gram series sum_l p_l P_l(x) by Horner's
+    rule on its monomial coefficients, which leg2poly takes once per run."""
+
+    @pytest.mark.parametrize("length", [0.1, 0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("lambda_max", [1, 3, 5, 7, 9, 15])
+    def test_horner_equals_the_legendre_series(self, lambda_max, length):
+        # The upright dipole's powers per degree, as the search builds them.
+        ms = build_mode_set(lambda_max, "odd", "electric")
+        upright = planner._upright_column(ms, length)
+        powers = np.bincount([l for _, l, _ in ms.entries], abs(upright) ** 2) / (4 * math.pi)
+        x = np.linspace(-1.0, 1.0, 4001)
+        series = np.polynomial.legendre.legval(x, powers)
+        horner = planner._horner(np.polynomial.legendre.leg2poly(powers)[::-1], x)
+        assert np.max(np.abs(horner - series)) <= 1e-14 * np.max(np.abs(series))
+
+    def test_horner_keeps_the_shape_and_leaves_x_alone(self):
+        x = np.array([[0.5, -1.0], [1.0, 0.25]])
+        kept = x.copy()
+        # 2 x^2 - 3 x + 1
+        assert planner._horner(np.array([2.0, -3.0, 1.0]), x).tolist() == [[0.0, 6.0], [0.0, 0.375]]
+        assert np.array_equal(x, kept)
+
+
 class TestOptimizeOrientations:
     def test_zero_budget_identity(self):
         ms = build_mode_set(1, multipole="electric")
@@ -290,8 +314,8 @@ class TestOptimizeOrientations:
 
     def test_upright_dipole_decomposed_once_per_run(self, monkeypatch):
         # The builder scores each search point of cond(A_R) > 100 when the
-        # search meets it and each best-so-far point once at the end, and
-        # the upright dipole is decomposed once per run.
+        # search meets it and every best-so-far point in one call at the
+        # end, and the upright dipole is decomposed once per run.
         ms = build_mode_set(3, "odd", "electric")
         init = fibonacci_orientations(10)
         original, search = planner.dipole_coefficient_matrix, planner.nelder_mead
@@ -328,8 +352,9 @@ class TestOptimizeOrientations:
             [wrap_orientation(x[2 * i], x[2 * i + 1]) for i in range(len(init))], ms)) > 100
             for x in points)
         assert ill > 0  # the start's simplex reaches one
-        assert calls == {"matrix": len(hoisted.trace) + ill, "decompose": 1}
-        assert len(evaluations) == len(reference.trace) + ill and len(reference.trace) > 1
+        assert calls == {"matrix": 1 + ill, "decompose": 1}
+        assert len(evaluations) == 1 + ill and len(reference.trace) > 1
+        assert len(evaluations[-1]) == len(init) * len(reference.trace)
         assert hoisted.orientations == reference.orientations
         assert hoisted.trace == reference.trace
 
@@ -360,6 +385,28 @@ class TestOptimizeOrientations:
         )
         start = capacity_objective(dipole_coefficient_matrix(init, ms))
         assert result.objective_value <= start + 1e-12
+
+    @pytest.mark.parametrize("points_per_block", [1, 3])
+    @pytest.mark.parametrize("objective", ["cond-A", "capacity"])
+    def test_trace_scored_in_blocks_equals_one_block(self, monkeypatch, objective, points_per_block):
+        ms = build_mode_set(3, "odd", "electric")
+        init = fibonacci_orientations(10)
+        whole = optimize_reference_orientations(init, ms, objective, budget=200)
+        original, sizes = planner.dipole_coefficient_matrix, []
+
+        def sized(pairs, *args, **kwargs):
+            sizes.append(len(pairs))
+            return original(pairs, *args, **kwargs)
+
+        # Room for points_per_block points of 10 orientations x 10 modes, and
+        # not one more entry.
+        monkeypatch.setattr(planner, "_TRACE_BLOCK", 100 * (points_per_block + 1) - 1)
+        monkeypatch.setattr(planner, "dipole_coefficient_matrix", sized)
+        blocked = optimize_reference_orientations(init, ms, objective, budget=200)
+        assert blocked == whole
+        full, rest = divmod(len(whole.trace), points_per_block)
+        blocks = [10 * points_per_block] * full + ([10 * rest] if rest else [])
+        assert full >= 4 and sizes[-len(blocks):] == blocks
 
     def test_validation(self, monkeypatch):
         ms = build_mode_set(3, "odd", "electric")

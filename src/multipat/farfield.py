@@ -18,13 +18,15 @@ trigonometric polynomial of degree <= L, so synthesize() sums per-order
 theta profiles from a cached theta-Fourier table of the mode set and
 evaluates no basis at its points. directivity() finds the pattern's peak
 from the argmax of a 1-degree mesh, refined by a Newton ascent in Python
-floats whose 9-point stencils are synthesize() calls. Each theta row of
-the mesh's |E|^2 is a trigonometric polynomial in phi, evaluated from
-per-order theta profiles on a cached 181-node column basis and a cached
-cos/sin table of the 360 phi nodes. mode_basis is vsh.mode_components
-with each row times j^(l+1), and keeps nothing; a quadrature grid owns the
-basis on its nodes (SphereGrid.basis), which every projection and
-synthesis on it reads.
+floats on |E|^2's exact gradient and Hessian from the same table (at a
+pole, along three meridians), and takes |E|^2 there from one synthesize()
+call; field_radiation_summary's ascent uses 9-point stencils. Each theta
+row of the mesh's |E|^2 is a trigonometric polynomial in phi, evaluated
+from per-order theta profiles on a cached 181-node column basis and a
+cached cos/sin table of the 360 phi nodes. mode_basis is
+vsh.mode_components with each row times j^(l+1), and keeps nothing; a
+quadrature grid owns the basis on its nodes (SphereGrid.basis), which
+every projection and synthesis on it reads.
 """
 from __future__ import annotations
 
@@ -162,7 +164,8 @@ def _mode_rows(mode_set: ModeSet):
 
 @lru_cache(maxsize=32)
 def _theta_fourier(mode_set: ModeSet):
-    """(by_order, starts, table, jp, jm): synthesize's table of mode_set.
+    """(by_order, starts, table, jp, jm, jets_p, jets_m): synthesize's
+    table of mode_set, and the derivative rows of _exact_model.
 
     A mode of degree l <= L is exp(j m phi) times a trigonometric
     polynomial of degree <= L in theta, which mode_components gives at any
@@ -171,6 +174,8 @@ def _theta_fourier(mode_set: ModeSet):
     exp(j p theta) in component c of mode by_order[i]. by_order sorts the
     modes by order m, each order's rows start at starts, and the columns
     jp = j p, p = -L..L, and jm = j m, one per order, are the exponents.
+    Rows [1, j p, (j p)^2] of jets_p and columns [1, j m, (j m)^2] of jets_m
+    take a term to its first two theta and phi derivatives.
     """
     degree = max((e.l for e in mode_set.entries), default=0)
     n = 2 * degree + 1
@@ -179,8 +184,9 @@ def _theta_fourier(mode_set: ModeSet):
     by_order = np.argsort(orders, kind="stable")
     starts = np.flatnonzero(np.diff(orders[by_order], prepend=-n))  # every |m| < n
     table = np.fft.fftshift(np.fft.fft(samples[by_order], axis=-1), axes=-1) / n
-    return (by_order, starts, table, 1j * np.arange(-degree, degree + 1.0)[:, None],
-            1j * orders[by_order][starts].astype(float)[:, None, None])
+    jp, jm = 1j * np.arange(-degree, degree + 1.0), 1j * orders[by_order][starts].astype(float)
+    return (by_order, starts, table, jp[:, None], jm[:, None, None],
+            np.vander(jp, 3, increasing=True), np.vander(jm, 3, increasing=True).T)
 
 
 def synthesize(coeffs: VshCoefficients, theta, phi) -> TangentVector:
@@ -192,7 +198,7 @@ def synthesize(coeffs: VshCoefficients, theta, phi) -> TangentVector:
     of points. Broadcasts; returns scalar components for scalar input.
     """
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    by_order, starts, table, jp, jm = _theta_fourier(coeffs.mode_set)
+    by_order, starts, table, jp, jm = _theta_fourier(coeffs.mode_set)[:5]
     g = np.add.reduceat(coeffs.values[by_order, None, None] * table, starts, axis=0)
     e_t, e_p = (g @ np.exp(jp * th.ravel()) * np.exp(jm * ph.ravel())).sum(axis=0)
     if th.shape == ():
@@ -365,44 +371,112 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     return np.concatenate([h.real, h[1:].imag]).T @ _coarse_trig(n - 1)
 
 
-def _max_magnitude_squared(eval_sq, coarse: np.ndarray) -> float:
-    """Maximum over the sphere of eval_sq(theta, phi) (broadcasting arrays).
+def _stencil_model(eval_sq):
+    """Local model of eval_sq(theta, phi) (broadcasting arrays): central
+    differences of one call on a 3x3 stencil of step h, resolved at h."""
 
-    The argmax of coarse, the values of eval_sq on the 1-degree mesh
-    (_COARSE_THETA, _COARSE_PHI), starts a Newton ascent in the gnomonic
-    chart of the tangent plane at the current point, so neither the poles
-    nor the phi coordinate need a special case. The point, its frame, the
-    gradient, the Hessian and the step are Python floats. Each iteration
-    makes one eval_sq call on the two 9-element angle arrays of a 3x3
-    stencil of step h along theta-hat and phi-hat, and takes the gradient
-    and Hessian from central differences. Along each principal axis of the
+    def model(x, frame, h):
+        # Node (a, b), offsets a h along theta-hat and b h along phi-hat, is f[3a + b + 4].
+        nodes = [_angles(_chart(x, frame, u, v)) for u in (-h, 0.0, h) for v in (-h, 0.0, h)]
+        f = np.asarray(eval_sq(*np.array(nodes).T), dtype=float).tolist()
+        top = max(f)
+        return (top, nodes[f.index(top)], ((f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)),
+                ((f[7] - 2.0 * f[4] + f[1]) / h**2, (f[8] - f[6] - f[2] + f[0]) / 4.0 / h**2,
+                 (f[5] - 2.0 * f[4] + f[3]) / h**2), h)
+
+    return model
+
+
+# Below this sin(theta) _exact_model works at the pole: the chain rule is singular there.
+_POLE_SIN = 1e-5
+# _exact_model lifts its curvatures by this share of their scale, so that
+# rounding (along an axisymmetric ridge) reads as flat, not as a Newton axis.
+_CURVATURE_LIFT = 1e-10
+
+
+def _jet(a, b):
+    """|E|^2 and its first two derivatives on a curve, from both components' [E, E', E'']."""
+    ac, bc = a[0].conjugate(), b[0].conjugate()
+    return ((ac * a[0] + bc * b[0]).real, 2.0 * (ac * a[1] + bc * b[1]).real,
+            2.0 * (abs(a[1]) ** 2 + abs(b[1]) ** 2 + (ac * a[2] + bc * b[2]).real))
+
+
+def _exact_model(coeffs: VshCoefficients):
+    """Local model of |E|^2 of a coefficient set, exact to rounding.
+
+    E and its theta and phi derivatives up to the second are one product of
+    synthesize's per-order sums g[m, c, p] with jets_m exp(j m phi) and one
+    with jets_p exp(j p theta); the chain rule takes those of |E|^2 to the
+    chart at x. Where sin(theta) < _POLE_SIN the chart derivatives are theta
+    derivatives at the pole along three meridians, carried on to x.
+    """
+    by_order, starts, table, _, _, jets_p, jets_m = _theta_fourier(coeffs.mode_set)
+    g = np.add.reduceat(coeffs.values[by_order, None, None] * table, starts, axis=0)
+    g = g.reshape(len(starts), -1)
+    n, jp, jm = len(jets_p), jets_p[:, 1], jets_m[1]
+
+    def jets(rows, theta):  # [2 r + c][k]: theta derivative k of component c, on row r
+        return (((rows @ g).reshape(6, n) * np.exp(jp * theta)) @ jets_p).tolist()
+
+    def model(x, frame, h):
+        theta, phi = _angles(x)
+        s, c = math.sin(theta), math.cos(theta)
+        if s < _POLE_SIN:  # the meridians of theta-hat, phi-hat and their bisector
+            pole = 0.0 if c > 0.0 else math.pi
+            meridians = phi + math.copysign(math.pi, c) * np.array([0.0, 0.5, 0.25])
+            d = jets(np.exp(np.outer(meridians, jm)), pole)
+            (f, f_u, f_uu), (_, f_v, f_vv), (_, _, f_dd) = (_jet(d[i], d[i + 1]) for i in (0, 2, 4))
+            f_uv, u = f_dd - 0.5 * (f_uu + f_vv), theta - pole
+            f, f_u, f_v = f + (f_u + 0.5 * f_uu * u) * u, f_u + f_uu * u, f_v + f_uv * u
+        else:
+            d = jets(jets_m * np.exp(jm * phi), theta)  # row r: phi derivative r
+            f, f_u, f_uu = _jet(d[0], d[1])
+            _, f_p, f_pp = _jet((d[0][0], d[2][0], d[4][0]), (d[1][0], d[3][0], d[5][0]))
+            f_tp = 2.0 * (d[0][1].conjugate() * d[2][0] + d[1][1].conjugate() * d[3][0]
+                          + d[0][0].conjugate() * d[2][1] + d[1][0].conjugate() * d[3][1]).real
+            f_v, f_uv, f_vv = f_p / s, (f_tp - f_p * c / s) / s, (f_pp / s + f_u * c) / s
+        lift = _CURVATURE_LIFT * (abs(f_uu) + abs(f_vv))
+        return f, (theta, phi), (f_u, f_v), (f_uu + lift, f_uv, f_vv + lift), 0.0
+
+    return model
+
+
+def _max_magnitude_squared(model, coarse: np.ndarray):
+    """Maximum over the sphere of a pattern's |E|^2, and its (theta, phi).
+
+    The argmax of coarse, the pattern on the 1-degree mesh (_COARSE_THETA,
+    _COARSE_PHI), starts a Newton ascent in Python floats in the gnomonic
+    chart of the tangent plane at the current point x, so neither the poles
+    nor the phi coordinate need a special case. Each model(x, frame, h)
+    call gives its best value and (theta, phi), the chart gradient and
+    Hessian (uu, uv, vv) at x, and the spacing they are resolved at: 0 for
+    _exact_model, h for _stencil_model. Along each principal axis of the
     Hessian (a closed-form 2x2 eigensystem) the step is Newton's where the
     curvature is negative, and elsewhere an uphill step of h when its
     first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric ridge this
     converges across the ridge instead of crawling along it. The step is
-    clamped to 2h, and h then shrinks toward the step length. The search
-    stops once the step and h are below 1e-5 rad and the stencil raised the
-    best value by at most _PEAK_REL_TOL relative; at the iteration cap it
-    warns (ConvergenceWarning). Either way it returns the best value seen.
-    A non-finite mesh value raises PatternError: its argmax is meaningless.
+    clamped to 2h, and h then shrinks toward the step length. After a first
+    step the search stops once the step and the spacing are below 1e-5 rad
+    and the model raised the best value by at most _PEAK_REL_TOL relative;
+    at the iteration cap it warns (ConvergenceWarning). Either way it
+    returns the best value seen and its direction. A non-finite mesh value
+    raises PatternError: its argmax is meaningless.
     """
-    if not np.all(np.isfinite(coarse)):
-        raise PatternError("peak search: the pattern is not finite on the 1-degree mesh")
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = float(coarse[i, j])
+    # argmax takes the first NaN, +inf is the maximum, and |E|^2 has no -inf.
+    if not math.isfinite(best):
+        raise PatternError("peak search: the pattern is not finite on the 1-degree mesh")
     t0, p0 = float(_COARSE_THETA[i, j]), float(_COARSE_PHI[i, j])
+    best_at = t0, p0
     x = (math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0))
     h = float(_COARSE_THETA[1, 0] - _COARSE_THETA[0, 0])
-    for _ in range(_NEWTON_MAX_ITER):
+    for step in range(_NEWTON_MAX_ITER):
         frame = _tangent_frame(x)
-        # Stencil node (a, b), offsets a h along theta-hat and b h along phi-hat, is f[3a + b + 4].
-        nodes = [_angles(_chart(x, frame, u, v)) for u in (-h, 0.0, h) for v in (-h, 0.0, h)]
-        f = np.asarray(eval_sq(*np.array(nodes).T), dtype=float).tolist()
-        gained = max(f) > best * (1.0 + _PEAK_REL_TOL)
-        best = max(best, *f)
-        g_t, g_p = (f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)
-        hess = ((f[7] - 2.0 * f[4] + f[1]) / h**2, (f[8] - f[6] - f[2] + f[0]) / 4.0 / h**2,
-                (f[5] - 2.0 * f[4] + f[3]) / h**2)
+        top, at, (g_t, g_p), hess, spacing = model(x, frame, h)
+        gained = top > best * (1.0 + _PEAK_REL_TOL)
+        if top > best:
+            best, best_at = top, at
         s_t = s_p = 0.0
         for curvature, (u, v) in _principal_axes(*hess):
             slope = u * g_t + v * g_p
@@ -414,8 +488,8 @@ def _max_magnitude_squared(eval_sq, coarse: np.ndarray) -> float:
         length = math.hypot(s_t, s_p)
         if length > 2.0 * h:
             s_t, s_p, length = s_t * (2.0 * h / length), s_p * (2.0 * h / length), 2.0 * h
-        if not gained and length < _NEWTON_STEP_TOL and h < _NEWTON_STEP_TOL:
-            return best
+        if step and not gained and length < _NEWTON_STEP_TOL and spacing < _NEWTON_STEP_TOL:
+            return best, best_at
         x = _chart(x, frame, s_t, s_p)
         # At most 1000-fold per step, so a zero step never collapses the stencil.
         h = min(h, max(length, 1e-3 * h))
@@ -424,35 +498,29 @@ def _max_magnitude_squared(eval_sq, coarse: np.ndarray) -> float:
         ConvergenceWarning,
         stacklevel=2,
     )
-    return best
+    return best, best_at
 
 
 def directivity(coeffs: VshCoefficients, k: float) -> float:
     """Directivity: 4 pi max |E|^2 over the integrated squared magnitude.
 
-    The peak is _max_magnitude_squared's float Newton ascent, one 9-point
-    synthesize call per step, to _PEAK_REL_TOL relative, from the argmax of
-    _coarse_magnitude_squared's trig-table mesh; both read cached tables, so
-    a mode set's later patterns evaluate no basis. A zero or non-finite
-    amplitude sum raises PatternError. The spreading-free formulation makes
-    the wavenumber cancel; it is kept in the signature for interface
-    symmetry with radiated_power.
+    The peak's direction is _max_magnitude_squared's float Newton ascent on
+    _exact_model (a pole model within _POLE_SIN of a pole), from the argmax
+    of _coarse_magnitude_squared's trig-table mesh; both read cached tables,
+    so a mode set's later patterns evaluate no basis. |E|^2 there is one
+    synthesize call. A zero or non-finite amplitude sum raises PatternError.
+    The spreading-free formulation makes the wavenumber cancel; it is kept
+    in the signature for interface symmetry with radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:
         raise PatternError(f"directivity undefined for squared amplitude sum {total}")
-
-    # Each stencil is one call of this module's synthesize, looked up when
-    # called: the benchmark's traced run wraps that name, and its
-    # farfield.synthesize_us and synth_calls_per_directivity come from
-    # those calls alone.
-    def eval_sq(t, p):
-        f = synthesize(coeffs, t, p)
-        return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
-
-    coarse = _coarse_magnitude_squared(coeffs)
-    peak = _max_magnitude_squared(eval_sq, coarse)
-    return 4.0 * math.pi * peak / total
+    _, (theta, phi) = _max_magnitude_squared(_exact_model(coeffs), _coarse_magnitude_squared(coeffs))
+    # One call of this module's synthesize, looked up when called: the
+    # benchmark's traced run wraps that name, and its farfield.synthesize_us
+    # and synth_calls_per_directivity come from this call.
+    f = synthesize(coeffs, theta, phi)
+    return 4.0 * math.pi * (abs(f.e_theta) ** 2 + abs(f.e_phi) ** 2) / total
 
 
 @dataclass
@@ -500,7 +568,7 @@ def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -
         f = field(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
-    peak = _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
+    peak, _ = _max_magnitude_squared(_stencil_model(eval_sq), eval_sq(_COARSE_THETA, _COARSE_PHI))
     return _summary(power, 4.0 * math.pi * peak / total, current)
 
 

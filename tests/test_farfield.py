@@ -19,8 +19,13 @@ from multipat.farfield import (
     PatternError,
     SphereGrid,
     VshCoefficients,
+    _angles,
+    _chart,
     _coarse_magnitude_squared,
+    _exact_model,
     _max_magnitude_squared,
+    _stencil_model,
+    _tangent_frame,
     decompose,
     default_grid,
     directivity,
@@ -86,11 +91,20 @@ def polished_directivity(coeffs, step_deg):
     return 4.0 * math.pi * peak / float(np.sum(np.abs(coeffs.values) ** 2))
 
 
-def huygens_field(axis):
+def huygens_field(axis, toward=None, beta=1.0):
     """Crossed electric and magnetic dipoles radiating along `axis`: the
-    cardioid |E|^2 = (1 + r_hat . n)^2, whose directivity is exactly 3."""
+    cardioid |E|^2 = (1 + r_hat . n)^2, whose directivity is exactly 3.
+
+    The electric dipole e lies along toward's part normal to axis, if
+    given. A magnetic dipole beta times as strong keeps the peak (1 +
+    beta)^2 along axis, anisotropic for beta != 1 with principal axes along
+    e and axis x e, and the directivity 1.5 (1 + beta)^2 / (1 + beta^2).
+    """
     n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
-    e = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+    if toward is None:
+        e = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+    else:
+        e = np.asarray(toward, dtype=float) - (n @ toward) * n
     e /= np.linalg.norm(e)
     m = np.cross(n, e)
 
@@ -100,7 +114,7 @@ def huygens_field(axis):
         r = np.stack([st * cp, st * sp, ct], axis=-1)
         t_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
         p_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        vec = np.cross(r, m) - e  # the radial part of -e is dropped by the projections
+        vec = beta * np.cross(r, m) - e  # the radial part of -e is dropped by the projections
         return TangentVector(np.sum(vec * t_hat, axis=-1), np.sum(vec * p_hat, axis=-1))
 
     return field
@@ -300,6 +314,24 @@ class TestDirectivity:
         c = decompose(huygens_field(axis), build_mode_set(1))
         assert directivity(c, K) == pytest.approx(3.0, rel=1e-10)
 
+    def test_one_synthesize_call_gives_the_value(self, monkeypatch):
+        # The benchmark's traced run times farfield.synthesize by wrapping
+        # the module attribute: directivity makes one call through it, at
+        # the direction the peak search found, and returns |E|^2 from it.
+        c = random_coefficients(build_mode_set(3), np.random.default_rng(21))
+        expected = directivity(c, K)
+        _, at = _max_magnitude_squared(_exact_model(c), _coarse_magnitude_squared(c))
+        calls = []
+
+        def spy(coeffs, theta, phi):
+            calls.append((theta, phi))
+            f = synthesize(coeffs, theta, phi)
+            return TangentVector(2.0 * f.e_theta, 2.0 * f.e_phi)
+
+        monkeypatch.setattr(farfield, "synthesize", spy)
+        assert directivity(c, K) == 4.0 * expected  # |2 E|^2, exact in binary
+        assert calls == [at]
+
     def test_field_route_matches_expansion_route(self):
         spec = DipoleSpec(theta0=0.6, phi0=2.0)
         theory = field_radiation_summary(spec.field(K), default_grid(3), K, 1.0)
@@ -329,6 +361,40 @@ class TestPeakSearch:
         assert d >= 1.0
         assert d >= (1.0 - 1e-8) * polished_directivity(c, 0.5)
 
+    @pytest.mark.parametrize("axis, beta", [
+        ((0.0, 0.0, 1.0), 0.5),
+        ((0.0, 0.0, -1.0), 0.5),
+        ((1e-7 * math.cos(1.0), 1e-7 * math.sin(1.0), 1.0), 0.5),
+        ((1e-4 * math.cos(1.0), 1e-4 * math.sin(1.0), 1.0), 0.5),
+        ((1e-7 * math.cos(4.0), 1e-7 * math.sin(4.0), -1.0), 0.5),
+        ((1e-4 * math.cos(4.0), 1e-4 * math.sin(4.0), -1.0), 0.5),
+        ((0.0, 0.0, 1.0), 1.0),
+        ((3e-6, 0.0, 1.0), 1.0),
+        ((1e-4, 0.0, -1.0), 1.0),
+    ], ids=["north", "south", "1e-7-from-north", "1e-4-from-north", "1e-7-from-south",
+            "1e-4-from-south", "cardioid-north", "cardioid-3e-6-from-north",
+            "cardioid-1e-4-from-south"])
+    def test_peak_at_or_near_a_pole(self, monkeypatch, axis, beta):
+        # Crossed dipoles peaking on a pole or within 1e-4 rad of one, so
+        # the mesh argmax lies on its theta = 0 or theta = pi row and the
+        # exact model starts at the pole. With beta = 0.5 the peak is
+        # anisotropic, its principal axes 30 degrees off the chart axes
+        # there, so the pole model's cross derivative steers the search.
+        c = decompose(huygens_field(axis, toward=(math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0),
+                                    beta=beta), build_mode_set(1))
+        points = model_points(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = directivity(c, K)
+        start = np.unravel_index(np.argmax(_coarse_magnitude_squared(c)), _COARSE_THETA.shape)
+        assert start[0] in (0, 180) and _angles(points[0])[0] in (0.0, math.pi)
+        t_hat = _tangent_frame(points[0])[0]
+        off_axes = math.degrees(math.pi / 6 - math.atan2(t_hat[1], t_hat[0])) % 90.0
+        assert 20.0 < off_axes < 70.0
+        assert len(points) <= 8
+        assert d == pytest.approx(polished_directivity(c, 1.0), rel=1e-12, abs=0.0)
+        assert d == pytest.approx(1.5 * (1.0 + beta) ** 2 / (1.0 + beta**2), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("power, theta0, phi0", [(1.05, 2.5665, 0.3678), (1.04, 1.8046, 2.1221)])
     def test_step_is_clamped_to_twice_the_stencil_step(self, power, theta0, phi0):
         # A cusp 1 - psi^power at an off-mesh peak: Newton's step overshoots
@@ -348,7 +414,8 @@ class TestPeakSearch:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI)) > 1.0 - 1e-7
+            coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
+            assert _max_magnitude_squared(_stencil_model(eval_sq), coarse)[0] > 1.0 - 1e-7
         # Node 4 is the stencil centre and node 7 lies h along theta-hat; in
         # the gnomonic chart a point at angle psi is tan(psi) away.
         ratios = [math.tan(angle(a[4], b[4])) / math.tan(angle(a[4], a[7]))
@@ -366,22 +433,141 @@ class TestPeakSearch:
             return values
 
         with pytest.warns(ConvergenceWarning, match="cap"):
-            peak = _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
+            coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
+            peak, _ = _max_magnitude_squared(_stencil_model(eval_sq), coarse)
         assert peak == max(seen)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [
+        {(37, 211): np.nan},
+        {(37, 211): np.inf},
+        {(12, 5): 2.0, (37, 211): np.nan},  # a NaN after the finite maximum
+        {(12, 5): np.inf, (37, 211): np.nan},
+        {(12, 5): np.nan, (37, 211): np.inf},
+    ], ids=["nan", "inf", "nan-after-the-maximum", "inf-then-nan", "nan-then-inf"])
     def test_non_finite_mesh_value_raises(self, bad):
-        # Finite everywhere except at one node of the 1-degree mesh.
+        # Finite everywhere except at the nodes in bad of the 1-degree mesh.
         def eval_sq(t, p):
             values = np.ones(np.shape(t))
             if values.shape == (181, 360):
-                values[37, 211] = bad
+                for node, value in bad.items():
+                    values[node] = value
             return values
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
-                _max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
+                _max_magnitude_squared(_stencil_model(eval_sq), eval_sq(_COARSE_THETA, _COARSE_PHI))
+
+
+class TestExactModel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(PARITY_FILTERS),
+        st.sampled_from(MULTIPOLE_FILTERS),
+        st.floats(-0.99, 0.99),
+        st.floats(-math.pi, math.pi),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences_of_synthesize(
+        self, lambda_max, parity, multipole, cos_theta, phi, seed
+    ):
+        # At an off-pole point: |E|^2 against synthesize, and the chart
+        # gradient and Hessian against 4th-order central differences of
+        # synthesize on a 5x5 chart stencil of step 1e-3, to 1e-6 of the
+        # scale (2L)^k max |E|^2 of a k-th derivative.
+        ms = build_mode_set(lambda_max, parity, multipole)
+        if ms.size == 0:
+            return
+        c = random_coefficients(ms, np.random.default_rng(seed))
+        s = math.sqrt(1.0 - cos_theta**2)
+        x = (s * math.cos(phi), s * math.sin(phi), cos_theta)
+        frame = _tangent_frame(x)
+        f, at, gradient, hessian, spacing = _exact_model(c)(x, frame, 0.1)
+        scale = float(_coarse_magnitude_squared(c).max())
+        e = synthesize(c, *at)
+        assert spacing == 0.0 and at == _angles(x)
+        assert f == pytest.approx(e.magnitude() ** 2, rel=1e-14, abs=1e-14 * scale)
+        sq, n = chart_differences(c, x, frame), 2 * lambda_max
+        np.testing.assert_allclose(gradient, sq[0], rtol=1e-6, atol=1e-6 * n * scale)
+        np.testing.assert_allclose(hessian, sq[1], rtol=1e-6, atol=1e-6 * n * n * scale)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 8),
+        st.sampled_from(PARITY_FILTERS),
+        st.sampled_from(MULTIPOLE_FILTERS),
+        st.sampled_from([0.0, 1e-7, 9e-6]),
+        st.booleans(),
+        st.floats(-math.pi, math.pi),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences_at_a_pole(
+        self, lambda_max, parity, multipole, offset, south, phi, seed
+    ):
+        # Within _POLE_SIN of a pole the model is the pole's, along its three
+        # meridians, carried on to x: exact at the pole, its Hessian off by
+        # about offset times a third derivative, (2L)^3 max |E|^2.
+        ms = build_mode_set(lambda_max, parity, multipole)
+        if ms.size == 0:
+            return
+        c = random_coefficients(ms, np.random.default_rng(seed))
+        theta = math.pi - offset if south else offset
+        x = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        frame = _tangent_frame(x)
+        f, at, gradient, hessian, _ = _exact_model(c)(x, frame, 0.1)
+        scale = float(_coarse_magnitude_squared(c).max())
+        sq, n = chart_differences(c, x, frame), 2 * lambda_max
+        e = synthesize(c, *at)
+        assert f == pytest.approx(e.magnitude() ** 2, rel=0.0, abs=1e-12 * scale)
+        np.testing.assert_allclose(gradient, sq[0], rtol=1e-6, atol=1e-6 * n * scale)
+        tol = 1e-6 + offset * n
+        np.testing.assert_allclose(hessian, sq[1], rtol=tol, atol=tol * n * n * scale)
+
+    @pytest.mark.parametrize("length, theta0, phi0",
+                             [(0.5, 0.0, 0.0), (0.5, 1.2, 4.0), (1.0, 1.0472, 1.0)])
+    def test_axisymmetric_ridge_settles(self, monkeypatch, length, theta0, phi0):
+        # A dipole's peak is a ring: along it the exact curvature is
+        # rounding, which must not drive Newton steps along the ring.
+        ms = build_mode_set(3, "odd", "electric")
+        c = decompose(DipoleSpec(length, theta0, phi0).field(K), ms)
+        points = model_points(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert directivity(c, K) == pytest.approx(polished_directivity(c, 1.0), rel=1e-12)
+        assert len(points) <= 8
+
+
+def model_points(monkeypatch):
+    """The list of the points at which directivity's exact model is taken."""
+    points = []
+    original = farfield._exact_model
+
+    def counted(coeffs):
+        model = original(coeffs)
+
+        def step(x, frame, h):
+            points.append(x)
+            return model(x, frame, h)
+
+        return step
+
+    monkeypatch.setattr(farfield, "_exact_model", counted)
+    return points
+
+
+def chart_differences(c, x, frame, h=1e-3):
+    """4th-order central differences of |synthesize|^2 on a 5x5 chart
+    stencil of step h at x: ((f_u, f_v), (f_uu, f_uv, f_vv)). The nodes'
+    theta is atan2(rho, z), accurate near the poles, where acos(z) is not."""
+    offsets = h * np.arange(-2, 3)
+    nodes = np.array([_chart(x, frame, u, v) for u in offsets for v in offsets])
+    e = synthesize(c, np.arctan2(np.hypot(nodes[:, 0], nodes[:, 1]), nodes[:, 2]),
+                   np.arctan2(nodes[:, 1], nodes[:, 0]))
+    sq = (np.abs(e.e_theta) ** 2 + np.abs(e.e_phi) ** 2).reshape(5, 5)  # [u, v]
+    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    return (d1 @ sq[:, 2], sq[2] @ d1), (d2 @ sq[:, 2], d1 @ sq @ d1, sq[2] @ d2)
 
 
 def direct_coarse(coeffs, rows=20):
@@ -439,21 +625,27 @@ class TestCoarseMesh:
     def test_directivity_matches_the_full_basis_route(self, paper_setup):
         # The 16-antenna Fibonacci design over the sphere, reconstructed on
         # the paper config; the reference peak search starts from the mesh
-        # computed on the full 1-degree basis.
+        # computed on the full 1-degree basis. The stencil search from that
+        # mesh may stop short of the peak, never past it.
         cfg = paper_setup.config
         golden = math.pi * (3.0 - math.sqrt(5.0))
         for i in range(16):
             theta0, phi0 = math.acos(1.0 - (2 * i + 1) / 16), (i * golden) % (2.0 * math.pi)
             spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
             coeffs = cli._reconstruct_test(paper_setup, spec)[0].coefficients
+            total = float(np.sum(np.abs(coeffs.values) ** 2))
 
             def eval_sq(t, p):
                 f = synthesize(coeffs, t, p)
                 return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
-            peak = _max_magnitude_squared(eval_sq, coarse=direct_coarse(coeffs))
-            expected = 4.0 * math.pi * peak / float(np.sum(np.abs(coeffs.values) ** 2))
-            assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12)
+            coarse = direct_coarse(coeffs)
+            _, at = _max_magnitude_squared(_exact_model(coeffs), coarse)
+            expected = 4.0 * math.pi * float(eval_sq(*at)) / total
+            d = directivity(coeffs, cfg.k)
+            assert d == pytest.approx(expected, rel=1e-12)
+            stencil, _ = _max_magnitude_squared(_stencil_model(eval_sq), coarse)
+            assert d >= 4.0 * math.pi * stencil / total * (1.0 - 1e-14)
 
     def test_caches_only_the_theta_column(self, monkeypatch):
         points = []
@@ -487,7 +679,7 @@ class TestPatternError:
         coarse = np.ones(_COARSE_THETA.shape)
         coarse[90, 0] = np.nan
         with pytest.raises(PatternError, match="not finite"):
-            _max_magnitude_squared(lambda t, p: np.ones(np.shape(t)), coarse)
+            _max_magnitude_squared(_stencil_model(lambda t, p: np.ones(np.shape(t))), coarse)
 
     def test_field_power_integral(self):
         def zero_field(t, p):

@@ -1,12 +1,16 @@
-"""The peak search against the implementation it replaced.
+"""The peak search against numpy references of its mesh and its loops.
 
-The reference below is the earlier coarse mesh, one zero-padded real
+The reference mesh is the earlier coarse mesh, one zero-padded real
 inverse FFT of 360 points per theta row with the harmonics past 180 folded
-onto 360 - M, and the earlier Newton loop, which carried the point, the
-tangent frame, the gradient, the Hessian and the step as numpy arrays and
-took the principal axes from np.linalg.eigh. The current code evaluates
-the mesh from a cached cos/sin table and runs the same loop in Python
-floats with a closed-form 2x2 eigensystem, so the two agree to rounding.
+onto 360 - M. The reference loops carry the point, the tangent frame, the
+gradient, the Hessian and the step as numpy arrays and take the principal
+axes from np.linalg.eigh. The stencil loop is the earlier search, which
+the field route still runs, from central differences of a 3x3 stencil.
+The exact loop is the coefficient route's: derivatives of E summed mode by
+mode with einsum, the chain rule as J^T H J plus the second derivatives of
+the angles, and at a pole the Hessian solved from three meridians. The
+current code runs both in Python floats with a closed-form 2x2
+eigensystem, so each agrees with its reference to rounding.
 """
 import math
 import warnings
@@ -21,13 +25,15 @@ from multipat.dipole import DipoleSpec
 from multipat.farfield import (
     _COARSE_PHI,
     _COARSE_THETA,
+    _CURVATURE_LIFT,
     _NEWTON_MAX_ITER,
     _NEWTON_STEP_TOL,
     _PEAK_REL_TOL,
+    _POLE_SIN,
     ConvergenceWarning,
     _coarse_basis,
     _coarse_magnitude_squared,
-    _max_magnitude_squared,
+    _theta_fourier,
     default_grid,
     directivity,
     field_radiation_summary,
@@ -120,17 +126,6 @@ def reference_max_magnitude_squared(eval_sq, coarse):
     return best
 
 
-def counted(eval_sq):
-    """eval_sq and the list of the sizes of the point sets it was called on."""
-    calls = []
-
-    def wrapped(t, p):
-        calls.append(np.size(t))
-        return eval_sq(t, p)
-
-    return wrapped, calls
-
-
 def coefficient_eval_sq(coeffs):
     def eval_sq(t, p):
         f = synthesize(coeffs, t, p)
@@ -139,24 +134,114 @@ def coefficient_eval_sq(coeffs):
     return eval_sq
 
 
+def reference_field_derivatives(coeffs, theta, phis):
+    """d[i, a, b, c]: the a-th theta and b-th phi derivative, a + b <= 2, of
+    component c of E at (theta, phis[i]), summed mode by mode over the
+    theta-Fourier table."""
+    by_order, _, table = _theta_fourier(coeffs.mode_set)[:3]
+    degree = (table.shape[-1] - 1) // 2
+    jp = 1j * np.arange(-degree, degree + 1)
+    jm = 1j * np.array([e.m for e in coeffs.mode_set.entries])[by_order]
+    d = np.zeros((len(phis), 3, 3, 2), dtype=complex)
+    for a in range(3):
+        for b in range(3 - a):
+            d[:, a, b] = np.einsum("q,qcp,p,iq->ic", coeffs.values[by_order], table,
+                                   jp**a * np.exp(jp * theta), jm**b * np.exp(np.outer(phis, jm)))
+    return d
+
+
+def _re_dot(a, b):
+    return float(np.sum(np.real(np.conj(a) * b)))
+
+
+def reference_exact_model(coeffs, theta, phi):
+    """|E|^2 at (theta, phi), and its gradient and Hessian in the gnomonic
+    chart there (at a pole, carried over from the pole), Hessian lifted by
+    _CURVATURE_LIFT."""
+    s, c = math.sin(theta), math.cos(theta)
+    if s < _POLE_SIN:
+        pole, sign = (0.0, 1.0) if c > 0.0 else (math.pi, -1.0)
+        alpha = np.array([0.0, 0.5 * math.pi, 0.25 * math.pi])  # the chart directions
+        d = reference_field_derivatives(coeffs, pole, phi + sign * alpha)
+        e, e1, e2 = d[:, 0, 0], d[:, 1, 0], d[:, 2, 0]
+        first = [2.0 * _re_dot(e[i], e1[i]) for i in range(3)]
+        second = [2.0 * (_re_dot(e1[i], e1[i]) + _re_dot(e[i], e2[i])) for i in range(3)]
+        cos, sin = np.cos(alpha), np.sin(alpha)
+        quad = np.stack([cos**2, 2.0 * cos * sin, sin**2], axis=1)  # f'' along (cos, sin) in u, v
+        uu, uv, vv = np.linalg.solve(quad, second)
+        hess = np.array([[uu, uv], [uv, vv]])
+        shift = np.array([theta - pole, 0.0])
+        value = _re_dot(e[0], e[0]) + first[0] * shift[0] + 0.5 * uu * shift[0] ** 2
+        grad = np.array(first[:2]) + hess @ shift
+    else:
+        d = reference_field_derivatives(coeffs, theta, [phi])[0]
+        e = d[0, 0]
+        value = _re_dot(e, e)
+        sph_grad = np.array([2.0 * _re_dot(e, d[1, 0]), 2.0 * _re_dot(e, d[0, 1])])
+        cross = _re_dot(d[1, 0], d[0, 1]) + _re_dot(e, d[1, 1])
+        sph_hess = 2.0 * np.array([
+            [_re_dot(d[1, 0], d[1, 0]) + _re_dot(e, d[2, 0]), cross],
+            [cross, _re_dot(d[0, 1], d[0, 1]) + _re_dot(e, d[0, 2])],
+        ])
+        jac = np.diag([1.0, 1.0 / s])  # d(theta, phi) / d(u, v) at the chart's origin
+        # The second derivatives of theta and of phi in u, v.
+        theta_uv = np.array([[0.0, 0.0], [0.0, c / s]])
+        phi_uv = np.array([[0.0, -c / s**2], [-c / s**2, 0.0]])
+        grad = jac @ sph_grad
+        hess = jac @ sph_hess @ jac + sph_grad[0] * theta_uv + sph_grad[1] * phi_uv
+    hess = hess + _CURVATURE_LIFT * (abs(hess[0, 0]) + abs(hess[1, 1])) * np.eye(2)
+    return value, grad, hess
+
+
+def reference_exact_peak(coeffs, coarse):
+    """The coefficient route's search: (peak, (theta, phi))."""
+    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
+    best = float(coarse[i, j])
+    if not math.isfinite(best):
+        raise ValueError("peak search: the pattern is not finite on the 1-degree mesh")
+    t0, p0 = float(_COARSE_THETA[i, j]), float(_COARSE_PHI[i, j])
+    best_at = (t0, p0)
+    x = np.array([math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0)])
+    h = float(_COARSE_THETA[1, 0] - _COARSE_THETA[0, 0])
+    for step in range(_NEWTON_MAX_ITER):
+        e_t, e_p = _tangent_frame(x)
+        at = tuple(float(a) for a in _angles(x))
+        value, grad, hess = reference_exact_model(coeffs, *at)
+        gained = value > best * (1.0 + _PEAK_REL_TOL)
+        if value > best:
+            best, best_at = value, at
+        curvature, axes = np.linalg.eigh(hess)
+        slope = axes.T @ grad
+        along = np.where(np.abs(slope) * h > _PEAK_REL_TOL * best, np.sign(slope) * h, 0.0)
+        concave = curvature < 0.0
+        along[concave] = -slope[concave] / curvature[concave]
+        s = axes @ along
+        length = math.hypot(*s)
+        if length > 2.0 * h:
+            s *= 2.0 * h / length
+            length = 2.0 * h
+        if step and not gained and length < _NEWTON_STEP_TOL:
+            return best, best_at
+        x = _chart(x, e_t, e_p, s[None, :])[0]
+        h = min(h, max(length, 1e-3 * h))
+    warnings.warn("peak search hit its iteration cap", ConvergenceWarning, stacklevel=2)
+    return best, best_at
+
+
 def assert_same_peak(coeffs):
-    """Both loops from the same mesh: the same peak to 1e-14 relative after
-    the same number of 9-point calls; and directivity() against the
-    reference mesh and loop."""
-    coarse = _coarse_magnitude_squared(coeffs)
-    ours, our_calls = counted(coefficient_eval_sq(coeffs))
-    theirs, their_calls = counted(coefficient_eval_sq(coeffs))
+    """directivity() against the exact loop's reference from the reference
+    mesh, to 1e-14 relative; and never below the stencil loop's reference
+    peak, the earlier directivity(), by more than 1e-14 relative."""
+    coarse = reference_coarse_magnitude_squared(coeffs)
+    eval_sq = coefficient_eval_sq(coeffs)
+    total = float(np.sum(np.abs(coeffs.values) ** 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        peak = _max_magnitude_squared(ours, coarse)
-        expected = reference_max_magnitude_squared(theirs, coarse)
-    assert peak == pytest.approx(expected, rel=1e-14, abs=0.0)
-    assert our_calls == their_calls and set(our_calls) == {9}
-    total = float(np.sum(np.abs(coeffs.values) ** 2))
-    reference_d = 4.0 * math.pi * reference_max_magnitude_squared(
-        coefficient_eval_sq(coeffs), reference_coarse_magnitude_squared(coeffs)
-    ) / total
-    assert directivity(coeffs, K) == pytest.approx(reference_d, rel=1e-14, abs=0.0)
+        d = directivity(coeffs, K)
+        _, at = reference_exact_peak(coeffs, coarse)
+        stencil_peak = reference_max_magnitude_squared(eval_sq, coarse)
+    assert d == pytest.approx(4.0 * math.pi * float(eval_sq(*at)) / total, rel=1e-14, abs=0.0)
+    assert d >= 4.0 * math.pi * stencil_peak / total * (1.0 - 1e-14)
 
 
 filtered_sets = st.tuples(

@@ -20,12 +20,13 @@ selected chamber's V_R, which the calibration uses as it is, with every
 candidate's cond(V_R); reports list that ranking under chamber_selection.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. The
-theory summary it compares against is computed once per set-up from the
-upright twin of the config's test dipole: R_r and D of an identical dipole
-do not depend on its orientation. The channel T = V_R inv(A_R) is solved
-once per set-up too, and each calibration matrix's condition number is
-taken when it is built, so an inverse or direct-weights reconstruction is
-one solve and no condition number.
+theory summary it compares against is computed once per set-up, in 1-D and
+on no grid, from the theta pattern of the config test dipole's upright twin:
+R_r and D of an identical dipole do not depend on its orientation. The
+channel T = V_R inv(A_R) is solved once per set-up too, and each
+calibration matrix's condition number is taken when it is built, so an
+inverse or direct-weights reconstruction is one solve and no condition
+number.
 
 Exit codes: 0 success, 2 configuration error (a set-up too large for
 memory counts as one), 3 numerical/conditioning error.
@@ -74,12 +75,12 @@ def _summary_dict(s: farfield.RadiationSummary) -> dict:
 class MeasurementSetup:
     """Everything the reconstruction pipeline derives from a config.
 
-    theory is the radiation summary of the config's test dipole, computed
-    once from its upright twin: R_r and D of an identical dipole are the
-    same at every orientation. channel is the calibrated T when A_R is
-    square, else None. selection holds the selected chamber and how every
-    candidate ranked; optimization the reference orientation optimizer's
-    result, or None when the config runs no optimizer.
+    theory is the radiation summary of the config's test dipole, from its
+    upright twin's theta pattern, on no grid: R_r and D of an identical
+    dipole are the same at every orientation. channel is the calibrated T
+    when A_R is square, else None. selection holds the selected chamber and
+    how every candidate ranked; optimization the reference orientation
+    optimizer's result, or None when the config runs no optimizer.
     """
 
     config: ExperimentConfig
@@ -135,7 +136,8 @@ def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
     square = calibration.n_references == mode_set.size
     channel = recon.channel_from_calibration(calibration) if square else None
     upright = dipole.DipoleSpec(cfg.test_length, 0.0, 0.0, cfg.test_current)
-    theory = farfield.field_radiation_summary(upright.field(k), grid, k, cfg.test_current)
+    theory = farfield.field_radiation_summary(
+        upright.field(k), 2.0 * math.pi * cfg.test_length, k, cfg.test_current)
     return MeasurementSetup(
         config=cfg,
         grid=grid,

@@ -20,7 +20,7 @@ evaluates no basis at its points. directivity() finds the pattern's peak
 from the argmax of a 1-degree mesh, refined by a Newton ascent in Python
 floats on |E|^2's exact gradient and Hessian from the same table (at a
 pole, along three meridians), and takes |E|^2 there from one synthesize()
-call; field_radiation_summary's ascent uses 9-point stencils. Each theta
+call; field_radiation_summary's peak is a 1-D theta search. Each theta
 row of the mesh's |E|^2 is a trigonometric polynomial in phi, evaluated
 from per-order theta profiles on a cached 181-node column basis and a
 cached cos/sin table of the 360 phi nodes. mode_basis is
@@ -298,8 +298,8 @@ _NEWTON_STEP_TOL = 1e-5
 
 
 def _angles(x) -> tuple[float, float]:
-    """(theta, phi) of the unit vector x, a float triple."""
-    return math.acos(max(-1.0, min(1.0, x[2]))), math.atan2(x[1], x[0])
+    """(theta, phi) of the unit vector x, a float triple; atan2 keeps both exact at a pole."""
+    return math.atan2(math.hypot(x[0], x[1]), x[2]), math.atan2(x[1], x[0])
 
 
 def _tangent_frame(x):
@@ -371,22 +371,6 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     return np.concatenate([h.real, h[1:].imag]).T @ _coarse_trig(n - 1)
 
 
-def _stencil_model(eval_sq):
-    """Local model of eval_sq(theta, phi) (broadcasting arrays): central
-    differences of one call on a 3x3 stencil of step h, resolved at h."""
-
-    def model(x, frame, h):
-        # Node (a, b), offsets a h along theta-hat and b h along phi-hat, is f[3a + b + 4].
-        nodes = [_angles(_chart(x, frame, u, v)) for u in (-h, 0.0, h) for v in (-h, 0.0, h)]
-        f = np.asarray(eval_sq(*np.array(nodes).T), dtype=float).tolist()
-        top = max(f)
-        return (top, nodes[f.index(top)], ((f[7] - f[1]) / (2.0 * h), (f[5] - f[3]) / (2.0 * h)),
-                ((f[7] - 2.0 * f[4] + f[1]) / h**2, (f[8] - f[6] - f[2] + f[0]) / 4.0 / h**2,
-                 (f[5] - 2.0 * f[4] + f[3]) / h**2), h)
-
-    return model
-
-
 # Below this sin(theta) _exact_model works at the pole: the chain rule is singular there.
 _POLE_SIN = 1e-5
 # _exact_model lifts its curvatures by this share of their scale, so that
@@ -418,7 +402,7 @@ def _exact_model(coeffs: VshCoefficients):
     def jets(rows, theta):  # [2 r + c][k]: theta derivative k of component c, on row r
         return (((rows @ g).reshape(6, n) * np.exp(jp * theta)) @ jets_p).tolist()
 
-    def model(x, frame, h):
+    def model(x, frame):
         theta, phi = _angles(x)
         s, c = math.sin(theta), math.cos(theta)
         if s < _POLE_SIN:  # the meridians of theta-hat, phi-hat and their bisector
@@ -436,7 +420,7 @@ def _exact_model(coeffs: VshCoefficients):
                           + d[0][0].conjugate() * d[2][1] + d[1][0].conjugate() * d[3][1]).real
             f_v, f_uv, f_vv = f_p / s, (f_tp - f_p * c / s) / s, (f_pp / s + f_u * c) / s
         lift = _CURVATURE_LIFT * (abs(f_uu) + abs(f_vv))
-        return f, (theta, phi), (f_u, f_v), (f_uu + lift, f_uv, f_vv + lift), 0.0
+        return f, (theta, phi), (f_u, f_v), (f_uu + lift, f_uv, f_vv + lift)
 
     return model
 
@@ -447,20 +431,19 @@ def _max_magnitude_squared(model, coarse: np.ndarray):
     The argmax of coarse, the pattern on the 1-degree mesh (_COARSE_THETA,
     _COARSE_PHI), starts a Newton ascent in Python floats in the gnomonic
     chart of the tangent plane at the current point x, so neither the poles
-    nor the phi coordinate need a special case. Each model(x, frame, h)
-    call gives its best value and (theta, phi), the chart gradient and
-    Hessian (uu, uv, vv) at x, and the spacing they are resolved at: 0 for
-    _exact_model, h for _stencil_model. Along each principal axis of the
-    Hessian (a closed-form 2x2 eigensystem) the step is Newton's where the
-    curvature is negative, and elsewhere an uphill step of h when its
-    first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric ridge this
-    converges across the ridge instead of crawling along it. The step is
-    clamped to 2h, and h then shrinks toward the step length. After a first
-    step the search stops once the step and the spacing are below 1e-5 rad
-    and the model raised the best value by at most _PEAK_REL_TOL relative;
-    at the iteration cap it warns (ConvergenceWarning). Either way it
-    returns the best value seen and its direction. A non-finite mesh value
-    raises PatternError: its argmax is meaningless.
+    nor the phi coordinate need a special case. Each model(x, frame) call,
+    _exact_model's, gives |E|^2 and (theta, phi) at x, and the chart
+    gradient and Hessian (uu, uv, vv) there. Along each principal axis of
+    the Hessian (a closed-form 2x2 eigensystem) the step is Newton's where
+    the curvature is negative, and elsewhere an uphill step of h, the mesh
+    step at first, when its first-order gain exceeds _PEAK_REL_TOL; on an
+    axisymmetric ridge this converges across the ridge instead of crawling
+    along it. The step is clamped to 2h, and h then shrinks toward the step
+    length. After a first step the search stops once the step is below
+    1e-5 rad and the model raised the best value by at most _PEAK_REL_TOL
+    relative; at the iteration cap it warns (ConvergenceWarning). Either way
+    it returns the best value seen and its direction. A non-finite mesh
+    value raises PatternError: its argmax is meaningless.
     """
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = float(coarse[i, j])
@@ -473,7 +456,7 @@ def _max_magnitude_squared(model, coarse: np.ndarray):
     h = float(_COARSE_THETA[1, 0] - _COARSE_THETA[0, 0])
     for step in range(_NEWTON_MAX_ITER):
         frame = _tangent_frame(x)
-        top, at, (g_t, g_p), hess, spacing = model(x, frame, h)
+        top, at, (g_t, g_p), hess = model(x, frame)
         gained = top > best * (1.0 + _PEAK_REL_TOL)
         if top > best:
             best, best_at = top, at
@@ -488,10 +471,10 @@ def _max_magnitude_squared(model, coarse: np.ndarray):
         length = math.hypot(s_t, s_p)
         if length > 2.0 * h:
             s_t, s_p, length = s_t * (2.0 * h / length), s_p * (2.0 * h / length), 2.0 * h
-        if step and not gained and length < _NEWTON_STEP_TOL and spacing < _NEWTON_STEP_TOL:
+        if step and not gained and length < _NEWTON_STEP_TOL:
             return best, best_at
         x = _chart(x, frame, s_t, s_p)
-        # At most 1000-fold per step, so a zero step never collapses the stencil.
+        # At most 1000-fold per step, so a zero step never collapses h.
         h = min(h, max(length, 1e-3 * h))
     warnings.warn(
         f"peak search hit its {_NEWTON_MAX_ITER}-iteration cap; returning the best value seen",
@@ -548,28 +531,37 @@ def radiation_summary(coeffs: VshCoefficients, k: float, current: float) -> Radi
     return _summary(radiated_power(coeffs, k), directivity(coeffs, k), current)
 
 
-def field_radiation_summary(field, grid: SphereGrid, k: float, current: float) -> RadiationSummary:
-    """Radiation summary straight from a field callable (no mode expansion).
+_THETA_NODES, _THETA_PEAK_TOL = 24, 1e-10  # see field_radiation_summary
 
-    Power by quadrature of |E|^2, peak by the same search as directivity()
-    (1-degree grid, then the tangent-plane Newton ascent), with the field
-    callable evaluated on whole stencils. Serves as the theory-side
-    reference. A power integral that is not positive and finite raises
-    PatternError.
-    """
-    sampled = field(grid.theta_mesh, grid.phi_mesh)
-    mag_sq = np.abs(sampled.e_theta) ** 2 + np.abs(sampled.e_phi) ** 2
-    total = float(grid.integrate(np.broadcast_to(mag_sq, grid.theta_mesh.shape)))
-    if not 0.0 < total < math.inf:
-        raise PatternError(f"field power integral {total} is not positive and finite")
-    power = total / (2.0 * ETA0 * k * k)
 
-    def eval_sq(t, p):
-        f = field(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
+def field_radiation_summary(field, kl: float, k: float, current: float) -> RadiationSummary:
+    """Radiation summary of a field callable symmetric about the z axis, such
+    as an upright dipole's of electrical length kl, from its theta pattern at
+    phi = 0, with no mode expansion: the theory side. Power is an n-node
+    Gauss-Legendre rule in cos(theta), n = _THETA_NODES + int(kl): a dipole's
+    |E|^2 is entire in cos(theta), so the rule converges geometrically once
+    2n is well past kl. The peak is the argmax of an 8n-interval theta mesh,
+    refined by 32-interval meshes over the two intervals around each argmax
+    until they span under _THETA_PEAK_TOL rad, which puts |E|^2 within about
+    (kl 1e-10)^2 of the peak, relative. A power integral that is not positive
+    and finite, or a non-finite peak, raises PatternError."""
+    def pattern(theta):
+        f = field(theta, np.zeros_like(theta))
         return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
 
-    peak, _ = _max_magnitude_squared(_stencil_model(eval_sq), eval_sq(_COARSE_THETA, _COARSE_PHI))
-    return _summary(power, 4.0 * math.pi * peak / total, current)
+    n = _THETA_NODES + int(kl)
+    cos_theta, weights = leggauss(n)
+    total = 2.0 * math.pi * float(weights @ pattern(np.arccos(cos_theta)))
+    if not 0.0 < total < math.inf:
+        raise PatternError(f"field power integral {total} is not positive and finite")
+    theta = np.linspace(0.0, math.pi, 8 * n + 1)
+    while theta[-1] - theta[0] > _THETA_PEAK_TOL:
+        i = int(np.argmax(pattern(theta)))
+        theta = np.linspace(theta[max(i - 1, 0)], theta[min(i + 1, len(theta) - 1)], 33)
+    peak = float(np.max(pattern(theta)))
+    if not math.isfinite(peak):
+        raise PatternError("field peak search: the pattern is not finite on the theta mesh")
+    return _summary(total / (2.0 * ETA0 * k * k), 4.0 * math.pi * peak / total, current)
 
 
 def enforce_symmetry(coeffs: VshCoefficients) -> VshCoefficients:

@@ -234,6 +234,10 @@ PHYSICAL_SCALE_MAX = 1e20
 # -log10((pi L)^2 / 2) of its 16 digits: at this bound it keeps about 9
 # broadside and 6 at 2 degrees from the axis; at 1e-10 it is exactly zero.
 DIPOLE_LENGTH_MIN = 1e-4
+# The longest: a dipole of length l excites modes up to degree about pi l,
+# which MAX_LAMBDA serves up to here; the theory summary's leggauss, cubic in
+# its node count, grows with l too.
+DIPOLE_LENGTH_MAX = MAX_LAMBDA / math.pi
 
 
 def _known_keys(section: dict, name: str, known: tuple) -> None:
@@ -257,8 +261,8 @@ _SCALE = (lambda v: 1.0 / PHYSICAL_SCALE_MAX <= v <= PHYSICAL_SCALE_MAX,
           f"in [{1.0 / PHYSICAL_SCALE_MAX:g}, {PHYSICAL_SCALE_MAX:g}]")
 _CURRENT = (lambda v: 1.0 / PHYSICAL_SCALE_MAX <= abs(v) <= PHYSICAL_SCALE_MAX,
             f"of magnitude in [{1.0 / PHYSICAL_SCALE_MAX:g}, {PHYSICAL_SCALE_MAX:g}]")
-_LENGTH = (lambda v: DIPOLE_LENGTH_MIN <= v < math.inf,
-           f"at least {DIPOLE_LENGTH_MIN:g} wavelengths and finite")
+_LENGTH = (lambda v: DIPOLE_LENGTH_MIN <= v <= DIPOLE_LENGTH_MAX,
+           f"at least {DIPOLE_LENGTH_MIN:g} and at most {DIPOLE_LENGTH_MAX} wavelengths")
 _POLAR = (lambda v: 0.0 <= v <= math.pi, "in [0, pi]")
 _FINITE = (math.isfinite, "finite")
 _GAIN_SCALE = (lambda v: 0.0 < v <= SIGMA_RHO_MAX, f"in (0, {SIGMA_RHO_MAX:g}]")

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from multipat.farfield import SphereGrid, decompose
 from multipat.fileio import ConfigError
 from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, build_mode_set
 import test_acceptance
+import test_farfield
 from conftest import PAPER_CONFIG
 from test_planner import quadrature_matrix
 
@@ -234,16 +236,22 @@ class TestConfigParsing:
                 fileio.parse_config(bad)
 
     def test_dipole_length_bound(self):
-        low = fileio.DIPOLE_LENGTH_MIN
+        # Up to MAX_LAMBDA / pi wavelengths: a dipole of length l needs about pi l modes.
+        low, top = fileio.DIPOLE_LENGTH_MIN, fileio.DIPOLE_LENGTH_MAX
+        assert top == fileio.MAX_LAMBDA / math.pi
         doc = json.loads(json.dumps(SMALL_CONFIG))
-        doc["references"]["length"] = doc["test_antenna"]["length"] = low
-        cfg = fileio.parse_config(doc)
-        assert (cfg.ref_length, cfg.test_length) == (low, low)
+        for length in (low, top):
+            doc["references"]["length"] = doc["test_antenna"]["length"] = length
+            cfg = fileio.parse_config(doc)
+            assert (cfg.ref_length, cfg.test_length) == (length, length)
         for section in ("references", "test_antenna"):
-            bad = json.loads(json.dumps(doc))
-            bad[section]["length"] = 0.5 * low
-            with pytest.raises(ConfigError, match=rf"{section}\.length must be at least 0\.0001"):
-                fileio.parse_config(bad)
+            for bad_length in (0.5 * low, math.nextafter(top, math.inf)):
+                bad = json.loads(json.dumps(doc))
+                bad[section]["length"] = bad_length
+                with pytest.raises(ConfigError, match=rf"{section}\.length must be at least "
+                                                      rf"0\.0001 and at most {re.escape(str(top))} "
+                                                      rf"wavelengths, got {bad_length}$"):
+                    fileio.parse_config(bad)
 
     def test_orientation_count_mismatch(self):
         doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -674,6 +682,11 @@ class TestCommands:
             {"test_antenna": {**SMALL_CONFIG["test_antenna"], "length": 1e-10}},
             {"references": {**SMALL_CONFIG["references"], "length": 1e-10}},
             {"references": {**SMALL_CONFIG["references"], "length": 5e-5}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"], "length": 1e6}},
+            {"test_antenna": {**SMALL_CONFIG["test_antenna"],
+                              "length": math.nextafter(fileio.DIPOLE_LENGTH_MAX, math.inf)}},
+            {"references": {**SMALL_CONFIG["references"],
+                            "length": math.nextafter(fileio.DIPOLE_LENGTH_MAX, math.inf)}},
             {"test_antenna": {**SMALL_CONFIG["test_antenna"], "theta0": 4.0}},
             {"references": {**SMALL_CONFIG["references"],
                             "orientations": [[-0.1, 0.0]] + [[0.1 * i, 0.5 * i] for i in range(1, 10)]}},
@@ -709,7 +722,8 @@ class TestCommands:
              "wavelength-1e-160", "wavelength-1e160", "sigma-nan", "sigma-negative",
              "n-probes-text", "budget-text", "mode-set-list", "ref-length-negative",
              "ref-length-text", "test-length-negative", "test-length-1e-10",
-             "ref-length-1e-10", "ref-length-5e-5", "test-theta-outside",
+             "ref-length-1e-10", "ref-length-5e-5", "test-length-1e6",
+             "test-length-past-max", "ref-length-past-max", "test-theta-outside",
              "ref-theta-outside", "test-current-zero", "test-current-1e160",
              "test-current-1e-300", "test-current--1e21", "ref-current-nan",
              "ref-current-1e160", "ref-current-text", "n-probes-10.9", "n-probes-bool",
@@ -1117,15 +1131,45 @@ class TestPerAntennaPath:
     @pytest.mark.parametrize("theta0, phi0", [(np.pi / 4, np.pi / 3), (np.pi, 0.0)],
                              ids=["paper", "south-pole"])
     def test_theory_matches_tilted_twin(self, paper_setup, theta0, phi0):
+        # The tilted twin's own expansion at L = 13, where the half-wave
+        # dipole's modes have decayed to rounding: the same P, R_r and D.
         cfg = paper_setup.config
         tilted = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
-        direct = farfield.field_radiation_summary(
-            tilted.field(cfg.k), paper_setup.grid, cfg.k, cfg.test_current
-        )
+        coeffs = farfield.decompose(tilted.field(cfg.k), build_mode_set(13, "odd", "electric"))
+        expansion = farfield.radiation_summary(coeffs, cfg.k, cfg.test_current)
         for name in ("power", "radiation_resistance", "directivity"):
             assert getattr(paper_setup.theory, name) == pytest.approx(
-                getattr(direct, name), rel=1e-13, abs=0.0
+                getattr(expansion, name), rel=1e-13, abs=0.0
             )
+
+    def test_theory_on_the_coarsest_paper_grid(self, tmp_path):
+        # 4 x 7, the smallest grid the paper's L = 3 accepts, with a 1.5
+        # wavelength test dipole: the theory never reads the grid.
+        doc = json.loads(json.dumps(PAPER_CONFIG))
+        doc["grid"] = {"n_theta": 4, "n_phi": 7}
+        doc["test_antenna"]["length"] = 1.5
+        fileio.write_json(tmp_path / "config.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", str(tmp_path / "config.json"),
+                         "--out", str(out)]) == 0
+        theory = json.loads((out / "report.json").read_text())["theory"]
+        assert theory["radiation_resistance_ohm"] == pytest.approx(
+            test_farfield.dipole_resistance(1.5), rel=1e-12, abs=0.0)
+        assert theory["directivity"] == pytest.approx(
+            test_farfield.dipole_directivity(1.5), rel=1e-12, abs=0.0)
+        assert theory["radiation_resistance_ohm"] == pytest.approx(105.4212498, rel=1e-9)
+        assert theory["directivity"] == pytest.approx(2.226337689, rel=1e-9)
+
+    @pytest.mark.parametrize("length", [0.5, 1.5])
+    def test_theory_is_the_same_on_every_grid(self, tmp_path, length):
+        texts = set()
+        for n_theta, n_phi in [(4, 7), (28, 28), (60, 81)]:
+            cfg_path = write_config(tmp_path, {"grid": {"n_theta": n_theta, "n_phi": n_phi}},
+                                    test_antenna={"length": length})
+            out = tmp_path / f"out-{n_theta}"
+            assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+            texts.add(fileio.dumps(json.loads((out / "report.json").read_text())["theory"]))
+        assert len(texts) == 1
 
     def test_per_antenna_path_takes_no_condition_number(self, paper_setup, monkeypatch):
         counts = {"cond": 0, "solve": 0, "channel": 0}

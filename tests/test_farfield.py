@@ -2,11 +2,13 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import sici
 
 from multipat import cli, farfield
 from multipat.chamber import probe_voltages
@@ -24,7 +26,6 @@ from multipat.farfield import (
     _coarse_magnitude_squared,
     _exact_model,
     _max_magnitude_squared,
-    _stencil_model,
     _tangent_frame,
     decompose,
     default_grid,
@@ -303,7 +304,7 @@ class TestDirectivity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
-                field_radiation_summary(nan_field, default_grid(1), K, 1.0)
+                field_radiation_summary(nan_field, math.pi, K, 1.0)
 
     @pytest.mark.parametrize(
         "axis",
@@ -333,14 +334,106 @@ class TestDirectivity:
         assert calls == [at]
 
     def test_field_route_matches_expansion_route(self):
-        spec = DipoleSpec(theta0=0.6, phi0=2.0)
-        theory = field_radiation_summary(spec.field(K), default_grid(3), K, 1.0)
+        # The upright half-wave dipole: R_r = 73.08 ohm, D = 1.641.
+        theory = field_radiation_summary(DipoleSpec().field(K), math.pi, K, 1.0)
         assert theory.radiation_resistance == pytest.approx(73.079, abs=0.005)
         assert theory.directivity == pytest.approx(1.6409, abs=0.001)
         assert theory.directivity_db == pytest.approx(10 * math.log10(theory.directivity))
 
 
+def dipole_resistance(length):
+    """R_r of a centre-fed dipole of length wavelengths (C. A. Balanis,
+    Antenna Theory, ch. 4): eta0 / (2 pi) times the integral of
+    (cos(a u) - cos a)^2 / (1 - u^2) over u in [-1, 1], a = pi length. The
+    Si/Ci form from 0.1 wavelengths; below, where its terms cancel, mpmath's
+    quadrature at 30 digits."""
+    kl = 2.0 * math.pi * length
+    if length < 0.1:
+        with mpmath.workdps(30):
+            a = mpmath.pi * mpmath.mpf(length)
+            integral = mpmath.quad(lambda u: (mpmath.cos(a * u) - mpmath.cos(a)) ** 2 / (1 - u * u),
+                                   [-1, 0, 1])
+            return float(ETA0 / (2 * mpmath.pi) * integral)
+    (si, ci), (si2, ci2) = sici(kl), sici(2.0 * kl)
+    euler = 0.5772156649015329
+    return ETA0 / (2.0 * math.pi) * (
+        euler + math.log(kl) - ci + 0.5 * math.sin(kl) * (si2 - 2.0 * si)
+        + 0.5 * math.cos(kl) * (euler + math.log(kl / 2.0) + ci2 - 2.0 * ci))
+
+
+def dipole_directivity(length):
+    """D = eta0 max F / (pi R_r), F = ((cos(a cos theta) - cos a) / sin theta)^2,
+    its maximum from a 200 000-interval theta mesh polished by a bounded 1-D
+    search."""
+    a = math.pi * length
+
+    def pattern(theta):
+        return ((np.cos(a * np.cos(theta)) - math.cos(a)) / np.sin(theta)) ** 2
+
+    theta = np.linspace(0.0, math.pi, 200_001)[1:-1]
+    i = int(np.argmax(pattern(theta)))
+    res = minimize_scalar(lambda t: -pattern(t), bounds=(theta[i - 1], theta[i + 1]),
+                          method="bounded", options={"xatol": 1e-13})
+    return ETA0 * max(-res.fun, pattern(theta[i])) / (math.pi * dipole_resistance(length))
+
+
+class TestFieldRadiationSummary:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 3.0), st.floats(0.01, 100.0))
+    @example(0.01, 1.0)
+    @example(0.5, 1.0)
+    @example(1.5, 1.0)
+    @example(3.0, 1.0)
+    def test_matches_the_closed_form(self, length, current):
+        # The bracket cos(a g) - cos(a), about a^2 / 2 at its largest, loses
+        # digits to cancellation on a short dipole (see fileio.DIPOLE_LENGTH_MIN).
+        kl = 2.0 * math.pi * length
+        summary = field_radiation_summary(DipoleSpec(length, current=current).field(K), kl, K,
+                                          current)
+        tol = 1e-14 + 4e-16 / (0.5 * (math.pi * length) ** 2)
+        r_r = dipole_resistance(length)
+        assert summary.radiation_resistance == pytest.approx(r_r, rel=tol, abs=0.0)
+        assert summary.power == pytest.approx(0.5 * current**2 * r_r, rel=tol, abs=0.0)
+        assert summary.directivity == pytest.approx(dipole_directivity(length), rel=2.0 * tol,
+                                                    abs=0.0)
+
+    def test_reads_only_the_theta_pattern(self):
+        # One phi, 0, at every sample: the field is taken as symmetric about z.
+        phis = []
+        field = DipoleSpec(1.5).field(K)
+
+        def spy(theta, phi):
+            phis.append(np.unique(phi))
+            return field(theta, phi)
+
+        assert field_radiation_summary(spy, 3.0 * math.pi, K, 1.0) == field_radiation_summary(
+            field, 3.0 * math.pi, K, 1.0)
+        assert all(p.tolist() == [0.0] for p in phis)
+
+    def test_non_finite_peak_raises(self):
+        # Finite at every Gauss-Legendre node, NaN at the pole the mesh starts from.
+        field = DipoleSpec().field(K)
+
+        def nan_at_the_pole(theta, phi):
+            f = field(theta, phi)
+            return TangentVector(np.where(theta == 0.0, np.nan, f.e_theta), f.e_phi)
+
+        with pytest.raises(PatternError, match="not finite"):
+            field_radiation_summary(nan_at_the_pole, math.pi, K, 1.0)
+
+
 class TestPeakSearch:
+    @pytest.mark.parametrize("pole", [0.0, math.pi])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, -2.5])
+    def test_angles_keep_their_digits_near_a_pole(self, pole, phi):
+        # acos(z) is off by about 1e-16 / theta there: 1e-9 rad at 1e-7.
+        offset = 1e-7
+        theta = pole + offset if pole == 0.0 else pole - offset
+        x = (math.sin(offset) * math.cos(phi), math.sin(offset) * math.sin(phi), math.cos(theta))
+        got_theta, got_phi = _angles(x)
+        assert got_theta == pytest.approx(theta, rel=1e-15, abs=0.0)
+        assert got_phi == pytest.approx(phi, rel=1e-15, abs=1e-16)
+
     @pytest.mark.parametrize("theta0, phi0", [(0.973, 0.917), (0.813, 4.800)])
     def test_reconstruction_meets_rel_tol(self, paper_setup, theta0, phi0):
         # Tilted half-wave dipoles of the paper config: a ring-shaped ridge
@@ -395,47 +488,48 @@ class TestPeakSearch:
         assert d == pytest.approx(polished_directivity(c, 1.0), rel=1e-12, abs=0.0)
         assert d == pytest.approx(1.5 * (1.0 + beta) ** 2 / (1.0 + beta**2), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("power, theta0, phi0", [(1.05, 2.5665, 0.3678), (1.04, 1.8046, 2.1221)])
-    def test_step_is_clamped_to_twice_the_stencil_step(self, power, theta0, phi0):
-        # A cusp 1 - psi^power at an off-mesh peak: Newton's step overshoots
-        # the peak 1 / (power - 1)-fold, so the clamp is what bounds it.
-        peak = np.array([math.sin(theta0) * math.cos(phi0),
-                         math.sin(theta0) * math.sin(phi0), math.cos(theta0)])
-        stencils = []
+    @pytest.mark.parametrize("theta0, phi0", [(2.5665, 0.3678), (1.8046, 2.1221)])
+    def test_step_is_clamped_to_twice_h(self, theta0, phi0):
+        # f = x . p, the cosine of the angle to the peak p. In the gnomonic
+        # chart at x it is (x . p + u theta-hat . p + v phi-hat . p) /
+        # sqrt(1 + u^2 + v^2), whose Newton step lands on p; started 0.5 rad
+        # away, the clamp holds each step to 2h, h the 1-degree mesh step.
+        peak = (math.sin(theta0) * math.cos(phi0), math.sin(theta0) * math.sin(phi0),
+                math.cos(theta0))
+        points = []
 
-        def eval_sq(t, p):
-            x = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
-            if np.shape(t) == (9,):
-                stencils.append(x)
-            return 1.0 - np.arccos(np.clip(x @ peak, -1.0, 1.0)) ** power
+        def model(x, frame):
+            points.append(np.array(x))
+            (tx, ty, tz), (px, py) = frame
+            f = x[0] * peak[0] + x[1] * peak[1] + x[2] * peak[2]
+            slope = (tx * peak[0] + ty * peak[1] + tz * peak[2], px * peak[0] + py * peak[1])
+            return f, _angles(x), slope, (-f, 0.0, -f)
 
-        def angle(a, b):
-            return math.atan2(np.linalg.norm(np.cross(a, b)), a @ b)
-
+        coarse = np.zeros(_COARSE_THETA.shape)
+        coarse[round(math.degrees(theta0 - 0.5)), round(math.degrees(phi0))] = 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
-            assert _max_magnitude_squared(_stencil_model(eval_sq), coarse)[0] > 1.0 - 1e-7
-        # Node 4 is the stencil centre and node 7 lies h along theta-hat; in
-        # the gnomonic chart a point at angle psi is tan(psi) away.
-        ratios = [math.tan(angle(a[4], b[4])) / math.tan(angle(a[4], a[7]))
-                  for a, b in zip(stencils, stencils[1:])]
-        assert max(ratios) == pytest.approx(2.0, rel=1e-6)  # the clamp engaged
+            peak_value, _ = _max_magnitude_squared(model, coarse)
+        assert peak_value == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        # Along a line through the chart's origin, a point at angle psi is tan(psi) away.
+        steps = [math.tan(math.atan2(np.linalg.norm(np.cross(a, b)), a @ b))
+                 for a, b in zip(points, points[1:])]
+        h = math.radians(1.0)
+        assert sum(step == pytest.approx(2.0 * h, rel=1e-9) for step in steps) >= 10
+        assert max(steps) == pytest.approx(2.0 * h, rel=1e-9)  # and never longer
 
     def test_iteration_cap_warns_and_returns_best_seen(self):
-        # A level that drifts upward between calls: every stencil gains, so
-        # the search can never settle.
+        # A level that drifts upward between calls: every model value gains,
+        # so the search can never settle.
         seen = []
 
-        def eval_sq(t, p):
-            values = 1.0 + 1e-6 * len(seen) + 0.0 * np.asarray(t)
-            seen.append(float(np.max(values)))
-            return values
+        def model(x, frame):
+            seen.append(1.0 + 1e-6 * len(seen))
+            return seen[-1], _angles(x), (0.0, 0.0), (0.0, 0.0, 0.0)
 
         with pytest.warns(ConvergenceWarning, match="cap"):
-            coarse = eval_sq(_COARSE_THETA, _COARSE_PHI)
-            peak, _ = _max_magnitude_squared(_stencil_model(eval_sq), coarse)
-        assert peak == max(seen)
+            peak, _ = _max_magnitude_squared(model, np.ones(_COARSE_THETA.shape))
+        assert len(seen) == farfield._NEWTON_MAX_ITER and peak == max(seen)
 
     @pytest.mark.parametrize("bad", [
         {(37, 211): np.nan},
@@ -446,17 +540,14 @@ class TestPeakSearch:
     ], ids=["nan", "inf", "nan-after-the-maximum", "inf-then-nan", "nan-then-inf"])
     def test_non_finite_mesh_value_raises(self, bad):
         # Finite everywhere except at the nodes in bad of the 1-degree mesh.
-        def eval_sq(t, p):
-            values = np.ones(np.shape(t))
-            if values.shape == (181, 360):
-                for node, value in bad.items():
-                    values[node] = value
-            return values
-
+        coarse = np.ones(_COARSE_THETA.shape)
+        for node, value in bad.items():
+            coarse[node] = value
+        model = _exact_model(random_coefficients(build_mode_set(1), np.random.default_rng(5)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
-                _max_magnitude_squared(_stencil_model(eval_sq), eval_sq(_COARSE_THETA, _COARSE_PHI))
+                _max_magnitude_squared(model, coarse)
 
 
 class TestExactModel:
@@ -483,10 +574,10 @@ class TestExactModel:
         s = math.sqrt(1.0 - cos_theta**2)
         x = (s * math.cos(phi), s * math.sin(phi), cos_theta)
         frame = _tangent_frame(x)
-        f, at, gradient, hessian, spacing = _exact_model(c)(x, frame, 0.1)
+        f, at, gradient, hessian = _exact_model(c)(x, frame)
         scale = float(_coarse_magnitude_squared(c).max())
         e = synthesize(c, *at)
-        assert spacing == 0.0 and at == _angles(x)
+        assert at == _angles(x)
         assert f == pytest.approx(e.magnitude() ** 2, rel=1e-14, abs=1e-14 * scale)
         sq, n = chart_differences(c, x, frame), 2 * lambda_max
         np.testing.assert_allclose(gradient, sq[0], rtol=1e-6, atol=1e-6 * n * scale)
@@ -515,7 +606,7 @@ class TestExactModel:
         theta = math.pi - offset if south else offset
         x = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
         frame = _tangent_frame(x)
-        f, at, gradient, hessian, _ = _exact_model(c)(x, frame, 0.1)
+        f, at, gradient, hessian = _exact_model(c)(x, frame)
         scale = float(_coarse_magnitude_squared(c).max())
         sq, n = chart_differences(c, x, frame), 2 * lambda_max
         e = synthesize(c, *at)
@@ -546,9 +637,9 @@ def model_points(monkeypatch):
     def counted(coeffs):
         model = original(coeffs)
 
-        def step(x, frame, h):
+        def step(x, frame):
             points.append(x)
-            return model(x, frame, h)
+            return model(x, frame)
 
         return step
 
@@ -625,8 +716,7 @@ class TestCoarseMesh:
     def test_directivity_matches_the_full_basis_route(self, paper_setup):
         # The 16-antenna Fibonacci design over the sphere, reconstructed on
         # the paper config; the reference peak search starts from the mesh
-        # computed on the full 1-degree basis. The stencil search from that
-        # mesh may stop short of the peak, never past it.
+        # computed on the full 1-degree basis.
         cfg = paper_setup.config
         golden = math.pi * (3.0 - math.sqrt(5.0))
         for i in range(16):
@@ -634,18 +724,9 @@ class TestCoarseMesh:
             spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
             coeffs = cli._reconstruct_test(paper_setup, spec)[0].coefficients
             total = float(np.sum(np.abs(coeffs.values) ** 2))
-
-            def eval_sq(t, p):
-                f = synthesize(coeffs, t, p)
-                return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
-
-            coarse = direct_coarse(coeffs)
-            _, at = _max_magnitude_squared(_exact_model(coeffs), coarse)
-            expected = 4.0 * math.pi * float(eval_sq(*at)) / total
-            d = directivity(coeffs, cfg.k)
-            assert d == pytest.approx(expected, rel=1e-12)
-            stencil, _ = _max_magnitude_squared(_stencil_model(eval_sq), coarse)
-            assert d >= 4.0 * math.pi * stencil / total * (1.0 - 1e-14)
+            _, at = _max_magnitude_squared(_exact_model(coeffs), direct_coarse(coeffs))
+            expected = 4.0 * math.pi * synthesize(coeffs, *at).magnitude() ** 2 / total
+            assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12)
 
     def test_caches_only_the_theta_column(self, monkeypatch):
         points = []
@@ -678,15 +759,16 @@ class TestPatternError:
     def test_non_finite_mesh(self):
         coarse = np.ones(_COARSE_THETA.shape)
         coarse[90, 0] = np.nan
+        model = _exact_model(random_coefficients(build_mode_set(1), np.random.default_rng(6)))
         with pytest.raises(PatternError, match="not finite"):
-            _max_magnitude_squared(_stencil_model(lambda t, p: np.ones(np.shape(t))), coarse)
+            _max_magnitude_squared(model, coarse)
 
     def test_field_power_integral(self):
         def zero_field(t, p):
             return TangentVector(np.zeros(np.shape(t), dtype=complex), 0.0)
 
         with pytest.raises(PatternError, match="power integral"):
-            field_radiation_summary(zero_field, default_grid(1), K, 1.0)
+            field_radiation_summary(zero_field, math.pi, K, 1.0)
 
     def test_all_zero_reference(self):
         with pytest.raises(PatternError, match="all-zero"):

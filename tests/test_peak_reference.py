@@ -4,13 +4,12 @@ The reference mesh is the earlier coarse mesh, one zero-padded real
 inverse FFT of 360 points per theta row with the harmonics past 180 folded
 onto 360 - M. The reference loops carry the point, the tangent frame, the
 gradient, the Hessian and the step as numpy arrays and take the principal
-axes from np.linalg.eigh. The stencil loop is the earlier search, which
-the field route still runs, from central differences of a 3x3 stencil.
-The exact loop is the coefficient route's: derivatives of E summed mode by
-mode with einsum, the chain rule as J^T H J plus the second derivatives of
-the angles, and at a pole the Hessian solved from three meridians. The
-current code runs both in Python floats with a closed-form 2x2
-eigensystem, so each agrees with its reference to rounding.
+axes from np.linalg.eigh. The exact loop is the coefficient route's:
+derivatives of E summed mode by mode with einsum, the chain rule as
+J^T H J plus the second derivatives of the angles, and at a pole the
+Hessian solved from three meridians. The current code runs it in Python
+floats with a closed-form 2x2 eigensystem, so it agrees with its reference
+to rounding.
 """
 import math
 import warnings
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multipat import cli, farfield
+from multipat import cli
 from multipat.dipole import DipoleSpec
 from multipat.farfield import (
     _COARSE_PHI,
@@ -34,9 +33,7 @@ from multipat.farfield import (
     _coarse_basis,
     _coarse_magnitude_squared,
     _theta_fourier,
-    default_grid,
     directivity,
-    field_radiation_summary,
     synthesize,
 )
 from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, ModeSet, build_mode_set
@@ -70,11 +67,8 @@ def reference_coarse_magnitude_squared(coeffs):
     return np.fft.irfft(spectrum, n=n_phi, norm="forward")
 
 
-_STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
-
-
 def _angles(x):
-    return np.arccos(np.clip(x[..., 2], -1.0, 1.0)), np.arctan2(x[..., 1], x[..., 0])
+    return np.arctan2(np.hypot(x[..., 0], x[..., 1]), x[..., 2]), np.arctan2(x[..., 1], x[..., 0])
 
 
 def _tangent_frame(x):
@@ -86,44 +80,6 @@ def _tangent_frame(x):
 def _chart(x, e_t, e_p, offsets):
     pts = x + offsets[:, :1] * e_t + offsets[:, 1:] * e_p
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def reference_max_magnitude_squared(eval_sq, coarse):
-    if not np.all(np.isfinite(coarse)):
-        raise ValueError("peak search: the pattern is not finite on the 1-degree mesh")
-    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
-    best = float(coarse[i, j])
-    t0, p0 = float(_COARSE_THETA[i, j]), float(_COARSE_PHI[i, j])
-    x = np.array([math.sin(t0) * math.cos(p0), math.sin(t0) * math.sin(p0), math.cos(t0)])
-    h = float(_COARSE_THETA[1, 0] - _COARSE_THETA[0, 0])
-    for _ in range(_NEWTON_MAX_ITER):
-        e_t, e_p = _tangent_frame(x)
-        f = np.asarray(eval_sq(*_angles(_chart(x, e_t, e_p, h * _STENCIL))), dtype=float)
-        gained = f.max() > best * (1.0 + _PEAK_REL_TOL)
-        best = max(best, float(f.max()))
-        f = f.reshape(3, 3)
-        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-        hess = np.array([
-            [f[2, 1] - 2.0 * f[1, 1] + f[0, 1], cross],
-            [cross, f[1, 2] - 2.0 * f[1, 1] + f[1, 0]],
-        ]) / h**2
-        curvature, axes = np.linalg.eigh(hess)
-        slope = axes.T @ grad
-        along = np.where(np.abs(slope) * h > _PEAK_REL_TOL * best, np.sign(slope) * h, 0.0)
-        concave = curvature < 0.0
-        along[concave] = -slope[concave] / curvature[concave]
-        s = axes @ along
-        length = math.hypot(*s)
-        if length > 2.0 * h:
-            s *= 2.0 * h / length
-            length = 2.0 * h
-        if not gained and length < _NEWTON_STEP_TOL and h < _NEWTON_STEP_TOL:
-            return best
-        x = _chart(x, e_t, e_p, s[None, :])[0]
-        h = min(h, max(length, 1e-3 * h))
-    warnings.warn("peak search hit its iteration cap", ConvergenceWarning, stacklevel=2)
-    return best
 
 
 def coefficient_eval_sq(coeffs):
@@ -230,8 +186,7 @@ def reference_exact_peak(coeffs, coarse):
 
 def assert_same_peak(coeffs):
     """directivity() against the exact loop's reference from the reference
-    mesh, to 1e-14 relative; and never below the stencil loop's reference
-    peak, the earlier directivity(), by more than 1e-14 relative."""
+    mesh, to 1e-14 relative."""
     coarse = reference_coarse_magnitude_squared(coeffs)
     eval_sq = coefficient_eval_sq(coeffs)
     total = float(np.sum(np.abs(coeffs.values) ** 2))
@@ -239,9 +194,7 @@ def assert_same_peak(coeffs):
         warnings.simplefilter("error")
         d = directivity(coeffs, K)
         _, at = reference_exact_peak(coeffs, coarse)
-        stencil_peak = reference_max_magnitude_squared(eval_sq, coarse)
     assert d == pytest.approx(4.0 * math.pi * float(eval_sq(*at)) / total, rel=1e-14, abs=0.0)
-    assert d >= 4.0 * math.pi * stencil_peak / total * (1.0 - 1e-14)
 
 
 filtered_sets = st.tuples(
@@ -293,22 +246,3 @@ def test_peak_matches_the_numpy_reference_on_the_paper_design(paper_setup):
         theta0, phi0 = math.acos(1.0 - (2 * i + 1) / 16), (i * golden) % (2.0 * math.pi)
         spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
         assert_same_peak(cli._reconstruct_test(paper_setup, spec)[0].coefficients)
-
-
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(st.floats(0.05, 2.0), st.floats(0.01, 100.0))
-def test_field_route_matches_the_numpy_reference(length, current):
-    # The set-up's theory summary: the upright dipole's field callable.
-    field = DipoleSpec(length, 0.0, 0.0, current).field(K)
-    grid = default_grid(3)
-    summary = field_radiation_summary(field, grid, K, current)
-
-    def eval_sq(t, p):
-        f = field(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
-        return np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
-
-    sampled = field(grid.theta_mesh, grid.phi_mesh)
-    total = float(grid.integrate(np.abs(sampled.e_theta) ** 2 + np.abs(sampled.e_phi) ** 2))
-    peak = reference_max_magnitude_squared(eval_sq, eval_sq(_COARSE_THETA, _COARSE_PHI))
-    assert summary.power == total / (2.0 * farfield.ETA0 * K * K)
-    assert summary.directivity == pytest.approx(4.0 * math.pi * peak / total, rel=1e-14, abs=0.0)

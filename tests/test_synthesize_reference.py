@@ -60,7 +60,7 @@ def coefficient_sets(draw):
 
 angles = st.floats(0.0, math.pi)
 phis = st.floats(-2 * math.pi, 4 * math.pi)
-# 9-point sets, the size of a peak-search stencil, holding both poles.
+# 9-point sets holding both poles.
 stencils = st.tuples(
     st.lists(angles, min_size=7, max_size=7).map(lambda ts: np.array([0.0, math.pi] + ts)),
     st.lists(phis, min_size=9, max_size=9).map(np.array),

@@ -14,16 +14,15 @@ impedance-scaled (modified) amplitudes; the unscaled amplitudes that the
 probe-voltage channel acts on are obtained via to_amplitude_vector().
 
 Every mode depends on phi only through exp(j m phi), and on theta as a
-trigonometric polynomial of degree <= L, so synthesize() sums per-order
-theta profiles from a cached theta-Fourier table of the mode set and
-evaluates no basis at its points. directivity() finds the pattern's peak
-from the argmax of a 1-degree mesh, refined by a Newton ascent in Python
-floats on |E|^2's exact gradient and Hessian from the same table (at a
-pole, along three meridians), and takes |E|^2 there from one synthesize()
-call; field_radiation_summary's peak is a 1-D theta search. Each theta
-row of the mesh's |E|^2 is a trigonometric polynomial in phi, evaluated
-from per-order theta profiles on a cached 181-node column basis and a
-cached cos/sin table of the 360 phi nodes. mode_basis is
+trigonometric polynomial of degree <= L, so one cached theta-Fourier table
+per mode set, laid out by order m, describes every pattern over it:
+synthesize() sums its per-order theta profiles and evaluates no basis at
+its points. directivity() finds the pattern's peak from the argmax of a
+1-degree mesh, each theta row of which is a trigonometric polynomial in
+phi, refined by a Newton ascent in Python floats on |E|^2's exact
+gradient and Hessian (at a pole, along three meridians), and takes |E|^2
+there from one synthesize() call; mesh and model read the same table.
+field_radiation_summary's peak is a 1-D theta search. mode_basis is
 vsh.mode_components with each row times j^(l+1), and keeps nothing; a
 quadrature grid owns the basis on its nodes (SphereGrid.basis), which
 every projection and synthesis on it reads.
@@ -103,7 +102,7 @@ def mode_basis(mode_set: ModeSet, theta, phi):
     vsh.mode_components evaluates every mode in one pass; each row is then
     multiplied by its j^(l+1) synthesis phase. theta/phi are arrays of
     equal size, read in flattened order. Nothing is kept here:
-    SphereGrid.basis, _coarse_basis and _theta_fourier keep theirs.
+    SphereGrid.basis and _theta_fourier keep theirs.
     """
     bt, bp = mode_components(mode_set.entries, theta, phi)
     phase = np.array([1j ** (e.l + 1) for e in mode_set.entries])[:, None]
@@ -164,42 +163,55 @@ def _mode_rows(mode_set: ModeSet):
 
 @lru_cache(maxsize=32)
 def _theta_fourier(mode_set: ModeSet):
-    """(by_order, starts, table, jp, jm, jets_p, jets_m): synthesize's
-    table of mode_set, and the derivative rows of _exact_model.
+    """(members, table, jp, jm, jets_p, jets_m, column, trig): the theta-
+    Fourier table of mode_set, which synthesize, _exact_model and the
+    1-degree mesh all read through _order_sums.
 
     A mode of degree l <= L is exp(j m phi) times a trigonometric
     polynomial of degree <= L in theta, which mode_components gives at any
     theta, theta > pi included, so the FFT of mode_basis at theta_j =
-    2 pi j / (2L + 1), phi = 0, gives table[i, c, p + L], the coefficient of
-    exp(j p theta) in component c of mode by_order[i]. by_order sorts the
-    modes by order m, each order's rows start at starts, and the columns
-    jp = j p, p = -L..L, and jm = j m, one per order, are the exponents.
-    Rows [1, j p, (j p)^2] of jets_p and columns [1, j m, (j m)^2] of jets_m
-    take a term to its first two theta and phi derivatives.
+    2 pi j / (2L + 1), phi = 0, gives table[q, c * (2L + 1) + p + L], the
+    coefficient of exp(j p theta) in component c of mode q. Row m + M of
+    the 0/1 matrix members marks the modes of order m, m = -M..M with M the
+    largest |m|, and the columns jp = j p, p = -L..L, and jm = j m are the
+    exponents. Rows [1, j p, (j p)^2] of jets_p and columns [1, j m, (j m)^2]
+    of jets_m take a term to its first two theta and phi derivatives.
+    column holds exp(j p theta_i) on the mesh's 181-node theta column, and
+    trig [cos K phi_j, K = 0..2M; -sin K phi_j, K = 1..2M] on its 360 phi
+    nodes, K j reduced modulo 360 first so each angle is one rounding.
     """
     degree = max((e.l for e in mode_set.entries), default=0)
     n = 2 * degree + 1
     samples = np.stack(mode_basis(mode_set, 2.0 * np.pi * np.arange(n) / n, np.zeros(n)), axis=1)
+    table = np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1).reshape(-1, 2 * n) / n
     orders = _mode_rows(mode_set)[0]
-    by_order = np.argsort(orders, kind="stable")
-    starts = np.flatnonzero(np.diff(orders[by_order], prepend=-n))  # every |m| < n
-    table = np.fft.fftshift(np.fft.fft(samples[by_order], axis=-1), axes=-1) / n
-    jp, jm = 1j * np.arange(-degree, degree + 1.0), 1j * orders[by_order][starts].astype(float)
-    return (by_order, starts, table, jp[:, None], jm[:, None, None],
-            np.vander(jp, 3, increasing=True), np.vander(jm, 3, increasing=True).T)
+    top = int(np.abs(orders).max(initial=0))
+    members = (np.arange(-top, top + 1)[:, None] == orders).astype(float)
+    jp, jm = 1j * np.arange(-degree, degree + 1.0), 1j * np.arange(-top, top + 1.0)
+    angle = np.outer(np.arange(2 * top + 1), np.arange(360)) % 360 * math.radians(1.0)
+    return (members, table, jp[:, None], jm[:, None, None], np.vander(jp, 3, increasing=True),
+            np.vander(jm, 3, increasing=True).T, np.exp(np.outer(jp, _COARSE_THETA[:, 0])),
+            np.concatenate([np.cos(angle), -np.sin(angle[1:])]))
+
+
+def _order_sums(coeffs: VshCoefficients):
+    """(g, jp, jm, jets_p, jets_m, column, trig): g[m + M, c, p], the
+    coefficient-weighted sum of the _theta_fourier rows of the modes of
+    order m (zero where the set has none), then the rest of the table."""
+    members, table, *rest = _theta_fourier(coeffs.mode_set)
+    return (members @ (coeffs.values[:, None] * table)).reshape(len(members), 2, -1), *rest
 
 
 def synthesize(coeffs: VshCoefficients, theta, phi) -> TangentVector:
     """Evaluate the modified far field of a coefficient set at (theta, phi).
 
-    E = sum_m exp(j m phi) sum_p G_m,p exp(j p theta), G_m the coefficient-
-    weighted sum of the cached _theta_fourier rows of the modes of order m:
-    no basis recurrence, a handful of array operations whatever the number
-    of points. Broadcasts; returns scalar components for scalar input.
+    E = sum_m exp(j m phi) sum_p g_m,p exp(j p theta), g the _order_sums of
+    the cached theta-Fourier table: no basis recurrence, a handful of array
+    operations whatever the number of points. Broadcasts; returns scalar
+    components for scalar input.
     """
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    by_order, starts, table, jp, jm = _theta_fourier(coeffs.mode_set)[:5]
-    g = np.add.reduceat(coeffs.values[by_order, None, None] * table, starts, axis=0)
+    g, jp, jm = _order_sums(coeffs)[:3]
     e_t, e_p = (g @ np.exp(jp * th.ravel()) * np.exp(jm * ph.ravel())).sum(axis=0)
     if th.shape == ():
         return TangentVector(complex(e_t[0]), complex(e_p[0]))
@@ -329,46 +341,26 @@ def _principal_axes(a: float, c: float, b: float):
     return (0.5 * (a + b) - r, (-v / n, u / n)), (0.5 * (a + b) + r, (u / n, v / n))
 
 
-@lru_cache(maxsize=32)
-def _coarse_basis(mode_set: ModeSet) -> tuple[np.ndarray, np.ndarray]:
-    """mode_basis of mode_set on the 1-degree mesh's theta column, phi = 0."""
-    theta = _COARSE_THETA[:, 0]
-    return mode_basis(mode_set, theta, np.zeros_like(theta))
-
-
-@lru_cache(maxsize=32)
-def _coarse_trig(n: int) -> np.ndarray:
-    """[cos M phi_j, M = 0..n; -sin M phi_j, M = 1..n] on the 1-degree mesh's
-    360 phi nodes, M j reduced modulo 360 first so each angle is one rounding."""
-    angle = np.outer(np.arange(n + 1), np.arange(360)) % 360 * math.radians(1.0)
-    return np.concatenate([np.cos(angle), -np.sin(angle[1:])])
-
-
 def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     """|E|^2 of a coefficient set on the 1-degree mesh, shape (181, 360).
 
     Every mode depends on phi only through exp(j m phi), so on the row at
     theta E = sum_m g_m(theta) exp(j m phi), where the per-order profile g_m
-    sums c_q B_q(theta, 0) over the modes of order m; _coarse_basis on the
-    181-node theta column gives all of them. |E|^2 on the row is then
-    Re h_0 + 2 sum_M (Re h_M cos M phi - Im h_M sin M phi), 0 < M <= 2 m_max,
-    with lag sums h_M = sum_m g_m conj(g_{m-M}) over both components: one
-    real product with the cached trig table _coarse_trig at the 360 nodes
-    themselves, so no harmonic aliases, whatever the orders.
+    is _order_sums' row m times the table's exponents on the 181-node theta
+    column. |E|^2 on the row is then Re h_0 + 2 sum_K (Re h_K cos K phi -
+    Im h_K sin K phi), 0 < K <= 2M, with lag sums h_K = sum_m g_m
+    conj(g_{m-K}) over both components: one real product with the table's
+    trig rows at the 360 nodes themselves, so no harmonic aliases, whatever
+    the orders.
     """
-    ms = coeffs.mode_set
-    orders = _mode_rows(ms)[0]
-    m_max = int(np.abs(orders).max())
-    bt, bp = _coarse_basis(ms)
-    weights = np.zeros((2 * m_max + 1, ms.size), dtype=complex)
-    weights[orders + m_max, np.arange(ms.size)] = coeffs.values
-    # Row m + m_max: the theta profiles of g_m, both components side by side.
-    g = np.concatenate([weights @ bt, weights @ bp], axis=1)
+    g, *_, column, trig = _order_sums(coeffs)
+    # Row m + M: the theta profiles of g_m, both components side by side.
+    g = (g.reshape(-1, len(column)) @ column).reshape(len(g), -1)
     gc, n = g.conj(), g.shape[0]
     h = np.stack([(g[lag:] * gc[: n - lag]).sum(axis=0) for lag in range(n)])
-    h = h[:, : bt.shape[1]] + h[:, bt.shape[1] :]
+    h = h[:, : column.shape[1]] + h[:, column.shape[1] :]
     h[1:] *= 2.0
-    return np.concatenate([h.real, h[1:].imag]).T @ _coarse_trig(n - 1)
+    return np.concatenate([h.real, h[1:].imag]).T @ trig
 
 
 # Below this sin(theta) _exact_model works at the pole: the chain rule is singular there.
@@ -394,9 +386,8 @@ def _exact_model(coeffs: VshCoefficients):
     chart at x. Where sin(theta) < _POLE_SIN the chart derivatives are theta
     derivatives at the pole along three meridians, carried on to x.
     """
-    by_order, starts, table, _, _, jets_p, jets_m = _theta_fourier(coeffs.mode_set)
-    g = np.add.reduceat(coeffs.values[by_order, None, None] * table, starts, axis=0)
-    g = g.reshape(len(starts), -1)
+    g, _, _, jets_p, jets_m = _order_sums(coeffs)[:5]
+    g = g.reshape(len(g), -1)
     n, jp, jm = len(jets_p), jets_p[:, 1], jets_m[1]
 
     def jets(rows, theta):  # [2 r + c][k]: theta derivative k of component c, on row r
@@ -489,11 +480,12 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
 
     The peak's direction is _max_magnitude_squared's float Newton ascent on
     _exact_model (a pole model within _POLE_SIN of a pole), from the argmax
-    of _coarse_magnitude_squared's trig-table mesh; both read cached tables,
-    so a mode set's later patterns evaluate no basis. |E|^2 there is one
-    synthesize call. A zero or non-finite amplitude sum raises PatternError.
-    The spreading-free formulation makes the wavenumber cancel; it is kept
-    in the signature for interface symmetry with radiated_power.
+    of _coarse_magnitude_squared's mesh; both read the mode set's cached
+    _theta_fourier table, so its later patterns evaluate no basis. |E|^2
+    there is one synthesize call. A zero or non-finite amplitude sum raises
+    PatternError. The spreading-free formulation makes the wavenumber
+    cancel; it is kept in the signature for interface symmetry with
+    radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:

@@ -72,7 +72,7 @@ class TestProbeVoltages:
         ch = single_path_chamber(1.1, 0.3, alpha=0.0)
         field = DipoleSpec(theta0=0.5, phi0=2.0).field(K)
         v = probe_voltages(ch, field)
-        assert v[0] == pytest.approx(field(1.1, 0.3).e_theta, rel=1e-14)
+        assert v[0] == pytest.approx(field(1.1, 0.3).e_theta, rel=1e-14, abs=0.0)
 
     def test_single_path_phi_polarized(self):
         ch = single_path_chamber(1.1, 0.3, alpha=np.pi / 2)

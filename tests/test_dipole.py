@@ -17,7 +17,7 @@ class TestDipoleField:
     def test_broadside_hand_value(self):
         # z-oriented half-wave dipole: p = -1, g = 0, bracket = 1 at theta = pi/2
         v = dipole_field(DipoleSpec(), np.pi / 2, 0.0, K)
-        assert abs(v.e_theta) == pytest.approx(ETA0 * 1.0 * K / (2 * np.pi), rel=1e-14)
+        assert abs(v.e_theta) == pytest.approx(ETA0 * 1.0 * K / (2 * np.pi), rel=1e-14, abs=0.0)
         assert v.e_phi == 0.0
 
     def test_null_along_axis(self):

@@ -173,7 +173,7 @@ class TestSynthesize:
         want = vsh_x((1, 0), np.pi / 2, 0.0)
         # one-term sum with the j^(l+1) = j^2 phase
         assert got.e_theta == pytest.approx(1j**2 * want.e_theta, abs=1e-15)
-        assert got.e_phi == pytest.approx(1j**2 * want.e_phi, rel=1e-14)
+        assert got.e_phi == pytest.approx(1j**2 * want.e_phi, rel=1e-14, abs=0.0)
 
     def test_dipole_equator_magnitude(self):
         # synthesized half-wave dipole approaches eta0 I k / (2 pi) broadside
@@ -233,7 +233,7 @@ class TestPower:
         ms = build_mode_set(1, multipole="electric")
         c = single_mode(ms, ms.entries[0])
         assert radiated_power(c, 2 * np.pi) == pytest.approx(
-            1.0 / (2 * ETA0 * (2 * np.pi) ** 2), rel=1e-14
+            1.0 / (2 * ETA0 * (2 * np.pi) ** 2), rel=1e-14, abs=0.0
         )
 
     def test_half_wave_dipole_resistance(self):
@@ -625,7 +625,8 @@ class TestExactModel:
         points = model_points(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert directivity(c, K) == pytest.approx(polished_directivity(c, 1.0), rel=1e-12)
+            expected = polished_directivity(c, 1.0)
+            assert directivity(c, K) == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert len(points) <= 8
 
 
@@ -675,13 +676,18 @@ class TestCoarseMesh:
     @pytest.mark.parametrize("parity", PARITY_FILTERS)
     @pytest.mark.parametrize("multipole", MULTIPOLE_FILTERS)
     @settings(max_examples=2, deadline=None, derandomize=True)
-    @given(keep=st.sampled_from([1.0, 0.4]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_full_basis(self, parity, multipole, keep, seed):
+    @given(keep=st.sampled_from([1.0, 0.4]), seed=st.integers(0, 2**32 - 1), pick=st.none())
+    # Order layouts lopsided about m = 0: only negative orders, no m = 0
+    # mode, and a single mode of order -3.
+    @example(keep=1.0, seed=1, pick=lambda es: [e for e in es if e.m < 0])
+    @example(keep=1.0, seed=2, pick=lambda es: [e for e in es if e.m != 0])
+    @example(keep=1.0, seed=3, pick=lambda es: [e for e in es if e.m == -3][:1])
+    def test_matches_the_full_basis(self, parity, multipole, keep, seed, pick):
         rng = np.random.default_rng(seed)
         for lambda_max in range(1, 7):
             # With keep < 1 random modes are dropped, so whole orders m may be missing.
             entries = build_mode_set(lambda_max, parity, multipole).entries
-            entries = tuple(e for e in entries if rng.random() < keep)
+            entries = tuple(pick(entries) if pick else (e for e in entries if rng.random() < keep))
             if not entries:
                 continue
             c = random_coefficients(ModeSet(lambda_max, parity, multipole, entries), rng)
@@ -726,7 +732,7 @@ class TestCoarseMesh:
             total = float(np.sum(np.abs(coeffs.values) ** 2))
             _, at = _max_magnitude_squared(_exact_model(coeffs), direct_coarse(coeffs))
             expected = 4.0 * math.pi * synthesize(coeffs, *at).magnitude() ** 2 / total
-            assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12)
+            assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_caches_only_the_theta_column(self, monkeypatch):
         points = []
@@ -737,13 +743,12 @@ class TestCoarseMesh:
             return original(mode_set, theta, phi)
 
         monkeypatch.setattr(farfield, "mode_basis", spy)
-        farfield._coarse_basis.cache_clear()
         farfield._theta_fourier.cache_clear()
         c = random_coefficients(build_mode_set(15), np.random.default_rng(4))
         directivity(c, K)
-        # The 181-node mesh column and the (2L + 1)-node theta-Fourier column, once each.
-        assert sorted(points) == [31, 181]
-        # Both are kept: a second pattern of the set evaluates no basis at all.
+        # Only the (2L + 1)-node theta-Fourier column, once: the mesh reads its table.
+        assert points == [31]
+        # It is kept: a second pattern of the set evaluates no basis at all.
         del points[:]
         directivity(c.scaled(1j), K)
         assert points == []

@@ -30,10 +30,10 @@ from multipat.farfield import (
     _PEAK_REL_TOL,
     _POLE_SIN,
     ConvergenceWarning,
-    _coarse_basis,
     _coarse_magnitude_squared,
     _theta_fourier,
     directivity,
+    mode_basis,
     synthesize,
 )
 from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, ModeSet, build_mode_set
@@ -51,7 +51,7 @@ def reference_coarse_magnitude_squared(coeffs):
     m_max = int(np.abs(orders).max())
     if 2 * m_max >= n_phi:
         raise ValueError(f"order {m_max} aliases on the {n_phi}-column mesh")
-    bt, bp = _coarse_basis(ms)
+    bt, bp = mode_basis(ms, theta, np.zeros_like(theta))
     weights = np.zeros((2 * m_max + 1, ms.size), dtype=complex)
     weights[orders + m_max, np.arange(ms.size)] = coeffs.values
     g = np.concatenate([weights @ bt, weights @ bp], axis=1)
@@ -94,14 +94,14 @@ def reference_field_derivatives(coeffs, theta, phis):
     """d[i, a, b, c]: the a-th theta and b-th phi derivative, a + b <= 2, of
     component c of E at (theta, phis[i]), summed mode by mode over the
     theta-Fourier table."""
-    by_order, _, table = _theta_fourier(coeffs.mode_set)[:3]
+    table = _theta_fourier(coeffs.mode_set)[1].reshape(coeffs.mode_set.size, 2, -1)
     degree = (table.shape[-1] - 1) // 2
     jp = 1j * np.arange(-degree, degree + 1)
-    jm = 1j * np.array([e.m for e in coeffs.mode_set.entries])[by_order]
+    jm = 1j * np.array([e.m for e in coeffs.mode_set.entries])
     d = np.zeros((len(phis), 3, 3, 2), dtype=complex)
     for a in range(3):
         for b in range(3 - a):
-            d[:, a, b] = np.einsum("q,qcp,p,iq->ic", coeffs.values[by_order], table,
+            d[:, a, b] = np.einsum("q,qcp,p,iq->ic", coeffs.values, table,
                                    jp**a * np.exp(jp * theta), jm**b * np.exp(np.outer(phis, jm)))
     return d
 

@@ -330,7 +330,7 @@ class TestNormalization:
         result.weights[:] = 0.0
         result.weights[0], result.weights[1] = 3.0, 4.0
         out = apply_normalization(result, "unit-weight")
-        assert np.sum(out.weights**2) == pytest.approx(1.0, rel=1e-12)
+        assert np.sum(out.weights**2) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_resistance_rescale_recovers_scale(self, band_limited_setup):
         cal, chamber, truth, v = band_limited_setup

@@ -9,7 +9,7 @@ rounding, checked relative to the largest |E| of the point set.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multipat.farfield import VshCoefficients, mode_basis, synthesize
@@ -67,8 +67,25 @@ stencils = st.tuples(
 )
 
 
+def lopsided(keep, seed):
+    """Coefficients over the L = 4 modes that keep(entries) picks."""
+    full = build_mode_set(4)
+    ms = ModeSet(4, entries=tuple(keep(full.entries)))
+    rng = np.random.default_rng(seed)
+    return VshCoefficients(ms, rng.normal(size=ms.size) + 1j * rng.normal(size=ms.size))
+
+
+STENCIL = (np.array([0.0, math.pi, 0.3, 1.0, 1.6, 2.2, 2.9, 0.7, 1.3]),
+           np.array([0.0, 1.0, -2.0, 3.5, 6.0, 9.0, 0.2, 4.4, -5.5]))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(coefficient_sets(), stencils)
+# Order layouts lopsided about m = 0: only negative orders, no m = 0 mode,
+# and a single mode of order -3.
+@example(lopsided(lambda es: [e for e in es if e.m < 0], 1), STENCIL)
+@example(lopsided(lambda es: [e for e in es if e.m != 0], 2), STENCIL)
+@example(lopsided(lambda es: [e for e in es if e.m == -3][:1], 3), STENCIL)
 def test_stencils_match_the_basis_evaluation(coeffs, pts):
     assert_matches_reference(coeffs, *pts)
 

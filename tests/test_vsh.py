@@ -42,7 +42,7 @@ class TestVshX:
     def test_hand_value_dipole_mode(self):
         v = vsh_x((1, 0), np.pi / 2, 0.0)
         assert abs(v.e_theta) < 1e-15
-        assert v.e_phi == pytest.approx(1j * np.sqrt(3 / (8 * np.pi)), rel=1e-13)
+        assert v.e_phi == pytest.approx(1j * np.sqrt(3 / (8 * np.pi)), rel=1e-13, abs=0.0)
 
     def test_finite_difference_oracle(self):
         for mode in [(2, 2), (3, 1), (4, -2), (5, 0), (1, -1), (10, 7), (15, -4)]:
@@ -69,7 +69,8 @@ class TestVshX:
     def test_regular_next_to_the_pole(self):
         theta = 5e-7
         v = vsh_x((1, 0), theta, 0.3)
-        assert v.e_phi == pytest.approx(1j * math.sqrt(3 / (8 * math.pi)) * math.sin(theta), rel=1e-12)
+        expected = 1j * math.sqrt(3 / (8 * math.pi)) * math.sin(theta)
+        assert v.e_phi == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert v.e_theta == 0
 
     @settings(max_examples=5, deadline=None, derandomize=True)
@@ -109,13 +110,13 @@ class TestRCrossX:
 
     def test_hand_value_dipole_mode(self):
         r = r_cross_x((1, 0), np.pi / 2, 0.0)
-        assert abs(r.e_theta) == pytest.approx(np.sqrt(3 / (8 * np.pi)), rel=1e-13)
+        assert abs(r.e_theta) == pytest.approx(np.sqrt(3 / (8 * np.pi)), rel=1e-13, abs=0.0)
         assert abs(r.e_phi) < 1e-15
 
     def test_magnitude_preserved(self):
         x = vsh_x((3, 1), 0.9, 2.0)
         r = r_cross_x((3, 1), 0.9, 2.0)
-        assert x.magnitude() == pytest.approx(r.magnitude(), rel=1e-14)
+        assert x.magnitude() == pytest.approx(r.magnitude(), rel=1e-14, abs=0.0)
 
 
 class TestModeComponents:

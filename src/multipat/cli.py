@@ -19,14 +19,15 @@ ranks the candidates by cond(V_R), one at a time, and hands back the
 selected chamber's V_R, which the calibration uses as it is, with every
 candidate's cond(V_R); reports list that ranking under chamber_selection.
 
-reconstruct and sweep share one per-antenna path, _reconstruct_test. The
-theory summary it compares against is computed once per set-up, in 1-D and
-on no grid, from the theta pattern of the config test dipole's upright twin:
-R_r and D of an identical dipole do not depend on its orientation. The
-channel T = V_R inv(A_R) is solved once per set-up too, and each
-calibration matrix's condition number is taken when it is built, so an
-inverse or direct-weights reconstruction is one solve and no condition
-number.
+reconstruct and sweep share one per-antenna path, _reconstruct_test. Its
+truth field on the config grid, like decompose's power integral, is
+dipole.grid_field, which reads the grid's cached trig. The theory summary
+it compares against is computed once per set-up, in 1-D and on no grid,
+from the theta pattern of the config test dipole's upright twin: R_r and D
+of an identical dipole do not depend on its orientation. The channel
+T = V_R inv(A_R) is solved once per set-up too, and each calibration
+matrix's condition number is taken when it is built, so an inverse or
+direct-weights reconstruction is one solve and no condition number.
 
 Exit codes: 0 success, 2 configuration error (a set-up too large for
 memory counts as one), 3 numerical/conditioning error.
@@ -185,12 +186,11 @@ def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
             f"test dipole (length {test.length}, current {test.current}) differs from the "
             f"config's (length {cfg.test_length}, current {cfg.test_current})"
         )
-    field = test.field(cfg.k)
-    voltages = chamber_mod.probe_voltages(setup.chamber, field)
+    voltages = chamber_mod.probe_voltages(setup.chamber, test.field(cfg.k))
     result = _reconstruct_voltages(setup, voltages)
     reconstructed = farfield.radiation_summary(result.coefficients, cfg.k, test.current)
 
-    exact = field(setup.grid.theta_mesh, setup.grid.phi_mesh)
+    exact = dipole.grid_field(test, setup.grid, cfg.k)
     synth = farfield.synthesize_on_grid(result.coefficients, setup.grid)
     rms = farfield.rms_field_error(exact.magnitude(), synth.magnitude())
     return result, rms, setup.theory, reconstructed, exact, synth
@@ -235,7 +235,7 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     test = dipole.DipoleSpec(cfg.test_length, cfg.test_theta0, cfg.test_phi0, cfg.test_current)
     coeffs = farfield.decompose(test.field(k), mode_set, grid, check_convergence=True)
     # Modes the dipole cannot excite capture rounding noise: R_r and D of it mean nothing.
-    power = grid.integrate(test.field(k)(grid.theta_mesh, grid.phi_mesh).magnitude() ** 2)
+    power = grid.integrate(dipole.grid_field(test, grid, k).magnitude() ** 2)
     captured = np.sum(np.abs(coeffs.values) ** 2) / power
     if not captured >= np.finfo(float).eps:
         raise farfield.PatternError(f"the mode set captures {captured:.3g} of the test "

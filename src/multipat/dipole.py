@@ -9,6 +9,7 @@ A dipole with axis a radiates E = amp B(a . r_hat) (a - (a . r_hat) r_hat),
 B the pattern bracket. A chamber path sees E . e, its polarization e being
 orthogonal to r_hat, so E . e = amp B(a . r_hat) (a . e): reference_voltages
 takes a reference set's probe voltages from these projections, with no field.
+dipole_field and grid_field, which reads SphereGrid.trig, share one kernel.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .farfield import ETA0
+from .farfield import ETA0, SphereGrid
 from .vsh import TangentVector, scratch
 
 _BRACKET_TOL = 1e-8
@@ -81,26 +82,30 @@ def axis(spec: DipoleSpec) -> tuple[float, float, float]:
     return st0 * math.cos(spec.phi0), st0 * math.sin(spec.phi0), math.cos(spec.theta0)
 
 
+def _trig_field(spec: DipoleSpec, st, ct, sp, cp, k: float) -> TangentVector:
+    """dipole_field from the sin/cos of theta and phi at its directions. The
+    axis projections g = a . r_hat, p = a . theta_hat and q = a . phi_hat,
+    each summed left to right, set the pattern argument and the polarization."""
+    a, b, ct0 = axis(spec)
+    bracket = pattern_bracket(a * st * cp + b * st * sp + ct0 * ct, 2.0 * math.pi * spec.length, {})
+    amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
+    return TangentVector(amp * (a * ct * cp + b * ct * sp - ct0 * st) * bracket,
+                         amp * (b * cp - a * sp) * bracket)
+
+
 def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> TangentVector:
     """Modified far field of an arbitrarily oriented center-fed dipole;
-    scalar directions give complex components.
-
-    The axis projections g = a . r_hat, p = a . theta_hat and q = a . phi_hat,
-    each summed left to right, set the pattern argument and the polarization.
-    """
+    scalar directions give complex components."""
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     scalar = th.ndim == 0
     th, ph = np.atleast_1d(th), np.atleast_1d(ph)
-    a, b, ct0 = axis(spec)
-    st, ct = np.sin(th), np.cos(th)
-    sp, cp = np.sin(ph), np.cos(ph)
-    bracket = pattern_bracket(a * st * cp + b * st * sp + ct0 * ct, 2.0 * math.pi * spec.length, {})
-    amp = -1j * ETA0 * spec.current * k / (2.0 * math.pi)
-    e_theta = amp * (a * ct * cp + b * ct * sp - ct0 * st) * bracket
-    e_phi = amp * (b * cp - a * sp) * bracket
-    if scalar:
-        return TangentVector(complex(e_theta[0]), complex(e_phi[0]))
-    return TangentVector(e_theta, e_phi)
+    f = _trig_field(spec, np.sin(th), np.cos(th), np.sin(ph), np.cos(ph), k)
+    return TangentVector(complex(f.e_theta[0]), complex(f.e_phi[0])) if scalar else f
+
+
+def grid_field(spec: DipoleSpec, grid: SphereGrid, k: float = 2.0 * math.pi) -> TangentVector:
+    """dipole_field on a quadrature grid's mesh, bit for bit, from its cached trig."""
+    return _trig_field(spec, *grid.trig, k)
 
 
 def reference_voltages(axes: np.ndarray, length: float, current: float, chamber, k: float,

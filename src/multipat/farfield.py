@@ -19,25 +19,26 @@ per mode set, laid out by order m, describes every pattern over it:
 synthesize() sums its per-order theta profiles and evaluates no basis at
 its points. directivity() finds the pattern's peak from the argmax of a
 1-degree mesh, each theta row of which is a trigonometric polynomial in
-phi, refined by a Newton ascent in Python floats on |E|^2's exact
-gradient and Hessian (at a pole, along three meridians), and takes |E|^2
-there from one synthesize() call; mesh and model read the same table.
+phi (its theta <= 90 deg half if all modes share an inversion parity),
+refined by a Newton ascent in Python floats on |E|^2's exact gradient and
+Hessian (at a pole, along three meridians), and takes |E|^2 there from one
+synthesize() call; mesh and model read the same table.
 field_radiation_summary's peak is a 1-D theta search. mode_basis is
 vsh.mode_components with each row times j^(l+1), and keeps nothing; a
 quadrature grid owns the basis on its nodes (SphereGrid.basis), which
-every projection and synthesis on it reads.
+every projection and synthesis on it reads, and its nodes' trig (.trig).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .vsh import ModeSet, TangentVector, mode_components
+from .vsh import ELECTRIC, ModeSet, TangentVector, mode_components
 
 ETA0 = 376.730313668  # free-space impedance, ohms
 
@@ -58,7 +59,8 @@ class SphereGrid:
     and band-limited in phi below n_phi, which covers every harmonic product
     used here. Non-polynomial integrands (physical antenna patterns) converge
     geometrically; decompose() can verify by doubling. The grid owns the mode
-    basis on its nodes: basis() builds it once per mode set and keeps it.
+    basis on its nodes: basis() builds it once per mode set and keeps it,
+    and trig the sin/cos of its theta and phi mesh, on first use.
     """
 
     def __init__(self, n_theta: int, n_phi: int):
@@ -89,6 +91,12 @@ class SphereGrid:
         if mode_set not in self._bases:
             self._bases[mode_set] = mode_basis(mode_set, self.theta_mesh.ravel(), self.phi_mesh.ravel())
         return self._bases[mode_set]
+
+    @cached_property
+    def trig(self) -> tuple[np.ndarray, ...]:
+        """(sin theta, cos theta, sin phi, cos phi) on the mesh."""
+        th, ph = self.theta_mesh, self.phi_mesh
+        return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
 
 
 def default_grid(lambda_max: int) -> SphereGrid:
@@ -176,9 +184,10 @@ def _theta_fourier(mode_set: ModeSet):
     largest |m|, and the columns jp = j p, p = -L..L, and jm = j m are the
     exponents. Rows [1, j p, (j p)^2] of jets_p and columns [1, j m, (j m)^2]
     of jets_m take a term to its first two theta and phi derivatives.
-    column holds exp(j p theta_i) on the mesh's 181-node theta column, and
-    trig [cos K phi_j, K = 0..2M; -sin K phi_j, K = 1..2M] on its 360 phi
-    nodes, K j reduced modulo 360 first so each angle is one rounding.
+    column holds exp(j p theta_i) on the mesh's theta column (its 91 nodes
+    theta <= 90 deg if all modes share an inversion parity, (l + [electric])
+    mod 2, as |E|^2 is then even under r -> -r), and trig [cos K phi_j, K =
+    0..2M; -sin K phi_j, K = 1..2M] on its 360 phi nodes, K j mod 360 first.
     """
     degree = max((e.l for e in mode_set.entries), default=0)
     n = 2 * degree + 1
@@ -189,8 +198,9 @@ def _theta_fourier(mode_set: ModeSet):
     members = (np.arange(-top, top + 1)[:, None] == orders).astype(float)
     jp, jm = 1j * np.arange(-degree, degree + 1.0), 1j * np.arange(-top, top + 1.0)
     angle = np.outer(np.arange(2 * top + 1), np.arange(360)) % 360 * math.radians(1.0)
+    rows = 91 if len({(e.l + (e.family == ELECTRIC)) % 2 for e in mode_set.entries}) == 1 else 181
     return (members, table, jp[:, None], jm[:, None, None], np.vander(jp, 3, increasing=True),
-            np.vander(jm, 3, increasing=True).T, np.exp(np.outer(jp, _COARSE_THETA[:, 0])),
+            np.vander(jm, 3, increasing=True).T, np.exp(np.outer(jp, _COARSE_THETA[:rows, 0])),
             np.concatenate([np.cos(angle), -np.sin(angle[1:])]))
 
 
@@ -342,12 +352,12 @@ def _principal_axes(a: float, c: float, b: float):
 
 
 def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
-    """|E|^2 of a coefficient set on the 1-degree mesh, shape (181, 360).
+    """|E|^2 of a coefficient set on the 1-degree mesh, shape (91 or 181, 360).
 
     Every mode depends on phi only through exp(j m phi), so on the row at
     theta E = sum_m g_m(theta) exp(j m phi), where the per-order profile g_m
-    is _order_sums' row m times the table's exponents on the 181-node theta
-    column. |E|^2 on the row is then Re h_0 + 2 sum_K (Re h_K cos K phi -
+    is _order_sums' row m times the table's exponents on the theta column.
+    |E|^2 on the row is then Re h_0 + 2 sum_K (Re h_K cos K phi -
     Im h_K sin K phi), 0 < K <= 2M, with lag sums h_K = sum_m g_m
     conj(g_{m-K}) over both components: one real product with the table's
     trig rows at the 360 nodes themselves, so no harmonic aliases, whatever
@@ -419,22 +429,22 @@ def _exact_model(coeffs: VshCoefficients):
 def _max_magnitude_squared(model, coarse: np.ndarray):
     """Maximum over the sphere of a pattern's |E|^2, and its (theta, phi).
 
-    The argmax of coarse, the pattern on the 1-degree mesh (_COARSE_THETA,
-    _COARSE_PHI), starts a Newton ascent in Python floats in the gnomonic
-    chart of the tangent plane at the current point x, so neither the poles
-    nor the phi coordinate need a special case. Each model(x, frame) call,
-    _exact_model's, gives |E|^2 and (theta, phi) at x, and the chart
-    gradient and Hessian (uu, uv, vv) there. Along each principal axis of
-    the Hessian (a closed-form 2x2 eigensystem) the step is Newton's where
-    the curvature is negative, and elsewhere an uphill step of h, the mesh
-    step at first, when its first-order gain exceeds _PEAK_REL_TOL; on an
-    axisymmetric ridge this converges across the ridge instead of crawling
-    along it. The step is clamped to 2h, and h then shrinks toward the step
-    length. After a first step the search stops once the step is below
-    1e-5 rad and the model raised the best value by at most _PEAK_REL_TOL
-    relative; at the iteration cap it warns (ConvergenceWarning). Either way
-    it returns the best value seen and its direction. A non-finite mesh
-    value raises PatternError: its argmax is meaningless.
+    The argmax of coarse, the pattern on the 1-degree mesh's first rows
+    (_COARSE_THETA, _COARSE_PHI), starts a Newton ascent in Python floats in
+    the gnomonic chart of the tangent plane at the current point x, so neither
+    the poles nor the phi coordinate need a special case. Each model(x, frame)
+    call, _exact_model's, gives |E|^2 and (theta, phi) at x, and the chart
+    gradient and Hessian (uu, uv, vv) there. Along each principal axis of the
+    Hessian (a closed-form 2x2 eigensystem) the step is Newton's where the
+    curvature is negative, and elsewhere an uphill step of h, the mesh step at
+    first, when its first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric
+    ridge this converges across the ridge instead of crawling along it. The
+    step is clamped to 2h, and h then shrinks toward the step length. After a
+    first step the search stops once the step is below 1e-5 rad and the model
+    raised the best value by at most _PEAK_REL_TOL relative; at the iteration
+    cap it warns (ConvergenceWarning). Either way it returns the best value
+    seen and its direction. A non-finite mesh value raises PatternError: its
+    argmax is meaningless.
     """
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = float(coarse[i, j])
@@ -480,12 +490,12 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
 
     The peak's direction is _max_magnitude_squared's float Newton ascent on
     _exact_model (a pole model within _POLE_SIN of a pole), from the argmax
-    of _coarse_magnitude_squared's mesh; both read the mode set's cached
-    _theta_fourier table, so its later patterns evaluate no basis. |E|^2
-    there is one synthesize call. A zero or non-finite amplitude sum raises
-    PatternError. The spreading-free formulation makes the wavenumber
-    cancel; it is kept in the signature for interface symmetry with
-    radiated_power.
+    of _coarse_magnitude_squared's mesh (its north half if the set fixes the
+    inversion parity); both read the mode set's cached _theta_fourier table,
+    so its later patterns evaluate no basis. |E|^2 there is one synthesize
+    call. A zero or non-finite amplitude sum raises PatternError. The
+    spreading-free formulation makes the wavenumber cancel; it is kept in
+    the signature for interface symmetry with radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:

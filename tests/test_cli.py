@@ -1172,6 +1172,20 @@ class TestPerAntennaPath:
             texts.add(fileio.dumps(json.loads((out / "report.json").read_text())["theory"]))
         assert len(texts) == 1
 
+    def test_one_field_call_and_one_probe_call(self, paper_setup, monkeypatch):
+        # The probe voltages sample the field once; the truth field on the
+        # grid is dipole.grid_field, which calls no dipole_field.
+        calls = {"dipole_field": 0, "probe_voltages": 0}
+        for module, name in ((dipole, "dipole_field"), (chamber, "probe_voltages")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        cfg = paper_setup.config
+        cli._reconstruct_test(paper_setup, DipoleSpec(cfg.test_length, 1.2, 0.4, cfg.test_current))
+        assert calls == {"dipole_field": 1, "probe_voltages": 1}
+
     def test_per_antenna_path_takes_no_condition_number(self, paper_setup, monkeypatch):
         counts = {"cond": 0, "solve": 0, "channel": 0}
 

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multipat.chamber import sample_chamber
-from multipat.dipole import (DipoleSpec, axis, dipole_field, reference_dipole_set,
+from multipat.dipole import (DipoleSpec, axis, dipole_field, grid_field, reference_dipole_set,
                              reference_voltages)
-from multipat.farfield import ETA0, decompose, default_grid, rms_field_error, synthesize_on_grid
+from multipat.farfield import (ETA0, SphereGrid, decompose, default_grid, rms_field_error,
+                               synthesize_on_grid)
 from multipat.vsh import build_mode_set
 
 K = 2 * np.pi
@@ -105,6 +108,41 @@ class TestDipoleField:
             minus = amplitude[family, l, -m]
             assert abs(plus) == pytest.approx(abs(minus), rel=1e-10)
             assert minus == pytest.approx((-1) ** m * np.conj(plus), rel=1e-9)
+
+
+class TestGridField:
+    """grid_field: dipole_field on a grid's mesh from the grid's cached trig."""
+
+    GRIDS = [(4, 7), (28, 28), (36, 36)]
+
+    @pytest.mark.parametrize("n_theta, n_phi", GRIDS, ids=["4x7", "28x28", "36x36"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(theta0=st.floats(0.0, np.pi), phi0=st.floats(0.0, 2 * np.pi),
+           length=st.sampled_from([0.5, 1.0, 1.5]), current=st.sampled_from([1.0, -0.7]))
+    @example(theta0=0.0, phi0=0.0, length=0.5, current=1.0)
+    @example(theta0=np.pi, phi0=0.3, length=1.5, current=1.0)
+    @example(theta0=None, phi0=None, length=1.0, current=1.0)  # on a node: the limit branch
+    def test_equals_dipole_field_on_the_mesh(self, n_theta, n_phi, theta0, phi0, length,
+                                             current):
+        grid = SphereGrid(n_theta, n_phi)
+        if theta0 is None:
+            theta0, phi0 = float(grid.theta[1]), float(grid.phi[2])
+        spec = DipoleSpec(length, theta0, phi0, current)
+        for _ in range(2):  # building the trig, then reading it
+            field = grid_field(spec, grid, K)
+            expected = dipole_field(spec, grid.theta_mesh, grid.phi_mesh, K)
+            assert np.array_equal(field.e_theta, expected.e_theta)
+            assert np.array_equal(field.e_phi, expected.e_phi)
+
+    def test_trig_is_built_on_first_use_and_kept(self):
+        grid = SphereGrid(12, 16)
+        decompose(DipoleSpec(theta0=0.4).field(K), build_mode_set(3, "odd", "electric"), grid)
+        assert "trig" not in vars(grid)  # decompose builds no trig
+        grid_field(DipoleSpec(), grid, K)
+        trig = grid.trig
+        grid_field(DipoleSpec(theta0=1.0), grid, K)
+        assert grid.trig is trig
+        assert all(t.shape == (12, 16) for t in trig)
 
 
 class TestReferenceSet:

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import sici
@@ -41,6 +41,7 @@ from multipat.farfield import (
     synthesize_on_grid,
 )
 from multipat.vsh import (
+    ELECTRIC,
     MULTIPOLE_FILTERS,
     PARITY_FILTERS,
     ModeEntry,
@@ -662,6 +663,11 @@ def chart_differences(c, x, frame, h=1e-3):
     return (d1 @ sq[:, 2], sq[2] @ d1), (d2 @ sq[:, 2], d1 @ sq @ d1, sq[2] @ d2)
 
 
+def inversion_parity(entry):
+    """(l + [electric]) mod 2: the mode is even (0) or odd (1) under r -> -r."""
+    return (entry.l + (entry.family == ELECTRIC)) % 2
+
+
 def direct_coarse(coeffs, rows=20):
     """|E|^2 on the 1-degree mesh from the full basis, rows theta rows at a time."""
     out = np.empty(_COARSE_THETA.shape)
@@ -693,7 +699,30 @@ class TestCoarseMesh:
             c = random_coefficients(ModeSet(lambda_max, parity, multipole, entries), rng)
             direct = direct_coarse(c)
             mesh = _coarse_magnitude_squared(c)
-            np.testing.assert_allclose(mesh, direct, rtol=0, atol=1e-13 * direct.max())
+            # A set of one inversion parity has only the theta <= 90 deg rows.
+            np.testing.assert_allclose(mesh, direct[: mesh.shape[0]], rtol=0,
+                                       atol=1e-13 * direct.max())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lambda_max=st.integers(1, 6), parity=st.sampled_from([0, 1, None]),
+           keep=st.sampled_from([1.0, 0.5, 0.2]), seed=st.integers(0, 2**32 - 1))
+    def test_one_inversion_parity_scans_the_north_half(self, lambda_max, parity, keep, seed):
+        # parity None draws from every mode, so mostly a set of both parities.
+        rng = np.random.default_rng(seed)
+        entries = tuple(e for e in build_mode_set(lambda_max).entries if rng.random() < keep
+                        and parity in (None, inversion_parity(e)))
+        assume(entries)
+        c = random_coefficients(ModeSet(lambda_max, entries=entries), rng)
+        mesh = _coarse_magnitude_squared(c)
+        if len({inversion_parity(e) for e in entries}) > 1:
+            assert mesh.shape == (181, 360)
+            return
+        direct = direct_coarse(c)
+        # Node (i, j) deg has its antipode at (180 - i, j + 180) deg.
+        antipodes = np.roll(direct[::-1], 180, axis=1)
+        np.testing.assert_allclose(direct, antipodes, rtol=0, atol=1e-13 * direct.max())
+        assert mesh.shape == (91, 360)
+        assert mesh.max() == pytest.approx(direct.max(), rel=1e-13, abs=0.0)
 
     def test_folds_harmonics_above_180(self):
         # |E|^2 of an order-95 set has phi harmonics up to 190, past the
@@ -701,7 +730,7 @@ class TestCoarseMesh:
         rng = np.random.default_rng(11)
         c = random_coefficients(build_mode_set(95, "odd", "electric"), rng)
         mesh = _coarse_magnitude_squared(c)
-        i, j = rng.integers(0, 181, 200), rng.integers(0, 360, 200)
+        i, j = rng.integers(0, mesh.shape[0], 200), rng.integers(0, 360, 200)
         f = synthesize(c, _COARSE_THETA[i, j], _COARSE_PHI[i, j])
         expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
         np.testing.assert_allclose(mesh[i, j], expected, rtol=0, atol=1e-12 * mesh.max())
@@ -714,7 +743,7 @@ class TestCoarseMesh:
         ms = ModeSet(180, entries=(ModeEntry("E", 180, -180), ModeEntry("E", 180, 180)))
         c = random_coefficients(ms, rng)
         mesh = _coarse_magnitude_squared(c)
-        i, j = rng.integers(0, 181, 200), rng.integers(0, 360, 200)
+        i, j = rng.integers(0, mesh.shape[0], 200), rng.integers(0, 360, 200)
         f = synthesize(c, _COARSE_THETA[i, j], _COARSE_PHI[i, j])
         expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
         np.testing.assert_allclose(mesh[i, j], expected, rtol=0, atol=1e-12 * mesh.max())

@@ -4,7 +4,8 @@ Each probe sees a sum over propagation paths; a path samples the antenna's
 modified far field at a random launch direction, mixes the two
 polarizations through a random angle, and applies a complex gain. The
 whole chamber is a pure function of its seed, so experiments replay
-exactly.
+exactly. A ChamberModel takes its launch trig once, when built (.trig), and
+probe_voltages takes a field sampled from it as well as a field callable.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ class ChamberModel:
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         self.cos_alpha, self.sin_alpha = np.cos(self.alpha), np.sin(self.alpha)  # read per antenna
+        self.trig = np.sin(self.theta), np.cos(self.theta), np.sin(self.phi), np.cos(self.phi)
 
 
 def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.001) -> ChamberModel:
@@ -71,7 +73,9 @@ def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.
 
 
 def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
-    """Voltages at every probe for a radiating field.
+    """Voltages at every probe for a radiating field: a callable (theta, phi)
+    -> TangentVector, or a TangentVector sampled at the launch directions
+    (dipole.grid_field(spec, chamber, k)) whose shape ends in N_s x N_p.
 
     v_k = sum_n rho_kn [E_theta(launch_kn) cos(alpha_kn)
                         + E_phi(launch_kn) sin(alpha_kn)]
@@ -79,7 +83,10 @@ def probe_voltages(chamber: ChamberModel, field) -> np.ndarray:
     The sum runs over the last (path) axis, so a field with leading antenna
     axes gives one row of probe voltages per antenna from one call.
     """
-    sampled = field(chamber.theta, chamber.phi)
+    sampled = field(chamber.theta, chamber.phi) if callable(field) else field
+    shapes = np.shape(sampled.e_theta), np.shape(sampled.e_phi)
+    if not callable(field) and any(shape[-2:] != chamber.rho.shape for shape in shapes):
+        raise ValueError(f"field shapes {shapes} must end in (N_s, N_p) = {chamber.rho.shape}")
     mixed = np.add(np.multiply(sampled.e_theta, chamber.cos_alpha),
                    np.multiply(sampled.e_phi, chamber.sin_alpha))
     return np.sum(np.multiply(chamber.rho, mixed), axis=-1)

@@ -20,11 +20,12 @@ selected chamber's V_R, which the calibration uses as it is, with every
 candidate's cond(V_R); reports list that ranking under chamber_selection.
 
 reconstruct and sweep share one per-antenna path, _reconstruct_test. Its
-truth field on the config grid, like decompose's power integral, is
-dipole.grid_field, which reads the grid's cached trig. The theory summary
-it compares against is computed once per set-up, in 1-D and on no grid,
-from the theta pattern of the config test dipole's upright twin: R_r and D
-of an identical dipole do not depend on its orientation. The channel
+probe voltages, like simulate's, sample dipole.grid_field on the chamber's
+cached launch trig; its truth field on the config grid, like decompose's
+power integral, is dipole.grid_field on the grid's cached trig. The theory
+summary it compares against is computed once per set-up, in 1-D and on no
+grid, from the theta pattern of the config test dipole's upright twin: R_r
+and D of an identical dipole do not depend on its orientation. The channel
 T = V_R inv(A_R) is solved once per set-up too, and each calibration
 matrix's condition number is taken when it is built, so an inverse or
 direct-weights reconstruction is one solve and no condition number.
@@ -186,7 +187,7 @@ def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
             f"test dipole (length {test.length}, current {test.current}) differs from the "
             f"config's (length {cfg.test_length}, current {cfg.test_current})"
         )
-    voltages = chamber_mod.probe_voltages(setup.chamber, test.field(cfg.k))
+    voltages = chamber_mod.probe_voltages(setup.chamber, dipole.grid_field(test, setup.chamber, cfg.k))
     result = _reconstruct_voltages(setup, voltages)
     reconstructed = farfield.radiation_summary(result.coefficients, cfg.k, test.current)
 
@@ -271,7 +272,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     v_r = setup.calibration.voltage_matrix
     named = {f"reference_{i:02d}": v_r[:, i] for i in range(v_r.shape[1])}
     test = dipole.DipoleSpec(cfg.test_length, cfg.test_theta0, cfg.test_phi0, cfg.test_current)
-    named["test"] = chamber_mod.probe_voltages(setup.chamber, test.field(cfg.k))
+    named["test"] = chamber_mod.probe_voltages(
+        setup.chamber, dipole.grid_field(test, setup.chamber, cfg.k))
     fileio.write_json(out_dir / "voltages.json", fileio.voltages_to_dict(named))
     print(
         f"chamber seed {setup.chamber.seed} (cond V = {setup.cond_v_selected:.4g}); "

@@ -9,7 +9,8 @@ A dipole with axis a radiates E = amp B(a . r_hat) (a - (a . r_hat) r_hat),
 B the pattern bracket. A chamber path sees E . e, its polarization e being
 orthogonal to r_hat, so E . e = amp B(a . r_hat) (a . e): reference_voltages
 takes a reference set's probe voltages from these projections, with no field.
-dipole_field and grid_field, which reads SphereGrid.trig, share one kernel.
+One kernel serves dipole_field and grid_field. grid_field and reference_voltages
+read a ChamberModel's cached launch .trig, and grid_field a SphereGrid's too.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .farfield import ETA0, SphereGrid
+from .farfield import ETA0
 from .vsh import TangentVector, scratch
 
 _BRACKET_TOL = 1e-8
@@ -103,9 +104,10 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
     return TangentVector(complex(f.e_theta[0]), complex(f.e_phi[0])) if scalar else f
 
 
-def grid_field(spec: DipoleSpec, grid: SphereGrid, k: float = 2.0 * math.pi) -> TangentVector:
-    """dipole_field on a quadrature grid's mesh, bit for bit, from its cached trig."""
-    return _trig_field(spec, *grid.trig, k)
+def grid_field(spec: DipoleSpec, points, k: float = 2.0 * math.pi) -> TangentVector:
+    """dipole_field on a SphereGrid's mesh or a ChamberModel's launch
+    directions, bit for bit, from their cached (sin, cos) of theta and phi."""
+    return _trig_field(spec, *points.trig, k)
 
 
 def reference_voltages(axes: np.ndarray, length: float, current: float, chamber, k: float,
@@ -127,8 +129,7 @@ def reference_voltages(axes: np.ndarray, length: float, current: float, chamber,
     # phi_hat = (-sp, cp, 0).
     directions = scratch(workspace, "dipole.directions", (n_probes, 3, 2 * n_paths))
     r_hat, e_hat = directions[..., :n_paths], directions[..., n_paths:]
-    st, ct = np.sin(chamber.theta), np.cos(chamber.theta)
-    sp, cp = np.sin(chamber.phi), np.cos(chamber.phi)
+    st, ct, sp, cp = chamber.trig
     ca, sa = chamber.cos_alpha, chamber.sin_alpha
     np.multiply(st, cp, out=r_hat[:, 0])
     np.multiply(st, sp, out=r_hat[:, 1])

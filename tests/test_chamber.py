@@ -1,9 +1,14 @@
 """Multipath chamber model: determinism, voltage law, analytic channel."""
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multipat.chamber import ChamberModel, analytic_channel, probe_voltages, sample_chamber, select_chamber
-from multipat.dipole import DipoleSpec, reference_dipole_set
+from multipat.dipole import DipoleSpec, axis, grid_field, reference_dipole_set
 from multipat.farfield import VshCoefficients, decompose, default_grid, synthesize
 from multipat.vsh import TangentVector, build_mode_set
 
@@ -44,6 +49,12 @@ class TestSampleChamber:
         assert ch.alpha.min() >= 0 and ch.alpha.max() < 2 * np.pi
         assert abs(np.std(ch.rho.real) - 0.001) < 3e-4
         assert abs(np.mean(ch.rho.real)) < 1e-4
+
+    def test_launch_trig_is_numpy_trig_of_the_launch_angles(self):
+        ch = sample_chamber(12, 5, 9)
+        expected = (np.sin(ch.theta), np.cos(ch.theta), np.sin(ch.phi), np.cos(ch.phi))
+        assert len(ch.trig) == 4
+        assert all(np.array_equal(got, want) for got, want in zip(ch.trig, expected))
 
     def test_over_provisioned_shape(self):
         ch = sample_chamber(5, 12, 20, 0.001)
@@ -107,6 +118,59 @@ class TestProbeVoltages:
         stacked = np.stack([probe_voltages(ch, spec.field(K)) for spec in specs])
         assert batched.shape == (3, 7)
         assert np.array_equal(batched, stacked)
+
+
+class TestSampledField:
+    """probe_voltages of a field already sampled at the launch directions,
+    dipole.grid_field on the chamber, against the field callable."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_probes=st.integers(1, 6), n_paths=st.integers(1, 6),
+           theta0=st.floats(0.0, math.pi), phi0=st.floats(-10.0, 10.0),
+           length=st.floats(0.05, 3.0), on_path=st.booleans())
+    @example(seed=0, n_probes=3, n_paths=4, theta0=0.0, phi0=0.0, length=0.5, on_path=False)
+    @example(seed=1, n_probes=3, n_paths=4, theta0=math.pi, phi0=0.3, length=1.5, on_path=False)
+    @example(seed=2, n_probes=3, n_paths=4, theta0=0.0, phi0=0.0, length=0.5, on_path=True)
+    def test_equals_the_field_callable(self, seed, n_probes, n_paths, theta0, phi0, length,
+                                       on_path):
+        ch = sample_chamber(seed, n_probes, n_paths)
+        if on_path:  # the axis on the last path's launch direction: the bracket's limit branch
+            theta0, phi0 = float(ch.theta[-1, -1]), float(ch.phi[-1, -1])
+        spec = DipoleSpec(length, theta0, phi0)
+        if on_path:
+            sin_t, cos_t, sin_p, cos_p = (t[-1, -1] for t in ch.trig)
+            g = np.dot(axis(spec), [sin_t * cos_p, sin_t * sin_p, cos_t])
+            assert abs(1.0 - g * g) < 1e-8
+        sampled = probe_voltages(ch, grid_field(spec, ch, K))
+        assert sampled.shape == (n_probes,)
+        assert np.array_equal(sampled, probe_voltages(ch, spec.field(K)))
+
+    def test_leading_antenna_axis_equals_stacked_calls(self):
+        ch = sample_chamber(9, 7, 11)
+        specs = reference_dipole_set([(0.2, 0.1), (1.3, 2.0), (2.9, 5.5)], length=0.8)
+        fields = [grid_field(spec, ch, K) for spec in specs]
+        stacked_field = TangentVector(np.stack([f.e_theta for f in fields]),
+                                      np.stack([f.e_phi for f in fields]))
+        batched = probe_voltages(ch, stacked_field)
+        assert batched.shape == (3, 7)
+        assert np.array_equal(batched, np.stack([probe_voltages(ch, f) for f in fields]))
+
+    @pytest.mark.parametrize("shape", [(1, 11), (11,), (11, 7), (7, 11, 1), ()],
+                             ids=["one-probe-row", "one-path-row", "transposed", "trailing-axis",
+                                  "scalar"])
+    def test_wrongly_shaped_field_is_refused(self, shape):
+        ch = sample_chamber(9, 7, 11)
+        wrong = np.ones(shape, dtype=complex)
+        right = grid_field(DipoleSpec(), ch, K).e_phi
+        for field in (TangentVector(wrong, right), TangentVector(right, wrong)):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(7, 11\)"):
+                probe_voltages(ch, field)
+
+    def test_a_callable_is_not_shape_checked(self):
+        # A field callable may broadcast, as before: a constant theta field.
+        ch = sample_chamber(9, 7, 11)
+        v = probe_voltages(ch, lambda t, p: TangentVector(1.0, 0.0))
+        assert np.array_equal(v, np.sum(ch.rho * ch.cos_alpha, axis=-1))
 
 
 class TestAnalyticChannel:

@@ -1172,9 +1172,10 @@ class TestPerAntennaPath:
             texts.add(fileio.dumps(json.loads((out / "report.json").read_text())["theory"]))
         assert len(texts) == 1
 
-    def test_one_field_call_and_one_probe_call(self, paper_setup, monkeypatch):
-        # The probe voltages sample the field once; the truth field on the
-        # grid is dipole.grid_field, which calls no dipole_field.
+    def test_no_field_call_and_one_probe_call(self, paper_setup, monkeypatch):
+        # The probe voltages and the truth field on the grid are both
+        # dipole.grid_field, on the chamber's and the grid's cached trig,
+        # which calls no dipole_field; the voltages are one probe_voltages call.
         calls = {"dipole_field": 0, "probe_voltages": 0}
         for module, name in ((dipole, "dipole_field"), (chamber, "probe_voltages")):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
@@ -1184,7 +1185,7 @@ class TestPerAntennaPath:
             monkeypatch.setattr(module, name, counted)
         cfg = paper_setup.config
         cli._reconstruct_test(paper_setup, DipoleSpec(cfg.test_length, 1.2, 0.4, cfg.test_current))
-        assert calls == {"dipole_field": 1, "probe_voltages": 1}
+        assert calls == {"dipole_field": 0, "probe_voltages": 1}
 
     def test_per_antenna_path_takes_no_condition_number(self, paper_setup, monkeypatch):
         counts = {"cond": 0, "solve": 0, "channel": 0}

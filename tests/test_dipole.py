@@ -1,4 +1,5 @@
 """Closed-form dipole fields, reference sets and their probe voltages."""
+import dataclasses
 import math
 
 import numpy as np
@@ -172,7 +173,9 @@ class TestBatchedField:
         workspace = {}
         for seed in (9, 10):  # the second call refills the first call's buffers
             ch = sample_chamber(seed, 7, 11)
-            ch.theta[2, 5], ch.phi[2, 5] = 0.7, 1.9  # on the second axis: the limit branch
+            theta, phi = ch.theta.copy(), ch.phi.copy()
+            theta[2, 5], phi[2, 5] = 0.7, 1.9  # on the second axis: the limit branch
+            ch = dataclasses.replace(ch, theta=theta, phi=phi)  # retakes the launch trig
             buffers = dict(workspace)
             reused = reference_voltages(axes, 1.0, current, ch, K, workspace)
             fresh = reference_voltages(axes, 1.0, current, ch, K, {})

@@ -20,7 +20,7 @@ from .vsh import ModeSet
 
 @dataclass
 class ChamberModel:
-    """Per-probe, per-path random parameters (all arrays N_s x N_p)."""
+    """Per-probe, per-path random parameters (all arrays N_s x N_p, the angles read-only)."""
 
     n_probes: int
     n_paths: int
@@ -39,6 +39,8 @@ class ChamberModel:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         self.cos_alpha, self.sin_alpha = np.cos(self.alpha), np.sin(self.alpha)  # read per antenna
         self.trig = np.sin(self.theta), np.cos(self.theta), np.sin(self.phi), np.cos(self.phi)
+        for arr in (self.theta, self.phi, self.alpha, self.cos_alpha, self.sin_alpha, *self.trig):
+            arr.flags.writeable = False  # an in-place write would leave the trig stale
 
 
 def sample_chamber(seed: int, n_probes: int, n_paths: int, sigma_rho: float = 0.001) -> ChamberModel:

@@ -19,10 +19,10 @@ ranks the candidates by cond(V_R), one at a time, and hands back the
 selected chamber's V_R, which the calibration uses as it is, with every
 candidate's cond(V_R); reports list that ranking under chamber_selection.
 
-reconstruct and sweep share one per-antenna path, _reconstruct_test. Its
-probe voltages, like simulate's, sample dipole.grid_field on the chamber's
-cached launch trig; its truth field on the config grid, like decompose's
-power integral, is dipole.grid_field on the grid's cached trig. The theory
+reconstruct and sweep share one per-antenna path, _reconstruct_test. One
+dipole.grid_field pass on MeasurementSetup.directions, the chamber's launch
+trig then the grid's, gives its probe voltages' field and its truth field on
+the config grid; farfield.directivity takes the order sums once. The theory
 summary it compares against is computed once per set-up, in 1-D and on no
 grid, from the theta pattern of the config test dipole's upright twin: R_r
 and D of an identical dipole do not depend on its orientation. The channel
@@ -44,17 +44,21 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import chamber as chamber_mod
 from . import dipole, farfield, fileio, planner, recon
 from .fileio import ConfigError, ExperimentConfig
+from .vsh import TangentVector
 
 REPORT_FORMAT = "report/1"
 # About a 0.255-degree grid. At milliseconds per orientation that sweep
 # already takes hours; a finer step is refused before the set-up runs.
 MAX_SWEEP_ORIENTATIONS = 1_000_000
+# build_setup warns of a dipole whose pi * length, k times half of it, exceeds lambda_max + this.
+ORDER_MARGIN = 0.5
 # Numerical failures: exit 3, or one orientation's error: row in a sweep.
 _NUMERICAL_ERRORS = (farfield.PatternError, recon.IllConditionedError, np.linalg.LinAlgError)
 
@@ -102,11 +106,22 @@ class MeasurementSetup:
     def cond_v_selected(self) -> float:  # the number the chamber was selected by
         return self.calibration.cond_v
 
+    @functools.cached_property
+    def directions(self) -> SimpleNamespace:
+        """The chamber's launch directions, then the grid's nodes, flattened, read-only."""
+        trig = tuple(map(np.append, self.chamber.trig, self.grid.trig))
+        for arr in trig:
+            arr.flags.writeable = False
+        return SimpleNamespace(trig=trig)
+
 
 def build_setup(cfg: ExperimentConfig) -> MeasurementSetup:
     """References (optionally orientation-optimized), chamber selection,
     and calibration, all deterministic given the config. V_R is the matrix
     select_chamber ranked the selected chamber by."""
+    for key, length in (("test_antenna", cfg.test_length), ("references", cfg.ref_length)):
+        if math.pi * length > cfg.lambda_max + ORDER_MARGIN:
+            warnings.warn(f"{key}.length {length} is too long for lambda_max {cfg.lambda_max}")
     mode_set = cfg.mode_set()
     grid = farfield.SphereGrid(cfg.n_theta, cfg.n_phi)
     k = cfg.k
@@ -187,11 +202,14 @@ def _reconstruct_test(setup: MeasurementSetup, test: dipole.DipoleSpec):
             f"test dipole (length {test.length}, current {test.current}) differs from the "
             f"config's (length {cfg.test_length}, current {cfg.test_current})"
         )
-    voltages = chamber_mod.probe_voltages(setup.chamber, dipole.grid_field(test, setup.chamber, cfg.k))
+    both = dipole.grid_field(test, setup.directions, cfg.k)
+    n, shapes = setup.chamber.rho.size, (setup.chamber.rho.shape, setup.grid.theta_mesh.shape)
+    launch, exact = (TangentVector(*(e[part].reshape(shape) for e in (both.e_theta, both.e_phi)))
+                     for part, shape in zip((slice(n), slice(n, None)), shapes))
+    voltages = chamber_mod.probe_voltages(setup.chamber, launch)
     result = _reconstruct_voltages(setup, voltages)
     reconstructed = farfield.radiation_summary(result.coefficients, cfg.k, test.current)
 
-    exact = dipole.grid_field(test, setup.grid, cfg.k)
     synth = farfield.synthesize_on_grid(result.coefficients, setup.grid)
     rms = farfield.rms_field_error(exact.magnitude(), synth.magnitude())
     return result, rms, setup.theory, reconstructed, exact, synth

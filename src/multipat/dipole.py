@@ -9,8 +9,8 @@ A dipole with axis a radiates E = amp B(a . r_hat) (a - (a . r_hat) r_hat),
 B the pattern bracket. A chamber path sees E . e, its polarization e being
 orthogonal to r_hat, so E . e = amp B(a . r_hat) (a . e): reference_voltages
 takes a reference set's probe voltages from these projections, with no field.
-One kernel serves dipole_field and grid_field. grid_field and reference_voltages
-read a ChamberModel's cached launch .trig, and grid_field a SphereGrid's too.
+One kernel serves dipole_field and grid_field; grid_field reads the cached .trig
+of a ChamberModel, a SphereGrid or both in one, reference_voltages a ChamberModel's.
 """
 from __future__ import annotations
 
@@ -57,19 +57,15 @@ def pattern_bracket(g, kl: float, workspace: dict) -> np.ndarray:
 
     Where |1 - g^2| < _BRACKET_TOL it is the L'Hopital limit instead: the
     field is zero along the axis, as both polarization projections vanish,
-    but the bracket stays finite.
+    but the bracket stays finite; no on-axis mask is formed if no point is.
     """
-    def buffer(name, dtype=float):
-        return scratch(workspace, name, g.shape, dtype)
-
-    denom = np.multiply(g, g, out=buffer("dipole.denominator"))
+    denom = np.multiply(g, g, out=scratch(workspace, "dipole.denominator", g.shape))
     np.subtract(1.0, denom, out=denom)
-    numerator = np.abs(denom, out=buffer("dipole.bracket"))
-    on_axis = np.less(numerator, _BRACKET_TOL, out=buffer("dipole.on_axis", bool))
-    np.multiply(0.5 * kl, g, out=numerator)
+    on_axis = None if denom.min(initial=math.inf) >= _BRACKET_TOL else np.abs(denom) < _BRACKET_TOL
+    numerator = np.multiply(0.5 * kl, g, out=scratch(workspace, "dipole.bracket", g.shape))
     np.cos(numerator, out=numerator)
     numerator -= math.cos(0.5 * kl)
-    if not on_axis.any():
+    if on_axis is None or not on_axis.any():
         return np.divide(numerator, denom, out=numerator)
     # The placeholders 1.0 keep the discarded branches free of 1/0.
     g_safe = np.where(on_axis, g, 1.0)
@@ -105,8 +101,8 @@ def dipole_field(spec: DipoleSpec, theta, phi, k: float = 2.0 * math.pi) -> Tang
 
 
 def grid_field(spec: DipoleSpec, points, k: float = 2.0 * math.pi) -> TangentVector:
-    """dipole_field on a SphereGrid's mesh or a ChamberModel's launch
-    directions, bit for bit, from their cached (sin, cos) of theta and phi."""
+    """dipole_field, bit for bit, at points with a cached .trig, the (sin, cos) of theta
+    and phi: a SphereGrid's mesh, a ChamberModel's launch directions or both in one."""
     return _trig_field(spec, *points.trig, k)
 
 
@@ -124,11 +120,9 @@ def reference_voltages(axes: np.ndarray, length: float, current: float, chamber,
     """
     n_probes, n_paths = chamber.rho.shape
 
-    # Per probe, r_hat at its launch directions in the first n_paths columns
-    # and e in the last n_paths, with theta_hat = (ct cp, ct sp, -st) and
-    # phi_hat = (-sp, cp, 0).
-    directions = scratch(workspace, "dipole.directions", (n_probes, 3, 2 * n_paths))
-    r_hat, e_hat = directions[..., :n_paths], directions[..., n_paths:]
+    # r_hat at every probe's launch directions, then e, each one contiguous
+    # block, with theta_hat = (ct cp, ct sp, -st) and phi_hat = (-sp, cp, 0).
+    r_hat, e_hat = directions = scratch(workspace, "dipole.directions", (2, n_probes, 3, n_paths))
     st, ct, sp, cp = chamber.trig
     ca, sa = chamber.cos_alpha, chamber.sin_alpha
     np.multiply(st, cp, out=r_hat[:, 0])
@@ -139,9 +133,8 @@ def reference_voltages(axes: np.ndarray, length: float, current: float, chamber,
     np.add(ca_ct * sp, sa * cp, out=e_hat[:, 1])
     np.multiply(-ca, st, out=e_hat[:, 2])
 
-    projections = np.matmul(axes, directions, out=scratch(
-        workspace, "dipole.projection", (n_probes, len(axes), 2 * n_paths)))
-    g, along_e = projections[..., :n_paths], projections[..., n_paths:]
+    g, along_e = np.matmul(axes, directions, out=scratch(
+        workspace, "dipole.projection", (2, n_probes, len(axes), n_paths)))
     along_e *= pattern_bracket(g, 2.0 * math.pi * length, workspace)
     rho = np.ascontiguousarray(chamber.rho, dtype=complex).view(float)
     voltages = np.matmul(along_e, rho.reshape(n_probes, n_paths, 2))

@@ -351,8 +351,8 @@ def _principal_axes(a: float, c: float, b: float):
     return (0.5 * (a + b) - r, (-v / n, u / n)), (0.5 * (a + b) + r, (u / n, v / n))
 
 
-def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
-    """|E|^2 of a coefficient set on the 1-degree mesh, shape (91 or 181, 360).
+def _coarse_magnitude_squared(sums) -> np.ndarray:
+    """|E|^2 of a pattern on the 1-degree mesh, shape (91 or 181, 360), from its _order_sums.
 
     Every mode depends on phi only through exp(j m phi), so on the row at
     theta E = sum_m g_m(theta) exp(j m phi), where the per-order profile g_m
@@ -363,7 +363,7 @@ def _coarse_magnitude_squared(coeffs: VshCoefficients) -> np.ndarray:
     trig rows at the 360 nodes themselves, so no harmonic aliases, whatever
     the orders.
     """
-    g, *_, column, trig = _order_sums(coeffs)
+    g, *_, column, trig = sums
     # Row m + M: the theta profiles of g_m, both components side by side.
     g = (g.reshape(-1, len(column)) @ column).reshape(len(g), -1)
     gc, n = g.conj(), g.shape[0]
@@ -387,8 +387,8 @@ def _jet(a, b):
             2.0 * (abs(a[1]) ** 2 + abs(b[1]) ** 2 + (ac * a[2] + bc * b[2]).real))
 
 
-def _exact_model(coeffs: VshCoefficients):
-    """Local model of |E|^2 of a coefficient set, exact to rounding.
+def _exact_model(sums):
+    """Local model of |E|^2 of a pattern, exact to rounding, from its _order_sums.
 
     E and its theta and phi derivatives up to the second are one product of
     synthesize's per-order sums g[m, c, p] with jets_m exp(j m phi) and one
@@ -396,7 +396,7 @@ def _exact_model(coeffs: VshCoefficients):
     chart at x. Where sin(theta) < _POLE_SIN the chart derivatives are theta
     derivatives at the pole along three meridians, carried on to x.
     """
-    g, _, _, jets_p, jets_m = _order_sums(coeffs)[:5]
+    g, _, _, jets_p, jets_m = sums[:5]
     g = g.reshape(len(g), -1)
     n, jp, jm = len(jets_p), jets_p[:, 1], jets_m[1]
 
@@ -439,12 +439,15 @@ def _max_magnitude_squared(model, coarse: np.ndarray):
     curvature is negative, and elsewhere an uphill step of h, the mesh step at
     first, when its first-order gain exceeds _PEAK_REL_TOL; on an axisymmetric
     ridge this converges across the ridge instead of crawling along it. The
-    step is clamped to 2h, and h then shrinks toward the step length. After a
-    first step the search stops once the step is below 1e-5 rad and the model
-    raised the best value by at most _PEAK_REL_TOL relative; at the iteration
-    cap it warns (ConvergenceWarning). Either way it returns the best value
-    seen and its direction. A non-finite mesh value raises PatternError: its
-    argmax is meaningless.
+    step is clamped to 2h, and h then shrinks toward the step length. At the
+    best point seen, with both curvatures negative, an unclamped step under
+    1e-3 rad predicting a gain (sum 1/2 slope along) of at most
+    _PEAK_REL_TOL relative is the last: the search returns its direction and
+    predicted value, with no model call. Else after a first step it stops
+    once the step is below 1e-5 rad and the model raised the best value by
+    at most _PEAK_REL_TOL relative; at the iteration cap it warns
+    (ConvergenceWarning). Both return the best value seen and its direction.
+    A non-finite mesh value raises PatternError.
     """
     i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
     best = float(coarse[i, j])
@@ -461,17 +464,19 @@ def _max_magnitude_squared(model, coarse: np.ndarray):
         gained = top > best * (1.0 + _PEAK_REL_TOL)
         if top > best:
             best, best_at = top, at
-        s_t = s_p = 0.0
-        for curvature, (u, v) in _principal_axes(*hess):
+        s_t = s_p = gain = 0.0
+        for curvature, (u, v) in _principal_axes(*hess):  # ends on the larger curvature
             slope = u * g_t + v * g_p
             if curvature < 0.0:
                 along = -slope / curvature
             else:
                 along = math.copysign(h, slope) if abs(slope) * h > _PEAK_REL_TOL * best else 0.0
-            s_t, s_p = s_t + u * along, s_p + v * along
+            s_t, s_p, gain = s_t + u * along, s_p + v * along, gain + 0.5 * slope * along
         length = math.hypot(s_t, s_p)
         if length > 2.0 * h:
             s_t, s_p, length = s_t * (2.0 * h / length), s_p * (2.0 * h / length), 2.0 * h
+        elif curvature < 0.0 and length < 1e-3 and top == best and gain <= _PEAK_REL_TOL * best:
+            return best + gain, _angles(_chart(x, frame, s_t, s_p))
         if step and not gained and length < _NEWTON_STEP_TOL:
             return best, best_at
         x = _chart(x, frame, s_t, s_p)
@@ -492,15 +497,16 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
     _exact_model (a pole model within _POLE_SIN of a pole), from the argmax
     of _coarse_magnitude_squared's mesh (its north half if the set fixes the
     inversion parity); both read the mode set's cached _theta_fourier table,
-    so its later patterns evaluate no basis. |E|^2 there is one synthesize
-    call. A zero or non-finite amplitude sum raises PatternError. The
-    spreading-free formulation makes the wavenumber cancel; it is kept in
-    the signature for interface symmetry with radiated_power.
+    so its later patterns evaluate no basis, and one _order_sums call. |E|^2
+    there is one synthesize call. A zero or non-finite amplitude sum raises
+    PatternError. The spreading-free formulation makes the wavenumber cancel;
+    it is kept in the signature for interface symmetry with radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:
         raise PatternError(f"directivity undefined for squared amplitude sum {total}")
-    _, (theta, phi) = _max_magnitude_squared(_exact_model(coeffs), _coarse_magnitude_squared(coeffs))
+    sums = _order_sums(coeffs)
+    _, (theta, phi) = _max_magnitude_squared(_exact_model(sums), _coarse_magnitude_squared(sums))
     # One call of this module's synthesize, looked up when called: the
     # benchmark's traced run wraps that name, and its farfield.synthesize_us
     # and synth_calls_per_directivity come from this call.

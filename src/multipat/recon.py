@@ -57,8 +57,8 @@ def _checked(cond: float, name: str) -> float:
 class CalibrationSet:
     """Reference amplitude matrix (modes x refs) and voltage matrix (probes x refs),
     and their condition numbers cond_a and cond_v, taken once at construction.
-    The LSE normal matrix and its condition number are taken once, on first
-    use: the other routes never need them."""
+    V_R^H, the LSE normal matrix and its condition number are taken once, on
+    first use: the other routes never need them."""
 
     coefficient_matrix: np.ndarray
     voltage_matrix: np.ndarray
@@ -80,9 +80,14 @@ class CalibrationSet:
         self.cond_v = float(np.linalg.cond(self.voltage_matrix))
 
     @cached_property
+    def adjoint(self) -> np.ndarray:
+        """V_R^H, which every LSE solve applies to its voltages."""
+        return self.voltage_matrix.conj().T
+
+    @cached_property
     def normal(self) -> np.ndarray:
         """Re(V_R^H V_R), the normal matrix of the real-weight LSE fit."""
-        return (self.voltage_matrix.conj().T @ self.voltage_matrix).real
+        return (self.adjoint @ self.voltage_matrix).real
 
     @cached_property
     def cond_normal(self) -> float:
@@ -133,11 +138,11 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _finish(vec: np.ndarray, mode_set: ModeSet, method: str, weights, diagnostics, predict):
-    """Symmetrize, compute the residual against the measurement, and wrap."""
+def _finish(vec: np.ndarray, mode_set: ModeSet, method: str, weights, diagnostics, residual):
+    """Symmetrize, take residual(coefficients), the measurement misfit, and wrap."""
     coeffs = enforce_symmetry(VshCoefficients.from_amplitude_vector(mode_set, vec))
     diagnostics = dict(diagnostics)
-    diagnostics["residual"] = float(np.linalg.norm(predict(coeffs.to_amplitude_vector())))
+    diagnostics["residual"] = float(np.linalg.norm(residual(coeffs)))
     return ReconstructionResult(
         coefficients=coeffs, method=method, weights=weights, diagnostics=diagnostics
     )
@@ -153,7 +158,8 @@ def reconstruct_inverse(channel: ChannelMatrix, voltages) -> ReconstructionResul
         raise ValueError(f"expected {t.shape[0]} probe voltages, got shape {v.shape}")
     cond = _checked(channel.cond, "T")
     vec = np.linalg.solve(t, v)
-    return _finish(vec, channel.mode_set, "inverse", None, {"cond_T": cond}, lambda a: v - t @ a)
+    return _finish(vec, channel.mode_set, "inverse", None, {"cond_T": cond},
+                   lambda c: v - t @ c.to_amplitude_vector())
 
 
 def reconstruct_weights_direct(cal: CalibrationSet, voltages) -> ReconstructionResult:
@@ -173,25 +179,25 @@ def reconstruct_weights_direct(cal: CalibrationSet, voltages) -> ReconstructionR
     w = np.linalg.lstsq(v_r, v, rcond=None)[0]
     diagnostics = {"cond_V": cond, "max_imag_weight": float(np.max(np.abs(w.imag)))}
     return _finish(cal.coefficient_matrix @ w, cal.mode_set, "direct-weights", w, diagnostics,
-                   lambda a: v - v_r @ w)
+                   lambda _: v - v_r @ w)
 
 
 def reconstruct_lse(cal: CalibrationSet, voltages) -> ReconstructionResult:
     """Real-weight least-square-error reconstruction.
 
     Minimizes the squared voltage mismatch over real weights:
-    w = inv(Re{V_R^H V_R}) Re{V_R^H v}. Works for any N_s >= N_R. The normal
-    matrix and its condition number come from the calibration.
+    w = inv(Re{V_R^H V_R}) Re{V_R^H v}. Works for any N_s >= N_R. V_R^H, the
+    normal matrix and its condition number come from the calibration.
     """
     v_r = cal.voltage_matrix
     v = np.asarray(voltages, dtype=complex)
     if v.shape != (v_r.shape[0],):
         raise ValueError(f"expected {v_r.shape[0]} probe voltages, got shape {v.shape}")
-    rhs = (v_r.conj().T @ v).real
+    rhs = (cal.adjoint @ v).real
     cond = _checked(cal.cond_normal, "Re(V_R^H V_R)")
     w = np.linalg.solve(cal.normal, rhs)
     result = _finish(cal.coefficient_matrix @ w, cal.mode_set, "lse", w, {"cond_normal": cond},
-                     lambda a: v - v_r @ w)
+                     lambda _: v - v_r @ w)
     result.diagnostics["lse_cost"] = result.diagnostics["residual"] ** 2
     return result
 

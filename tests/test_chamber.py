@@ -1,4 +1,5 @@
 """Multipath chamber model: determinism, voltage law, analytic channel."""
+import dataclasses
 import math
 import re
 
@@ -55,6 +56,31 @@ class TestSampleChamber:
         expected = (np.sin(ch.theta), np.cos(ch.theta), np.sin(ch.phi), np.cos(ch.phi))
         assert len(ch.trig) == 4
         assert all(np.array_equal(got, want) for got, want in zip(ch.trig, expected))
+
+    @pytest.mark.parametrize("name", ["theta", "phi", "alpha", "cos_alpha", "sin_alpha",
+                                      "trig"])
+    def test_angles_and_their_trig_are_read_only(self, name):
+        # The trig is taken once, when the model is built: an in-place write
+        # to an angle would leave it stale, so every one of them refuses it.
+        ch = sample_chamber(4, 3, 5)
+        for arr in (getattr(ch, name) if name == "trig" else [getattr(ch, name)]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1, 2] = 0.25
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    def test_replace_builds_a_consistent_model(self):
+        ch = sample_chamber(4, 3, 5)
+        theta, alpha = ch.theta.copy(), ch.alpha.copy()
+        theta[1, 2], alpha[0, 4] = 0.25, 1.5
+        moved = dataclasses.replace(ch, theta=theta, alpha=alpha)
+        assert np.array_equal(moved.theta, theta) and np.array_equal(moved.phi, ch.phi)
+        expected = (np.sin(theta), np.cos(theta), np.sin(ch.phi), np.cos(ch.phi))
+        assert all(np.array_equal(got, want) for got, want in zip(moved.trig, expected))
+        assert np.array_equal(moved.cos_alpha, np.cos(alpha))
+        assert np.array_equal(moved.sin_alpha, np.sin(alpha))
+        assert not np.array_equal(ch.trig[0], moved.trig[0])  # the original keeps its own
+        assert not moved.theta.flags.writeable and not moved.trig[0].flags.writeable
 
     def test_over_provisioned_shape(self):
         ch = sample_chamber(5, 12, 20, 0.001)

@@ -26,6 +26,7 @@ from multipat.farfield import SphereGrid, decompose
 from multipat.fileio import ConfigError
 from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, build_mode_set
 import test_acceptance
+import test_bench_contract
 import test_farfield
 from conftest import PAPER_CONFIG
 from test_planner import quadrature_matrix
@@ -399,14 +400,54 @@ class TestSetupProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(doc=buildable_configs())
     def test_config_that_parses_also_builds(self, doc):
-        fileio.parse_config(doc)
+        cfg = fileio.parse_config(doc)
         stderr = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
             path = Path(tmp) / "config.json"
             fileio.write_json(path, doc)
             code = cli.main(["calibrate", "--config", str(path), "--out", tmp])
         assert code == 0 or (code == 3 and stderr.getvalue().count("\n") == 1), (
             code, stderr.getvalue())
+        # A dipole too long for the mode set still builds, and says so once.
+        too_long = [key for key, length in (("test_antenna", cfg.test_length),
+                                            ("references", cfg.ref_length))
+                    if math.pi * length > cfg.lambda_max + cli.ORDER_MARGIN]
+        assert [str(w.message).split(".")[0] for w in caught
+                if "is too long for lambda_max" in str(w.message)] == too_long
+
+
+class TestLongDipoleWarning:
+    """build_setup warns, one line per key, of a dipole whose pi * length
+    exceeds lambda_max + cli.ORDER_MARGIN: its pattern outgrows the modes."""
+
+    @staticmethod
+    def length_warnings(doc):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.build_setup(fileio.parse_config(doc))
+        return [str(w.message) for w in caught if "is too long for lambda_max" in str(w.message)]
+
+    @pytest.mark.parametrize("test_length, ref_length, expected", [
+        (1.0, 0.5, []),
+        (1.2, 0.5, ["test_antenna.length 1.2 is too long for lambda_max 3"]),
+        (0.5, 1.2, ["references.length 1.2 is too long for lambda_max 3"]),
+        (1.5, 1.2, ["test_antenna.length 1.5 is too long for lambda_max 3",
+                    "references.length 1.2 is too long for lambda_max 3"]),
+    ], ids=["1.0-silent", "test-1.2", "references-1.2", "both"])
+    def test_one_warning_per_key(self, test_length, ref_length, expected):
+        # SMALL_CONFIG is L = 3: pi * 1.0 = 3.14 is within 3.5, pi * 1.2 = 3.77 is not.
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["test_antenna"]["length"], doc["references"]["length"] = test_length, ref_length
+        assert self.length_warnings(doc) == expected
+
+    @pytest.mark.parametrize("doc", [PAPER_CONFIG, HIGHORDER_LSE_CONFIG, SMALL_CONFIG,
+                                     test_bench_contract.TINY_CONFIG,
+                                     test_bench_contract.TINY_LSE_CONFIG],
+                             ids=["paper", "highorder-lse", "small", "tiny", "tiny-lse"])
+    def test_the_study_configs_are_silent(self, doc):
+        assert self.length_warnings(json.loads(json.dumps(doc))) == []
 
 
 def paper_setup_with(method, **chamber):
@@ -1151,8 +1192,10 @@ class TestPerAntennaPath:
         doc["test_antenna"]["length"] = 1.5
         fileio.write_json(tmp_path / "config.json", doc)
         out = tmp_path / "out"
-        assert cli.main(["reconstruct", "--config", str(tmp_path / "config.json"),
-                         "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match=r"^test_antenna\.length 1\.5 is too long") as caught:
+            assert cli.main(["reconstruct", "--config", str(tmp_path / "config.json"),
+                             "--out", str(out)]) == 0
+        assert len(caught) == 1
         theory = json.loads((out / "report.json").read_text())["theory"]
         assert theory["radiation_resistance_ohm"] == pytest.approx(
             test_farfield.dipole_resistance(1.5), rel=1e-12, abs=0.0)
@@ -1168,7 +1211,12 @@ class TestPerAntennaPath:
             cfg_path = write_config(tmp_path, {"grid": {"n_theta": n_theta, "n_phi": n_phi}},
                                     test_antenna={"length": length})
             out = tmp_path / f"out-{n_theta}"
-            assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+            # The 1.5 wavelength dipole is too long for L = 3, and says so.
+            assert [str(w.message).split()[0] for w in caught] == ["test_antenna.length"] * (
+                length == 1.5)
             texts.add(fileio.dumps(json.loads((out / "report.json").read_text())["theory"]))
         assert len(texts) == 1
 
@@ -1186,6 +1234,79 @@ class TestPerAntennaPath:
         cfg = paper_setup.config
         cli._reconstruct_test(paper_setup, DipoleSpec(cfg.test_length, 1.2, 0.4, cfg.test_current))
         assert calls == {"dipole_field": 0, "probe_voltages": 1}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n_probes=st.integers(1, 5), n_paths=st.integers(1, 5),
+           n_theta=st.integers(2, 8), n_phi=st.integers(2, 9), theta0=st.floats(0.0, math.pi),
+           phi0=st.floats(-7.0, 7.0), length=st.floats(0.05, 1.5),
+           on=st.sampled_from([None, "launch", "node"]))
+    @example(seed=0, n_probes=3, n_paths=4, n_theta=5, n_phi=6, theta0=0.0, phi0=0.0,
+             length=0.5, on=None)
+    @example(seed=1, n_probes=2, n_paths=3, n_theta=4, n_phi=7, theta0=math.pi, phi0=0.3,
+             length=1.5, on=None)
+    @example(seed=2, n_probes=3, n_paths=4, n_theta=5, n_phi=6, theta0=0.0, phi0=0.0,
+             length=1.0, on="launch")
+    @example(seed=3, n_probes=3, n_paths=4, n_theta=5, n_phi=6, theta0=0.0, phi0=0.0,
+             length=1.0, on="node")
+    def test_one_pass_field_equals_the_two_grid_field_calls(self, seed, n_probes, n_paths,
+                                                             n_theta, n_phi, theta0, phi0,
+                                                             length, on):
+        # MeasurementSetup.directions holds the chamber's launch trig, then
+        # the grid's: one grid_field pass over it is the two separate passes,
+        # bit for bit, also where the axis lies on a launch direction or on
+        # a grid node and the bracket takes its limit branch.
+        ch, grid = sample_chamber(seed, n_probes, n_paths), SphereGrid(n_theta, n_phi)
+        setup = cli.MeasurementSetup(None, grid, [], None, None,
+                                     chamber.ChamberSelection(ch, None, [], 0), None, None)
+        if on is not None:
+            mesh = (ch.theta, ch.phi) if on == "launch" else (grid.theta_mesh, grid.phi_mesh)
+            theta0, phi0 = float(mesh[0][-1, -1]), float(mesh[1][-1, -1])
+        spec = DipoleSpec(length, theta0, phi0)
+        both = dipole.grid_field(spec, setup.directions, K)
+        n = ch.rho.size
+        for part, points in ((slice(n), ch), (slice(n, None), grid)):
+            alone = dipole.grid_field(spec, points, K)
+            assert np.array_equal(both.e_theta[part].reshape(alone.e_theta.shape), alone.e_theta)
+            assert np.array_equal(both.e_phi[part].reshape(alone.e_phi.shape), alone.e_phi)
+        if on is not None:
+            sin_t, cos_t, sin_p, cos_p = (t[-1, -1] for t in (ch if on == "launch" else grid).trig)
+            g = np.dot(dipole.axis(spec), [sin_t * cos_p, sin_t * sin_p, cos_t])
+            assert abs(1.0 - g * g) < 1e-8
+        assert setup.directions is setup.directions
+        assert [t.shape for t in setup.directions.trig] == [(n + grid.theta_mesh.size,)] * 4
+        for t in setup.directions.trig:
+            with pytest.raises(ValueError, match="read-only"):
+                t[0] = 0.0
+
+    def test_one_field_pass_one_probe_call_and_one_order_sum(self, paper_setup, monkeypatch):
+        # One _reconstruct_test: one grid_field pass gives the voltages'
+        # field and the truth on the grid, and directivity takes the order
+        # sums once for the mesh and the Newton model, apart from the
+        # trailing synthesize call's own.
+        calls, inside = [], []
+        for module, name in ((dipole, "grid_field"), (chamber, "probe_voltages"),
+                             (farfield, "_order_sums")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append(_name + (" in synthesize" if inside else ""))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        synthesize = farfield.synthesize
+
+        def marked(*args):
+            inside.append(True)
+            try:
+                return synthesize(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(farfield, "synthesize", marked)
+        cfg = paper_setup.config
+        result, _, _, _, exact, _ = cli._reconstruct_test(
+            paper_setup, DipoleSpec(cfg.test_length, 1.2, 0.4, cfg.test_current))
+        assert calls == ["grid_field", "probe_voltages", "_order_sums",
+                         "_order_sums in synthesize"]
+        assert exact.e_theta.shape == paper_setup.grid.theta_mesh.shape
 
     def test_per_antenna_path_takes_no_condition_number(self, paper_setup, monkeypatch):
         counts = {"cond": 0, "solve": 0, "channel": 0}

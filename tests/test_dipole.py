@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multipat import dipole
 from multipat.chamber import sample_chamber
 from multipat.dipole import (DipoleSpec, axis, dipole_field, grid_field, reference_dipole_set,
                              reference_voltages)
@@ -144,6 +145,35 @@ class TestGridField:
         grid_field(DipoleSpec(theta0=1.0), grid, K)
         assert grid.trig is trig
         assert all(t.shape == (12, 16) for t in trig)
+
+
+def masked_bracket(g, kl):
+    """pattern_bracket as it was formed with an on-axis mask at every call."""
+    denom = 1.0 - g * g
+    on_axis = np.abs(denom) < 1e-8
+    numerator = np.cos(0.5 * kl * g) - math.cos(0.5 * kl)
+    if not on_axis.any():
+        return numerator / denom
+    g_safe = np.where(on_axis, g, 1.0)
+    limit = (kl / (4.0 * g_safe)) * np.sin(0.5 * kl * g_safe)
+    return np.where(on_axis, limit, numerator / np.where(on_axis, 1.0, denom))
+
+
+class TestPatternBracket:
+    """pattern_bracket forms no on-axis mask when no point is near the axis,
+    and keeps the bytes of the masked formula for any g."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(g=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
+        [1.0, -1.0, 1.0 - 1e-9, -1.0 + 1e-9, 1.0 - 1e-8, 0.0, 1.0 + 1e-12, math.nan])),
+        min_size=0, max_size=12), kl=st.floats(0.05, 20.0))
+    @example(g=[0.3, -0.99999999], kl=math.pi)  # 1 - g^2 just above _BRACKET_TOL: no mask
+    def test_keeps_the_bytes_of_the_masked_formula(self, g, kl):
+        g = np.array(g)
+        workspace = {}
+        got = dipole.pattern_bracket(g, kl, workspace)
+        assert got.tobytes() == masked_bracket(g, kl).tobytes()
+        assert set(workspace) == {"dipole.denominator", "dipole.bracket"}
 
 
 class TestReferenceSet:

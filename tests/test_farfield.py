@@ -26,6 +26,7 @@ from multipat.farfield import (
     _coarse_magnitude_squared,
     _exact_model,
     _max_magnitude_squared,
+    _order_sums,
     _tangent_frame,
     decompose,
     default_grid,
@@ -322,7 +323,8 @@ class TestDirectivity:
         # the direction the peak search found, and returns |E|^2 from it.
         c = random_coefficients(build_mode_set(3), np.random.default_rng(21))
         expected = directivity(c, K)
-        _, at = _max_magnitude_squared(_exact_model(c), _coarse_magnitude_squared(c))
+        sums = _order_sums(c)
+        _, at = _max_magnitude_squared(_exact_model(sums), _coarse_magnitude_squared(sums))
         calls = []
 
         def spy(coeffs, theta, phi):
@@ -480,7 +482,8 @@ class TestPeakSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = directivity(c, K)
-        start = np.unravel_index(np.argmax(_coarse_magnitude_squared(c)), _COARSE_THETA.shape)
+        start = np.unravel_index(np.argmax(_coarse_magnitude_squared(_order_sums(c))),
+                                 _COARSE_THETA.shape)
         assert start[0] in (0, 180) and _angles(points[0])[0] in (0.0, math.pi)
         t_hat = _tangent_frame(points[0])[0]
         off_axes = math.degrees(math.pi / 6 - math.atan2(t_hat[1], t_hat[0])) % 90.0
@@ -544,7 +547,8 @@ class TestPeakSearch:
         coarse = np.ones(_COARSE_THETA.shape)
         for node, value in bad.items():
             coarse[node] = value
-        model = _exact_model(random_coefficients(build_mode_set(1), np.random.default_rng(5)))
+        c = random_coefficients(build_mode_set(1), np.random.default_rng(5))
+        model = _exact_model(_order_sums(c))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
@@ -575,8 +579,8 @@ class TestExactModel:
         s = math.sqrt(1.0 - cos_theta**2)
         x = (s * math.cos(phi), s * math.sin(phi), cos_theta)
         frame = _tangent_frame(x)
-        f, at, gradient, hessian = _exact_model(c)(x, frame)
-        scale = float(_coarse_magnitude_squared(c).max())
+        f, at, gradient, hessian = _exact_model(_order_sums(c))(x, frame)
+        scale = float(_coarse_magnitude_squared(_order_sums(c)).max())
         e = synthesize(c, *at)
         assert at == _angles(x)
         assert f == pytest.approx(e.magnitude() ** 2, rel=1e-14, abs=1e-14 * scale)
@@ -607,8 +611,8 @@ class TestExactModel:
         theta = math.pi - offset if south else offset
         x = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
         frame = _tangent_frame(x)
-        f, at, gradient, hessian = _exact_model(c)(x, frame)
-        scale = float(_coarse_magnitude_squared(c).max())
+        f, at, gradient, hessian = _exact_model(_order_sums(c))(x, frame)
+        scale = float(_coarse_magnitude_squared(_order_sums(c)).max())
         sq, n = chart_differences(c, x, frame), 2 * lambda_max
         e = synthesize(c, *at)
         assert f == pytest.approx(e.magnitude() ** 2, rel=0.0, abs=1e-12 * scale)
@@ -698,7 +702,7 @@ class TestCoarseMesh:
                 continue
             c = random_coefficients(ModeSet(lambda_max, parity, multipole, entries), rng)
             direct = direct_coarse(c)
-            mesh = _coarse_magnitude_squared(c)
+            mesh = _coarse_magnitude_squared(_order_sums(c))
             # A set of one inversion parity has only the theta <= 90 deg rows.
             np.testing.assert_allclose(mesh, direct[: mesh.shape[0]], rtol=0,
                                        atol=1e-13 * direct.max())
@@ -713,7 +717,7 @@ class TestCoarseMesh:
                         and parity in (None, inversion_parity(e)))
         assume(entries)
         c = random_coefficients(ModeSet(lambda_max, entries=entries), rng)
-        mesh = _coarse_magnitude_squared(c)
+        mesh = _coarse_magnitude_squared(_order_sums(c))
         if len({inversion_parity(e) for e in entries}) > 1:
             assert mesh.shape == (181, 360)
             return
@@ -729,7 +733,7 @@ class TestCoarseMesh:
         # 1-degree mesh's Nyquist harmonic 180.
         rng = np.random.default_rng(11)
         c = random_coefficients(build_mode_set(95, "odd", "electric"), rng)
-        mesh = _coarse_magnitude_squared(c)
+        mesh = _coarse_magnitude_squared(_order_sums(c))
         i, j = rng.integers(0, mesh.shape[0], 200), rng.integers(0, 360, 200)
         f = synthesize(c, _COARSE_THETA[i, j], _COARSE_PHI[i, j])
         expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
@@ -742,7 +746,7 @@ class TestCoarseMesh:
         rng = np.random.default_rng(12)
         ms = ModeSet(180, entries=(ModeEntry("E", 180, -180), ModeEntry("E", 180, 180)))
         c = random_coefficients(ms, rng)
-        mesh = _coarse_magnitude_squared(c)
+        mesh = _coarse_magnitude_squared(_order_sums(c))
         i, j = rng.integers(0, mesh.shape[0], 200), rng.integers(0, 360, 200)
         f = synthesize(c, _COARSE_THETA[i, j], _COARSE_PHI[i, j])
         expected = np.abs(f.e_theta) ** 2 + np.abs(f.e_phi) ** 2
@@ -759,7 +763,7 @@ class TestCoarseMesh:
             spec = DipoleSpec(cfg.test_length, theta0, phi0, cfg.test_current)
             coeffs = cli._reconstruct_test(paper_setup, spec)[0].coefficients
             total = float(np.sum(np.abs(coeffs.values) ** 2))
-            _, at = _max_magnitude_squared(_exact_model(coeffs), direct_coarse(coeffs))
+            _, at = _max_magnitude_squared(_exact_model(_order_sums(coeffs)), direct_coarse(coeffs))
             expected = 4.0 * math.pi * synthesize(coeffs, *at).magnitude() ** 2 / total
             assert directivity(coeffs, cfg.k) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -793,7 +797,8 @@ class TestPatternError:
     def test_non_finite_mesh(self):
         coarse = np.ones(_COARSE_THETA.shape)
         coarse[90, 0] = np.nan
-        model = _exact_model(random_coefficients(build_mode_set(1), np.random.default_rng(6)))
+        c = random_coefficients(build_mode_set(1), np.random.default_rng(6))
+        model = _exact_model(_order_sums(c))
         with pytest.raises(PatternError, match="not finite"):
             _max_magnitude_squared(model, coarse)
 

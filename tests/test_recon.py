@@ -195,6 +195,30 @@ class TestReconstructInverse:
                 assert amplitude[family, l, 0].imag == 0.0
 
 
+@pytest.mark.parametrize("route, amplitude_vectors", [
+    (lambda cal, v: reconstruct_inverse(channel_from_calibration(cal), v), 1),
+    (reconstruct_weights_direct, 0),
+    (reconstruct_lse, 0),
+], ids=["inverse", "direct-weights", "lse"])
+def test_only_the_inverse_residual_reads_the_amplitude_vector(band_limited_setup, monkeypatch,
+                                                               route, amplitude_vectors):
+    # The weight routes' residual is v - V_R w, which needs no amplitudes;
+    # the inverse's is v - T a, of the symmetrized coefficients.
+    cal, chamber, truth, v = band_limited_setup
+    channel_from_calibration(cal)
+    calls = []
+    original = VshCoefficients.to_amplitude_vector
+    monkeypatch.setattr(VshCoefficients, "to_amplitude_vector",
+                        lambda self: calls.append(self) or original(self))
+    result = route(cal, v)
+    assert len(calls) == amplitude_vectors
+    if amplitude_vectors:
+        expected = v - channel_from_calibration(cal).entries @ original(result.coefficients)
+    else:
+        expected = v - cal.voltage_matrix @ result.weights
+    assert result.diagnostics["residual"] == float(np.linalg.norm(expected))
+
+
 class TestReconstructWeightsDirect:
     def test_reference_recovers_unit_weight(self, band_limited_setup):
         cal, chamber, *_ = band_limited_setup
@@ -262,6 +286,18 @@ class TestReconstructLse:
         for result in results:
             assert result.diagnostics["cond_normal"] == float(cond(normal))
             assert np.array_equal(result.weights, np.linalg.solve(normal, (v_r.conj().T @ v).real))
+
+    def test_adjoint_is_taken_once_per_calibration(self, band_limited_setup):
+        cal, chamber, truth, v = band_limited_setup
+        fresh = calibrate(cal.coefficient_matrix, cal.voltage_matrix, cal.mode_set)
+        assert "adjoint" not in vars(fresh)  # the other routes never need it
+        first = reconstruct_lse(fresh, v)
+        adjoint = fresh.adjoint
+        assert np.array_equal(adjoint, fresh.voltage_matrix.conj().T)
+        assert np.array_equal(first.weights, np.linalg.solve(fresh.normal, (adjoint @ v).real))
+        # Every solve reads the cached V_R^H: a doubled one doubles the weights.
+        fresh.adjoint = 2.0 * adjoint
+        assert np.array_equal(reconstruct_lse(fresh, v).weights, 2.0 * first.weights)
 
     def test_matches_direct_weights_noiseless(self, band_limited_setup):
         cal, chamber, truth, v = band_limited_setup

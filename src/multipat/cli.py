@@ -22,13 +22,14 @@ candidate's cond(V_R); reports list that ranking under chamber_selection.
 reconstruct and sweep share one per-antenna path, _reconstruct_test. One
 dipole.grid_field pass on MeasurementSetup.directions, the chamber's launch
 trig then the grid's, gives its probe voltages' field and its truth field on
-the config grid; farfield.directivity takes the order sums once. The theory
-summary it compares against is computed once per set-up, in 1-D and on no
-grid, from the theta pattern of the config test dipole's upright twin: R_r
-and D of an identical dipole do not depend on its orientation. The channel
-T = V_R inv(A_R) is solved once per set-up too, and each calibration
-matrix's condition number is taken when it is built, so an inverse or
-direct-weights reconstruction is one solve and no condition number.
+the config grid; farfield.directivity takes the order sums once, for its
+trailing synthesize call too. The theory summary it compares against is
+computed once per set-up, in 1-D and on no grid, from the theta pattern of
+the config test dipole's upright twin: R_r and D of an identical dipole do
+not depend on its orientation. The channel T = V_R inv(A_R) is solved once
+per set-up too, and each calibration matrix's condition number is taken when
+it is built, so an inverse or direct-weights reconstruction is one solve and
+no condition number.
 
 Exit codes: 0 success, 2 configuration error (a set-up too large for
 memory counts as one), 3 numerical/conditioning error.
@@ -538,7 +539,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seeds = [fileio._integer(args.seed, "chamber seed")]
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path below one
+            raise ConfigError(f"--out {out_dir} cannot be created: {exc.strerror or exc}") from None
         return _COMMANDS[args.command](cfg, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

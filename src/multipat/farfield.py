@@ -22,7 +22,7 @@ its points. directivity() finds the pattern's peak from the argmax of a
 phi (its theta <= 90 deg half if all modes share an inversion parity),
 refined by a Newton ascent in Python floats on |E|^2's exact gradient and
 Hessian (at a pole, along three meridians), and takes |E|^2 there from one
-synthesize() call; mesh and model read the same table.
+synthesize() call; mesh, model and that call read one _order_sums of the table.
 field_radiation_summary's peak is a 1-D theta search. mode_basis is
 vsh.mode_components with each row times j^(l+1), and keeps nothing; a
 quadrature grid owns the basis on its nodes (SphereGrid.basis), which
@@ -212,16 +212,18 @@ def _order_sums(coeffs: VshCoefficients):
     return (members @ (coeffs.values[:, None] * table)).reshape(len(members), 2, -1), *rest
 
 
-def synthesize(coeffs: VshCoefficients, theta, phi) -> TangentVector:
+def synthesize(coeffs: VshCoefficients, theta, phi, *, sums=None) -> TangentVector:
     """Evaluate the modified far field of a coefficient set at (theta, phi).
 
     E = sum_m exp(j m phi) sum_p g_m,p exp(j p theta), g the _order_sums of
-    the cached theta-Fourier table: no basis recurrence, a handful of array
-    operations whatever the number of points. Broadcasts; returns scalar
-    components for scalar input.
+    the cached theta-Fourier table, or sums if given (a caller that already
+    took them): no basis recurrence, a handful of array operations whatever
+    the number of points. Broadcasts; returns scalar components for scalar input.
     """
-    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    g, jp, jm = _order_sums(coeffs)[:3]
+    th, ph = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if th.shape != ph.shape:
+        th, ph = np.broadcast_arrays(th, ph)
+    g, jp, jm = (_order_sums(coeffs) if sums is None else sums)[:3]
     e_t, e_p = (g @ np.exp(jp * th.ravel()) * np.exp(jm * ph.ravel())).sum(axis=0)
     if th.shape == ():
         return TangentVector(complex(e_t[0]), complex(e_p[0]))
@@ -325,15 +327,16 @@ def _angles(x) -> tuple[float, float]:
 
 
 def _tangent_frame(x):
-    """Unit theta-hat and phi-hat (less its zero z) at x; at a pole, for atan2's phi."""
+    """Unit theta-hat and phi-hat (less its zero z) at x, for atan2's phi at a
+    pole, then the (theta, phi, sin theta, cos theta) they came from."""
     theta, phi = _angles(x)
     ct, st, cp, sp = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi)
-    return (ct * cp, ct * sp, -st), (-sp, cp)
+    return (ct * cp, ct * sp, -st), (-sp, cp), (theta, phi, st, ct)
 
 
 def _chart(x, frame, u: float, v: float):
     """Gnomonic chart at x: the unit vector along x + u theta-hat + v phi-hat."""
-    (tx, ty, tz), (px, py) = frame
+    (tx, ty, tz), (px, py) = frame[:2]
     c = (x[0] + u * tx + v * px, x[1] + u * ty + v * py, x[2] + u * tz)
     norm = math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
     return c[0] / norm, c[1] / norm, c[2] / norm
@@ -367,7 +370,9 @@ def _coarse_magnitude_squared(sums) -> np.ndarray:
     # Row m + M: the theta profiles of g_m, both components side by side.
     g = (g.reshape(-1, len(column)) @ column).reshape(len(g), -1)
     gc, n = g.conj(), g.shape[0]
-    h = np.stack([(g[lag:] * gc[: n - lag]).sum(axis=0) for lag in range(n)])
+    h = np.empty_like(g)
+    for lag in range(n):
+        (g[lag:] * gc[: n - lag]).sum(axis=0, out=h[lag])
     h = h[:, : column.shape[1]] + h[:, column.shape[1] :]
     h[1:] *= 2.0
     return np.concatenate([h.real, h[1:].imag]).T @ trig
@@ -403,9 +408,8 @@ def _exact_model(sums):
     def jets(rows, theta):  # [2 r + c][k]: theta derivative k of component c, on row r
         return (((rows @ g).reshape(6, n) * np.exp(jp * theta)) @ jets_p).tolist()
 
-    def model(x, frame):
-        theta, phi = _angles(x)
-        s, c = math.sin(theta), math.cos(theta)
+    def model(x, frame):  # frame: _tangent_frame(x), whose angles and trig it reads
+        theta, phi, s, c = frame[2]
         if s < _POLE_SIN:  # the meridians of theta-hat, phi-hat and their bisector
             pole = 0.0 if c > 0.0 else math.pi
             meridians = phi + math.copysign(math.pi, c) * np.array([0.0, 0.5, 0.25])
@@ -449,7 +453,7 @@ def _max_magnitude_squared(model, coarse: np.ndarray):
     (ConvergenceWarning). Both return the best value seen and its direction.
     A non-finite mesh value raises PatternError.
     """
-    i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
+    i, j = divmod(int(np.argmax(coarse)), coarse.shape[1])
     best = float(coarse[i, j])
     # argmax takes the first NaN, +inf is the maximum, and |E|^2 has no -inf.
     if not math.isfinite(best):
@@ -498,9 +502,9 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
     of _coarse_magnitude_squared's mesh (its north half if the set fixes the
     inversion parity); both read the mode set's cached _theta_fourier table,
     so its later patterns evaluate no basis, and one _order_sums call. |E|^2
-    there is one synthesize call. A zero or non-finite amplitude sum raises
-    PatternError. The spreading-free formulation makes the wavenumber cancel;
-    it is kept in the signature for interface symmetry with radiated_power.
+    there is one synthesize call, which reads those sums. A zero or non-finite
+    amplitude sum raises PatternError. The spreading-free formulation makes the
+    wavenumber cancel; it is kept for interface symmetry with radiated_power.
     """
     total = float(np.sum(np.abs(coeffs.values) ** 2))  # = 2 eta0 k^2 P
     if not 0.0 < total < math.inf:
@@ -510,7 +514,7 @@ def directivity(coeffs: VshCoefficients, k: float) -> float:
     # One call of this module's synthesize, looked up when called: the
     # benchmark's traced run wraps that name, and its farfield.synthesize_us
     # and synth_calls_per_directivity come from this call.
-    f = synthesize(coeffs, theta, phi)
+    f = synthesize(coeffs, theta, phi, sums=sums)
     return 4.0 * math.pi * (abs(f.e_theta) ** 2 + abs(f.e_phi) ** 2) / total
 
 

@@ -34,7 +34,7 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8"))  # RFC 8259: JSON is UTF-8
 
 
 def complex_to_pair(z) -> list[float]:
@@ -459,8 +459,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         doc = read_json(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or past json's limits
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(doc)

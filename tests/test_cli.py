@@ -687,6 +687,45 @@ class TestCommands:
         cfg_path = write_config(tmp_path, chamber={"n_probes": 4})
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "utf-16", "latin-1", "utf-8-bom",
+                                      "deep", "long-integer"])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        text = json.dumps({**SMALL_CONFIG, "note": "\u00e9"}, ensure_ascii=False)  # not ASCII
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_bytes({"utf-16": b"\xff\xfe" + text.encode("utf-16-le"),
+                              "latin-1": text.encode("latin-1"),
+                              "utf-8-bom": b"\xef\xbb\xbf" + text.encode(),
+                              # past the parser's nesting depth and int digit limits
+                              "deep": b"[" * 100_000 + b"]" * 100_000,
+                              "long-integer": b'{"wavelength": 1' + b"0" * 5000 + b"}"}[kind])
+        out = tmp_path / "out"
+        assert cli.main(["reconstruct", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes('{"note": "\u00e9\u03bb"}'.encode())
+        assert fileio.read_json(path) == {"note": "\u00e9\u03bb"}
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_the_setup(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        cfg_path, taken = write_config(tmp_path), tmp_path / "taken"
+        taken.write_text("kept")
+        monkeypatch.setattr(cli, "build_setup", lambda cfg: pytest.fail("the set-up ran"))
+        out = taken / "out" if below else taken
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out} cannot be created: ")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "kept"
+
     @pytest.mark.parametrize("command", ["reconstruct", "sweep"])
     @pytest.mark.parametrize("normalization", BAD_RESISTANCE_NORMALIZATIONS)
     def test_bad_resistance_normalization_exits_2(self, tmp_path, capsys, command, normalization):
@@ -1281,8 +1320,8 @@ class TestPerAntennaPath:
     def test_one_field_pass_one_probe_call_and_one_order_sum(self, paper_setup, monkeypatch):
         # One _reconstruct_test: one grid_field pass gives the voltages'
         # field and the truth on the grid, and directivity takes the order
-        # sums once for the mesh and the Newton model, apart from the
-        # trailing synthesize call's own.
+        # sums once, for the mesh, the Newton model and the trailing
+        # synthesize call, which takes none of its own.
         calls, inside = [], []
         for module, name in ((dipole, "grid_field"), (chamber, "probe_voltages"),
                              (farfield, "_order_sums")):
@@ -1293,10 +1332,11 @@ class TestPerAntennaPath:
             monkeypatch.setattr(module, name, counted)
         synthesize = farfield.synthesize
 
-        def marked(*args):
+        def marked(*args, **kwargs):
+            calls.append("synthesize")
             inside.append(True)
             try:
-                return synthesize(*args)
+                return synthesize(*args, **kwargs)
             finally:
                 inside.pop()
 
@@ -1304,8 +1344,7 @@ class TestPerAntennaPath:
         cfg = paper_setup.config
         result, _, _, _, exact, _ = cli._reconstruct_test(
             paper_setup, DipoleSpec(cfg.test_length, 1.2, 0.4, cfg.test_current))
-        assert calls == ["grid_field", "probe_voltages", "_order_sums",
-                         "_order_sums in synthesize"]
+        assert calls == ["grid_field", "probe_voltages", "_order_sums", "synthesize"]
         assert exact.e_theta.shape == paper_setup.grid.theta_mesh.shape
 
     def test_per_antenna_path_takes_no_condition_number(self, paper_setup, monkeypatch):

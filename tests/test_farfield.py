@@ -327,9 +327,9 @@ class TestDirectivity:
         _, at = _max_magnitude_squared(_exact_model(sums), _coarse_magnitude_squared(sums))
         calls = []
 
-        def spy(coeffs, theta, phi):
+        def spy(coeffs, theta, phi, **kwargs):
             calls.append((theta, phi))
-            f = synthesize(coeffs, theta, phi)
+            f = synthesize(coeffs, theta, phi, **kwargs)
             return TangentVector(2.0 * f.e_theta, 2.0 * f.e_phi)
 
         monkeypatch.setattr(farfield, "synthesize", spy)
@@ -504,7 +504,7 @@ class TestPeakSearch:
 
         def model(x, frame):
             points.append(np.array(x))
-            (tx, ty, tz), (px, py) = frame
+            (tx, ty, tz), (px, py) = frame[:2]
             f = x[0] * peak[0] + x[1] * peak[1] + x[2] * peak[2]
             slope = (tx * peak[0] + ty * peak[1] + tz * peak[2], px * peak[0] + py * peak[1])
             return f, _angles(x), slope, (-f, 0.0, -f)

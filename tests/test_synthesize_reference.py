@@ -9,10 +9,11 @@ rounding, checked relative to the largest |E| of the point set.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multipat.farfield import VshCoefficients, mode_basis, synthesize
+from multipat.farfield import VshCoefficients, _order_sums, mode_basis, synthesize
 from multipat.vsh import MULTIPOLE_FILTERS, PARITY_FILTERS, ModeSet, build_mode_set
 
 REL_TOL = 1e-13
@@ -113,3 +114,49 @@ def test_empty_entry_set_gives_a_zero_field():
     field = synthesize(coeffs, np.array([[0.0], [math.pi]]), np.array([0.1, 0.2, 0.3]))
     for component in (field.e_theta, field.e_phi):
         assert component.shape == (2, 3) and not np.any(component)
+
+
+def broadcast_synthesize(coeffs, theta, phi):
+    """synthesize as it was before it took sums: every input broadcast, its own order sums."""
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    g, jp, jm = _order_sums(coeffs)[:3]
+    e_t, e_p = (g @ np.exp(jp * th.ravel()) * np.exp(jm * ph.ravel())).sum(axis=0)
+    return e_t.reshape(th.shape), e_p.reshape(th.shape)
+
+
+def as_bytes(component) -> bytes:
+    return np.asarray(component, dtype=complex).tobytes()
+
+
+POINT_KINDS = {
+    "float": lambda t, p: (float(t[0]), float(p[0])),
+    "numpy-scalar": lambda t, p: (np.float64(t[0]), np.float64(p[0])),
+    "0-d-array": lambda t, p: (np.array(t[0]), np.array(p[0])),
+    "float-and-array": lambda t, p: (float(t[0]), p),
+    "equal-shapes": lambda t, p: (t, p[: len(t)]),
+    "broadcast": lambda t, p: (t[:, None], p),
+}
+
+
+@pytest.mark.parametrize("kind", POINT_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from([("all", "both"), ("odd", "electric")]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.sampled_from([0.0, math.pi]), angles), min_size=4, max_size=4),
+       st.lists(phis, min_size=5, max_size=5))
+def test_given_sums_keep_the_bytes(kind, lambda_max, filters, seed, thetas, phi_list):
+    # directivity passes the order sums it took to its trailing synthesize
+    # call; given or not, and broadcast or not, the bytes are those of the
+    # formula that broadcast every input.
+    ms = build_mode_set(lambda_max, *filters)
+    rng = np.random.default_rng(seed)
+    coeffs = VshCoefficients(ms, rng.normal(size=ms.size) + 1j * rng.normal(size=ms.size))
+    theta, phi = POINT_KINDS[kind](np.array(thetas), np.array(phi_list))
+    given_sums = synthesize(coeffs, theta, phi, sums=_order_sums(coeffs))
+    own = synthesize(coeffs, theta, phi)
+    expected = broadcast_synthesize(coeffs, theta, phi)
+    for got in (given_sums, own):
+        assert np.shape(got.e_theta) == np.shape(expected[0])
+        assert isinstance(got.e_theta, complex) == (expected[0].shape == ())
+        assert as_bytes(got.e_theta) == as_bytes(expected[0])
+        assert as_bytes(got.e_phi) == as_bytes(expected[1])
